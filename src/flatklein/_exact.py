@@ -20,14 +20,13 @@ def _to_frac_matrix(rows: Iterable[Row]) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def mat_rank(rows: Iterable[Row]) -> int:
-    """Rank of a rational matrix by fraction-exact Gaussian elimination."""
-    m = _to_frac_matrix(rows)
+def _gauss_jordan(m: list[list[Fraction]]) -> list[int]:
+    """Reduce m in place to reduced row echelon form; return pivot columns."""
     if not m:
-        return 0
-    n_cols = len(m[0])
-    rank = 0
-    for col in range(n_cols):
+        return []
+    pivots: list[int] = []
+    for col in range(len(m[0])):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
         if piv is None:
             continue
@@ -38,10 +37,15 @@ def mat_rank(rows: Iterable[Row]) -> int:
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
+        pivots.append(col)
+        if len(pivots) == len(m):
             break
-    return rank
+    return pivots
+
+
+def mat_rank(rows: Iterable[Row]) -> int:
+    """Rank of a rational matrix by fraction-exact Gaussian elimination."""
+    return len(_gauss_jordan(_to_frac_matrix(rows)))
 
 
 def affine_rank(points: Sequence[Row]) -> int:
@@ -52,44 +56,13 @@ def affine_rank(points: Sequence[Row]) -> int:
     return mat_rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
 
 
-def solve_square(a: Iterable[Row], b: Row) -> tuple[Fraction, ...] | None:
-    """Solve a square system exactly; None if the matrix is singular."""
-    m = _to_frac_matrix(a)
-    n = len(m)
-    rhs = [Fraction(x) for x in b]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                rhs[r] -= f * rhs[col]
-    return tuple(rhs)
-
-
 def invert_square(a: Iterable[Row]) -> list[list[Fraction]] | None:
     """Exact inverse of a square rational matrix; None if singular."""
     m = _to_frac_matrix(a)
     n = len(m)
     aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    if _gauss_jordan(aug) != list(range(n)):
+        return None
     return [row[n:] for row in aug]
 
 

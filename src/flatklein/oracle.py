@@ -2,16 +2,16 @@
 
 Nothing here reuses the closed-form metric or vertex formulas from the rest
 of the package: distances come from windowed enumeration of deck images,
-vertex sets from exhaustive basis enumeration over halfspace subsets, and
-certification from an exact double-description walk of the edge graph.
-These routines are deliberately dumb and exact; they are the ground truth
-the unit and acceptance tests compare against.
+vertex sets from an exact double-description enumeration of the
+homogenised halfspace system, and certification from an exact walk of the
+edge graph.  These routines are deliberately dumb and exact; they are the
+ground truth the unit and acceptance tests compare against.
 
-The exhaustive vertex enumerator first rescales coordinates and offsets so
-the whole system is integral with small matrix entries, then runs its hot
-loop in float64 (determinants, all integers below 2**53) and 64-bit integer
-arithmetic (feasibility residuals), so no rounding ever occurs.  If an
-instance exceeds the magnitude bounds we fall back to a Fraction pipeline.
+`brute_vertices` and `certify_vertices` share one routine, the cone
+enumerator `_cone_rays`.  They never check the same cell (the CLI and the
+benchmark send n <= 5 to the first and n >= 6 to the second), and neither
+shares a formula with the closed-form vertex families.  The tests also hold
+`brute_vertices` to a plain exhaustive basis enumeration at n <= 3.
 """
 
 from __future__ import annotations
@@ -22,13 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from ._exact import gcd_reduce, integerize_row, invert_square, mat_rank
 
 Halfspace = tuple[Sequence[Fraction], Fraction]
-
-_FLOAT_EXACT_LIMIT = 1 << 53
 
 
 def _coords(point) -> tuple[Fraction, ...]:
@@ -51,20 +47,16 @@ def _axis_minima(target: Fraction, base: Fraction, flip: bool, step: int,
     s = -base if flip else base
     lo = -window * step + offset
     hi = window * step + offset
-    best: Fraction | None = None
-    hits: list[tuple[int, Fraction]] = []
-    k = lo
-    while k <= hi:
-        val = s + k - target
-        sq = val * val
-        if best is None or sq < best:
-            best, hits = sq, [(k, s + k)]
-        elif sq == best:
-            hits.append((k, s + k))
-        k += step
-    if any(k in (lo, hi) for k, _ in hits):
+    # (s + k - target)^2 = (num + k*den)^2 / den^2: compare integer numerators
+    diff = s - target
+    num, den = diff.numerator, diff.denominator
+    shifts = range(lo, hi + 1, step)
+    squares = [(num + k * den) ** 2 for k in shifts]
+    best = min(squares)
+    ks = [k for k, sq in zip(shifts, squares) if sq == best]
+    if ks[0] == lo or ks[-1] == hi:
         raise ValueError("enumeration window too small for these points")
-    return best, [v for _, v in hits]
+    return Fraction(best, den * den), [s + k for k in ks]
 
 
 def brute_minimal_images(y, z, window: int = 3):
@@ -113,66 +105,8 @@ def brute_geodesic_count(y, z, window: int = 3) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive vertex enumeration
+# Vertex enumeration by homogenised double description
 # ---------------------------------------------------------------------------
-
-_subset_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _subsets_array(m: int, n: int) -> np.ndarray:
-    key = (m, n)
-    if key not in _subset_cache:
-        combos = list(itertools.combinations(range(m), n))
-        _subset_cache[key] = np.array(combos, dtype=np.intp)
-    return _subset_cache[key]
-
-
-def _det_grid(grid: list[list[np.ndarray]]) -> np.ndarray:
-    """Batched determinants by subset-DP Laplace expansion along rows.
-
-    `grid[r][j]` holds entry (r, j) for the whole batch as a contiguous
-    vector.  Exact whenever all intermediates stay integral below 2**53;
-    callers are responsible for the magnitude precheck.
-    """
-    k = len(grid)
-    minors = {1 << j: grid[0][j].copy() for j in range(k)}
-    tmp = np.empty_like(grid[0][0])
-    for r in range(1, k):
-        nxt: dict[int, np.ndarray] = {}
-        row = grid[r]
-        for cols in itertools.combinations(range(k), r + 1):
-            mask = 0
-            for j in cols:
-                mask |= 1 << j
-            acc = None
-            for pos, j in enumerate(cols):
-                sub = minors[mask ^ (1 << j)]
-                if acc is None:
-                    acc = row[j] * sub
-                    if pos % 2 != (r % 2):
-                        np.negative(acc, out=acc)
-                elif pos % 2 == (r % 2):
-                    np.multiply(row[j], sub, out=tmp)
-                    acc += tmp
-                else:
-                    np.multiply(row[j], sub, out=tmp)
-                    acc -= tmp
-            nxt[mask] = acc
-        minors = nxt
-    return minors[(1 << k) - 1]
-
-
-def _as_grid(mats: np.ndarray) -> list[list[np.ndarray]]:
-    _, k, _ = mats.shape
-    tr = mats.transpose(1, 2, 0)
-    return [[np.ascontiguousarray(tr[r, j]) for j in range(k)]
-            for r in range(k)]
-
-
-def _det_batch(mats: np.ndarray) -> np.ndarray:
-    """Determinants of a (B, k, k) float64 batch; see _det_grid."""
-    return _det_grid(_as_grid(mats))
-
 
 def _integerized(halfspaces: Sequence[Halfspace]):
     rows, offs = [], []
@@ -183,110 +117,23 @@ def _integerized(halfspaces: Sequence[Halfspace]):
     return rows, offs
 
 
-def brute_vertices(halfspaces: Sequence[Halfspace],
-                   chunk: int = 120_000) -> list[tuple[Fraction, ...]]:
-    """All vertices of {x : normal.x <= offset}, by exhaustive bases.
+def brute_vertices(halfspaces: Sequence[Halfspace]) -> list[tuple[Fraction, ...]]:
+    """All vertices of {x : normal.x <= offset}, returned sorted.
 
-    Every n-subset of the constraints is solved exactly; solutions that
-    satisfy all constraints are deduplicated and returned sorted.  The
-    polytope is assumed bounded (callers pass cells that always are); the
-    routine itself never assumes anything about where vertices lie.
+    The system is homogenised to the cone {(x, t) : normal.x - offset*t <= 0,
+    -t <= 0}; its extreme rays with t > 0 are the vertices scaled by t, and
+    those with t = 0 are the recession directions.  Normals of rank below n
+    give no vertex (empty, too few rows, or a line in the polytope).  The
+    polytope need not be bounded or even nonempty.
     """
-    normals = [tuple(Fraction(c) for c in normal) for normal, _ in halfspaces]
-    betas = [Fraction(off) for _, off in halfspaces]
-    m = len(normals)
-    if not m:
+    rows, offs = _integerized(halfspaces)
+    n = len(rows[0]) if rows else 0
+    if not rows or mat_rank(rows) < n:
         return []
-    n = len(normals[0])
-    if m < n:
-        return []
-    if math.comb(m, n) > 3_000_000:
-        raise ValueError("too many constraint subsets for exhaustive search")
-
-    # Substitute x_j = (q_j / d) * w_j, with q_j clearing the denominators of
-    # column j and d those of the offsets.  The system becomes integral with
-    # small matrix entries (column denominators never mix), which keeps the
-    # fast pipeline exact on far larger instances than per-row scaling would.
-    qs = []
-    for j in range(n):
-        q = 1
-        for row in normals:
-            q = q * row[j].denominator // math.gcd(q, row[j].denominator)
-        qs.append(q)
-    rows = [[int(row[j] * qs[j]) for j in range(n)] for row in normals]
-    d = 1
-    for b in betas:
-        d = d * b.denominator // math.gcd(d, b.denominator)
-    offs = [int(b * d) for b in betas]
-
-    big_m = max(1, max(abs(v) for row in rows for v in row))
-    big_b = max(1, max(abs(o) for o in offs))
-    det_bound = math.factorial(n) * big_m ** n
-    num_bound = math.factorial(n) * big_b * big_m ** (n - 1)
-    resid_bound = n * big_m * num_bound + big_b * det_bound
-    if 2 * num_bound >= _FLOAT_EXACT_LIMIT or resid_bound >= 1 << 62:
-        raw = _brute_vertices_fractions(rows, offs, n)
-    else:
-        raw = _brute_vertices_fast(rows, offs, n, chunk)
-    scale = [Fraction(q, d) for q in qs]
-    return sorted(tuple(w * s for w, s in zip(ws, scale)) for ws in raw)
-
-
-def _brute_vertices_fast(rows, offs, n, chunk) -> list[tuple[Fraction, ...]]:
-    """Batched basis enumeration for an all-integer system.
-
-    Determinants and Cramer numerators come out of the float64 batch (exact
-    below 2**53); feasibility residuals are re-evaluated in int64, where the
-    caller's magnitude precheck guarantees no overflow.
-    """
-    rows_np = np.array(rows, dtype=np.float64)
-    offs_np = np.array(offs, dtype=np.float64)
-    rows_i64 = np.array(rows, dtype=np.int64)
-    offs_i64 = np.array(offs, dtype=np.int64)
-    subsets = _subsets_array(len(rows), n)
-    found: dict[tuple[Fraction, ...], None] = {}
-    for start in range(0, len(subsets), chunk):
-        sel = subsets[start:start + chunk]
-        grid = _as_grid(rows_np[sel])            # entries of the (B, n, n) batch
-        rhs = offs_np[sel]                       # (B, n)
-        dets = _det_grid(grid)
-        nz = dets != 0
-        if not nz.any():
-            continue
-        dets = dets[nz]
-        grid = [[col[nz] for col in row] for row in grid]
-        rhs_cols = [np.ascontiguousarray(rhs[nz, r]) for r in range(n)]
-        nums = np.empty((dets.shape[0], n))
-        for j in range(n):
-            # Cramer numerator: column j replaced by the right-hand side
-            repl = [[rhs_cols[r] if c == j else row[c]
-                     for c in range(n)] for r, row in enumerate(grid)]
-            nums[:, j] = _det_grid(repl)
-        # exact feasibility: normalise to det > 0, then test in int64
-        sign = np.where(dets > 0, 1, -1).astype(np.int64)
-        nums_i = nums.astype(np.int64) * sign[:, None]
-        dets_i = dets.astype(np.int64) * sign
-        resid = nums_i @ rows_i64.T - offs_i64[None, :] * dets_i[:, None]
-        feas = (resid <= 0).all(axis=1)
-        for numv, det in zip(nums_i[feas], dets_i[feas]):
-            point = tuple(Fraction(int(v), int(det)) for v in numv)
-            found.setdefault(point, None)
-    return list(found)
-
-
-def _brute_vertices_fractions(rows, offs, n) -> list[tuple[Fraction, ...]]:
-    """Plain-Fraction fallback for instances beyond the float-exact bound."""
-    from ._exact import solve_square
-
-    found: dict[tuple[Fraction, ...], None] = {}
-    for sel in itertools.combinations(range(len(rows)), n):
-        x = solve_square([rows[i] for i in sel], [offs[i] for i in sel])
-        if x is None:
-            continue
-        if all(sum(r * v for r, v in zip(row, x)) <= off
-               for row, off in zip(rows, offs)):
-            found.setdefault(tuple(x), None)
-    return sorted(found)
+    cone = [row + (-off,) for row, off in zip(rows, offs)]
+    cone.append((0,) * n + (-1,))
+    return sorted(tuple(Fraction(v, ray[-1]) for v in ray[:-1])
+                  for ray in _cone_rays(cone, n + 1) if ray[-1] > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +183,22 @@ def _cone_rays(active_rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ..
     def dot(row: Sequence[int], d: Sequence[int]) -> int:
         return sum(r * v for r, v in zip(row, d))
 
-    processed = set(basis)
     for i, row in enumerate(active_rows):
         if i in basis:
             continue
+        bit = 1 << i
         vals = [dot(row, r) for r in rays]
         keep = [j for j, v in enumerate(vals) if v <= 0]
         pos = [j for j, v in enumerate(vals) if v > 0]
         neg = [j for j, v in enumerate(vals) if v < 0]
         new_rays: list[tuple[int, ...]] = []
+        new_zerosets: list[int] = []
         for p in pos:
             for q in neg:
                 meet = zerosets[p] & zerosets[q]
+                # adjacent rays of a pointed n-cone share n - 2 tight rows
+                if meet.bit_count() < n - 2:
+                    continue
                 adjacent = all(
                     (meet & zerosets[r]) != meet
                     for r in range(len(rays)) if r not in (p, q))
@@ -356,10 +207,12 @@ def _cone_rays(active_rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ..
                 combo = [vals[p] * rays[q][t] - vals[q] * rays[p][t]
                          for t in range(n)]
                 new_rays.append(gcd_reduce(combo))
-        processed.add(i)
+                # both multipliers are positive, so the new ray is tight
+                # exactly where both parents are, and on row i
+                new_zerosets.append(meet | bit)
         rays = [rays[j] for j in keep] + new_rays
-        zerosets = [sum(1 << t for t in processed if dot(active_rows[t], ray) == 0)
-                    for ray in rays]
+        zerosets = [zerosets[j] | (bit if vals[j] == 0 else 0)
+                    for j in keep] + new_zerosets
     return rays
 
 

@@ -16,11 +16,10 @@ so the representative tables are computed once per stratum and reused.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cut_polytope import CutPolytope, cut_polytope
 from .klein_space import (KleinPoint, LiftPoint, Rational, as_point,
-                          format_rat, minimal_lifts, project)
+                          format_rat, geodesic_path, minimal_lifts, project)
 from .stratification import Stratum, classify
 
 __all__ = ["FaceKey", "PlanResult", "partition_index", "plan", "representatives"]
@@ -94,16 +93,6 @@ def _tables_for(point: KleinPoint, stratum: Stratum) -> _StratumTables:
     return tables
 
 
-def _segment(p: LiftPoint, q: LiftPoint, count: int) -> tuple[KleinPoint, ...]:
-    if count < 2:
-        raise ValueError("need at least two samples")
-    pts = []
-    for i in range(count):
-        t = Fraction(i, count - 1)
-        pts.append(project(tuple(a + t * (b - a) for a, b in zip(p, q))))
-    return tuple(pts)
-
-
 def plan(y, z, samples: int = 0) -> PlanResult:
     """Deterministic selection of one minimal geodesic from y to z."""
     src = _as_klein(y)
@@ -126,7 +115,7 @@ def plan(y, z, samples: int = 0) -> PlanResult:
             f"lift keys {keys}; representatives {sorted(tables.rep_keys)}")
     q, k = hits[0]
     j = tables.dim_by_key[k]
-    pts = _segment(src.rep, q, samples) if samples else ()
+    pts = tuple(geodesic_path(src.rep, q, samples)) if samples else ()
     return PlanResult(stratum.dim + j, stratum.dim, j, k, q, pts)
 
 

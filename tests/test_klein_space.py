@@ -207,7 +207,8 @@ def test_neighbor_set_contents_n2():
     assert got == expected
 
 
-@given(pts(None).filter(lambda x: all(0 <= c <= 1 for c in x)))
+@given(st.integers(min_value=2, max_value=4).flatmap(lambda k: st.tuples(
+    *[st.fractions(min_value=0, max_value=1, max_denominator=16)] * k)))
 def test_neighbor_set_distinct_and_never_p(x):
     pts_out = neighbor_set(x)
     assert len(set(pts_out)) == len(pts_out)

@@ -1,9 +1,15 @@
 """Brute-force reference implementations: enumeration, certification."""
 
+import itertools
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import flatklein
 from flatklein import cut_polytope, project
 from flatklein.oracle import (
     brute_distance,
@@ -90,12 +96,76 @@ def test_degenerate_inputs():
     assert brute_vertices(_cube(3)[:2]) == []
 
 
-def test_exhaustive_mode_guard():
+def test_redundant_parallel_rows_keep_cube_corners():
+    # C(60, 5) ~ 5.5e6 bases for a basis search; double description drops
+    # each redundant row after one pass over the current rays
     hs = _cube(5)
     for k in range(2, 52):
         hs.append(((F(1), F(0), F(0), F(0), F(0)), F(k)))
-    with pytest.raises(ValueError):
-        brute_vertices(hs)
+    assert brute_vertices(hs) == sorted(itertools.product((F(0), F(1)), repeat=5))
+
+
+def _det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _basis_vertices(halfspaces):
+    """Reference for n <= 3: Cramer's rule on every n-subset of the rows."""
+    rows = [(tuple(F(c) for c in nrm), F(off)) for nrm, off in halfspaces]
+    n = len(rows[0][0])
+    found = set()
+    for sel in itertools.combinations(rows, n):
+        det = _det([nrm for nrm, _ in sel])
+        if det == 0:
+            continue
+        x = tuple(_det([nrm[:j] + (off,) + nrm[j + 1:] for nrm, off in sel]) / det
+                  for j in range(n))
+        if all(sum(c * v for c, v in zip(nrm, x)) <= off for nrm, off in rows):
+            found.add(x)
+    return sorted(found)
+
+
+def _seeded_bases(rng, n, count):
+    # horizontal coordinates hit the prism values 0 and 1/2 and the
+    # reflected half (1/2, 1) as well as the fundamental chamber
+    def coord():
+        return rng.choice((F(0), F(1, 2), F(rng.randrange(1, 12), 12)))
+    return [tuple(coord() for _ in range(n - 1)) + (F(rng.randrange(0, 7), 7),)
+            for _ in range(count)]
+
+
+def test_vertices_match_basis_enumeration():
+    rng = random.Random(7)
+    systems = [_cube(2), _cube(3), _cell_pairs((F(1, 4), F(0)))]
+    systems += [_cell_pairs(b) for n in (2, 3) for b in _seeded_bases(rng, n, 15)]
+    # x <= 0 and x >= 1
+    infeasible = [((F(1), F(0)), F(0)), ((F(-1), F(0)), F(-1)),
+                  ((F(0), F(1)), F(1)), ((F(0), F(-1)), F(0))]
+    # x, y, z >= 0 and x + y + z >= 1: unbounded, but pointed
+    pointed = _cube(3)[1::2] + [((F(-1), F(-1), F(-1)), F(-1))]
+    # the unit square in x, y with z free
+    line = [((F(c[0]), F(c[1]), F(0)), off) for c, off in _cube(2)]
+    # the lone point 0: only the row -t <= 0 keeps its cone pointed
+    point = [(nrm, F(0)) for nrm, _ in _cube(2)]
+    for hs in systems + [infeasible, pointed, line, point]:
+        assert brute_vertices(hs) == _basis_vertices(hs), hs
+    assert brute_vertices(infeasible) == brute_vertices(line) == []
+    assert brute_vertices(point) == [(F(0), F(0))]
+    assert brute_vertices(pointed) == sorted(
+        tuple(F(int(i == j)) for j in range(3)) for i in range(3))
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(flatklein.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import flatklein; "
+         "print('numpy' in sys.modules)", src],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
