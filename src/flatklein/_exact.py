@@ -1,8 +1,8 @@
 """Exact linear algebra over rationals, plus a small exact simplex solver.
 
-Everything in this module is tolerance-free: Gaussian elimination, ranks,
-inverses and the LP routines all run over `fractions.Fraction` (or plain
-Python ints where noted).  The LP solver is a dense two-phase simplex with
+Everything in this module is tolerance-free: ranks and inverses come from
+one fraction-free elimination on integer rows, and the LP routines run over
+`fractions.Fraction`.  The LP solver is a dense two-phase simplex with
 Bland's rule; problem sizes in this package are tiny (fewer than ~30
 variables and ~60 rows), so clarity beats sparsity.
 """
@@ -16,12 +16,18 @@ from typing import Iterable, Sequence
 Row = Sequence[Fraction]
 
 
-def _to_frac_matrix(rows: Iterable[Row]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _scaled(row: Row) -> list[int]:
+    """A row of ints and Fractions times the lcm of its denominators."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def _gauss_jordan(m: list[list[Fraction]]) -> list[int]:
-    """Reduce m in place to reduced row echelon form; return pivot columns."""
+def _gauss_jordan(m: list[Sequence[int]]) -> list[int]:
+    """Reduce integer rows in place to fraction-free reduced echelon form.
+
+    Each row r is replaced by p[col]*r - r[col]*p for the pivot row p and
+    divided by the gcd of its entries; returns the pivot columns.
+    """
     if not m:
         return []
     pivots: list[int] = []
@@ -31,12 +37,11 @@ def _gauss_jordan(m: list[list[Fraction]]) -> list[int]:
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
+        p = m[rank]
         for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+            f = m[r][col]
+            if r != rank and f != 0:
+                m[r] = gcd_reduce([p[col] * x - f * y for x, y in zip(m[r], p)])
         pivots.append(col)
         if len(pivots) == len(m):
             break
@@ -44,46 +49,35 @@ def _gauss_jordan(m: list[list[Fraction]]) -> list[int]:
 
 
 def mat_rank(rows: Iterable[Row]) -> int:
-    """Rank of a rational matrix by fraction-exact Gaussian elimination."""
-    return len(_gauss_jordan(_to_frac_matrix(rows)))
-
-
-def affine_rank(points: Sequence[Row]) -> int:
-    """Dimension of the affine hull of a point set (0 for a single point)."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return mat_rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
+    """Rank of a rational matrix by fraction-free integer elimination."""
+    return len(_gauss_jordan([_scaled(row) for row in rows]))
 
 
 def invert_square(a: Iterable[Row]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square rational matrix; None if singular."""
-    m = _to_frac_matrix(a)
-    n = len(m)
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    """Exact inverse of a square rational matrix; None if singular.
+
+    Scaling whole rows of [A | I] to integers leaves its reduced form
+    [I | A^-1] unchanged; each reduced row is then divided by its pivot.
+    """
+    rows = [list(row) for row in a]
+    n = len(rows)
+    aug = [_scaled(row + [int(i == j) for j in range(n)])
+           for i, row in enumerate(rows)]
     if _gauss_jordan(aug) != list(range(n)):
         return None
-    return [row[n:] for row in aug]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
 
 
 def integerize_row(normal: Row, offset: Fraction) -> tuple[tuple[int, ...], int]:
     """Scale (normal, offset) by the lcm of denominators to integer data."""
-    fracs = [Fraction(x) for x in normal] + [Fraction(offset)]
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // math.gcd(scale, f.denominator)
-    ints = [int(f * scale) for f in fracs]
+    ints = _scaled([*normal, offset])
     return tuple(ints[:-1]), ints[-1]
 
 
 def gcd_reduce(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (keep orientation)."""
-    g = 0
-    for v in vec:
-        g = math.gcd(g, abs(v))
-    if g <= 1:
-        return tuple(vec)
-    return tuple(v // g for v in vec)
+    g = math.gcd(*vec)
+    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -19,20 +19,21 @@ through the reflections, which conjugate the deck group to itself.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from ._exact import affine_rank
+from ._exact import integerize_row, mat_rank
 from .klein_space import (
     HALF,
     DeckElement,
     KleinPoint,
     LiftPoint,
     Rational,
-    apply_deck,
     as_point,
+    canonicalize,
     format_rat,
     project,
     rat,
@@ -345,27 +346,51 @@ class CutPolytope:
 
     # -- face lattice -------------------------------------------------------
 
+    def _vertex_numerators(self) -> tuple[list[tuple[int, ...]], int]:
+        """Vertex coordinates as integer numerators over one common denominator."""
+        coords = [v.coords for v in self.vertices()]
+        den = math.lcm(*(c.denominator for v in coords for c in v))
+        return [tuple(c.numerator * (den // c.denominator) for c in v)
+                for v in coords], den
+
     def face_lattice(self) -> list[Face]:
-        """All faces (dimension 0..n), bottom-up, exact ranks."""
+        """All faces (dimension 0..n), bottom-up, exact ranks.
+
+        Faces are the nonempty intersections of facets, with vertex-facet
+        incidences held as int bitmasks (as in Kaibel & Pfetsch, 2002).  A
+        face's dimension is n minus the rank of the normals tight on all of
+        its vertices.
+        """
         if self._faces is not None:
             return self._faces
-        verts = self.vertices()
+        nums, den = self._vertex_numerators()
         n = self.n
-        tight: dict[Descriptor, frozenset[int]] = {}
-        for d, normal, off in self.halfspaces():
-            ids = frozenset(
-                i for i, v in enumerate(verts)
-                if sum(w * c for w, c in zip(normal, v.coords)) == off)
-            tight[d] = ids
-        facet_sets = [ids for ids in tight.values()
-                      if ids and affine_rank([verts[i].coords for i in ids]) == n - 1]
-        top = frozenset(range(len(verts)))
-        sets: set[frozenset[int]] = {top}
+        keys = [d.key() for d, _, _ in self.halfspaces()]
+        rows = [integerize_row(normal, off) for _, normal, off in self.halfspaces()]
+        # at[i]: mask of the descriptors tight at vertex i
+        at = [sum(1 << j for j, (row, rhs) in enumerate(rows)
+                  if sum(w * c for w, c in zip(row, v)) == rhs * den)
+              for v in nums]
+        ranks: dict[int, int] = {}
+
+        def dim_and_tight(s: int) -> tuple[int, int]:
+            on = -1
+            for i in _bits(s):
+                on &= at[i]
+            if on not in ranks:
+                ranks[on] = mat_rank([rows[j][0] for j in _bits(on)])
+            return n - ranks[on], on
+
+        tight = [sum(1 << i for i, a in enumerate(at) if a >> j & 1)
+                 for j in range(len(rows))]
+        facets = [t for t in tight if t and dim_and_tight(t)[0] == n - 1]
+        top = (1 << len(nums)) - 1
+        sets = {top}
         frontier = [top]
         while frontier:
             nxt = []
             for g in frontier:
-                for f in facet_sets:
+                for f in facets:
                     meet = g & f
                     if meet and meet not in sets:
                         sets.add(meet)
@@ -373,10 +398,9 @@ class CutPolytope:
             frontier = nxt
         faces = []
         for s in sets:
-            coords = [verts[i].coords for i in s]
-            dim = n if s == top else affine_rank(coords)
-            active = tuple(sorted(d.key() for d, ids in tight.items() if s <= ids))
-            faces.append(Face(dim, active, tuple(sorted(s))))
+            dim, on = dim_and_tight(s)
+            active = tuple(sorted(keys[j] for j in _bits(on)))
+            faces.append(Face(dim, active, tuple(_bits(s))))
         faces.sort(key=lambda f: (f.dim, f.vertex_ids))
         self._faces = faces
         return faces
@@ -394,69 +418,40 @@ class CutPolytope:
         self._vertex_classes = classes
         return classes
 
-    def _deck_candidates(self, u: LiftPoint, w: LiftPoint):
-        """Deck elements g with g(u) = w, if any (at most one per parity)."""
-        for parity in (0, 1):
-            sign = -1 if parity else 1
-            shift = tuple(wi - sign * ui for ui, wi in zip(u[:-1], w[:-1]))
-            t = w[-1] - u[-1]
-            if any(s.denominator != 1 for s in shift) or t.denominator != 1:
-                continue
-            t = int(t)
-            if (t - parity) % 2:
-                continue
-            g = DeckElement(parity, tuple(int(s) for s in shift), t)
-            if any(abs(v) > 2 for v in g.shift) or abs(g.last_shift) > 3:
-                raise AssertionError("deck search window exceeded")
-            yield g
-
     def face_equivalences(self) -> list[list[int]]:
-        """Partition of face ids under the deck action (dimension-preserving)."""
+        """Partition of face ids under the deck action (dimension-preserving).
+
+        The deck group acts freely, so g_b^-1 g_a, with g_f from
+        canonicalize(barycenter of f), is the only deck map that can carry
+        face a onto face b; faces are grouped by (dim, projected barycenter).
+        """
         if self._face_classes is not None:
             return self._face_classes
         faces = self.face_lattice()
-        verts = self.vertices()
-        parent = list(range(len(faces)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        by_dim: dict[int, list[int]] = {}
-        for i, f in enumerate(faces):
-            by_dim.setdefault(f.dim, []).append(i)
-        for dim, ids in by_dim.items():
-            for ai, bi in itertools.combinations(ids, 2):
-                if find(ai) == find(bi):
-                    continue
-                fa, fb = faces[ai], faces[bi]
-                va = [verts[i].coords for i in fa.vertex_ids]
-                vb = {verts[i].coords for i in fb.vertex_ids}
-                if len(va) != len(vb):
-                    continue
-                if self._faces_match(va, vb):
-                    parent[find(ai)] = find(bi)
-        groups: dict[int, list[int]] = {}
-        for i in range(len(faces)):
-            groups.setdefault(find(i), []).append(i)
-        classes = sorted(groups.values())
+        nums, den = self._vertex_numerators()
+        groups: dict[tuple[int, KleinPoint], list[tuple[int, DeckElement]]] = {}
+        for fid, f in enumerate(faces):
+            total = [sum(col) for col in zip(*(nums[i] for i in f.vertex_ids))]
+            point, g = canonicalize(
+                [Fraction(t, den * len(f.vertex_ids)) for t in total])
+            groups.setdefault((f.dim, point), []).append((fid, g))
+        for members in groups.values():
+            first, g_first = members[0]
+            for fid, g in members[1:]:
+                h = g.inverse().compose(g_first)
+                sign = -1 if h.parity else 1
+                image = sorted(
+                    tuple(sign * c + s * den for c, s in zip(v, h.shift))
+                    + (v[-1] + h.last_shift * den,)
+                    for v in (nums[i] for i in faces[first].vertex_ids))
+                if image != [nums[i] for i in faces[fid].vertex_ids]:
+                    base = ",".join(format_rat(c) for c in self.point.rep)
+                    raise AssertionError(
+                        f"faces {first} and {fid} of the cell at P = {base} have "
+                        "deck-equivalent barycenters but are not deck images")
+        classes = sorted([fid for fid, _ in members] for members in groups.values())
         self._face_classes = classes
         return classes
-
-    def _faces_match(self, va: list[LiftPoint], vb: set[LiftPoint]) -> bool:
-        nv = len(va)
-        bary_a = tuple(sum(c[i] for c in va) / nv for i in range(self.n))
-        bary_b = tuple(sum(c[i] for c in vb) / nv for i in range(self.n))
-        # the image of va[0] can be any vertex of the target face
-        for target in vb:
-            for g in self._deck_candidates(va[0], target):
-                if all(apply_deck(g, c) in vb for c in va):
-                    if apply_deck(g, bary_a) != bary_b:
-                        raise AssertionError("vertex match without interior match")
-                    return True
-        return False
 
     # -- serialization ------------------------------------------------------
 
@@ -486,6 +481,16 @@ class CutPolytope:
                 "faces": self.face_equivalences(),
             },
         }
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @lru_cache(maxsize=128)

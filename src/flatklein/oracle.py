@@ -166,16 +166,17 @@ def _cone_rays(active_rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ..
             basis.append(i)
             if len(basis) == n:
                 break
-    assert len(basis) == n, "cone is not pointed"
-    inv = invert_square([active_rows[i] for i in basis])
-    assert inv is not None
+    rows = [active_rows[i] for i in basis]
+    if len(basis) != n:
+        raise AssertionError(f"cone is not pointed: basis rows {rows}")
+    inv = invert_square(rows)
+    if inv is None:
+        raise AssertionError(f"basis rows {rows} are singular")
     rays: list[tuple[int, ...]] = []
     zerosets: list[int] = []
     for j in range(n):
         col = [-inv[i][j] for i in range(n)]
-        den = 1
-        for f in col:
-            den = den * f.denominator // math.gcd(den, f.denominator)
+        den = math.lcm(*(f.denominator for f in col))
         ray = gcd_reduce([int(f * den) for f in col])
         rays.append(ray)
         zerosets.append(sum(1 << basis[i] for i in range(n) if i != j))
@@ -244,9 +245,7 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
 
     scaled: list[tuple[tuple[int, ...], int]] = []
     for t in points:
-        den = 1
-        for f in t:
-            den = den * f.denominator // math.gcd(den, f.denominator)
+        den = math.lcm(*(f.denominator for f in t))
         scaled.append((tuple(int(f * den) for f in t), den))
 
     active_sets: list[list[int]] = []

@@ -74,22 +74,23 @@ class _StratumTables:
     rep_keys: frozenset
 
 
-_TABLES: dict = {}
+_TABLES_MAX = 256
+_TABLES: dict = {}  # least recently used first
 
 
 def _tables_for(point: KleinPoint, stratum: Stratum) -> _StratumTables:
     key = (stratum.domain.kinds, stratum.alpha.signs)
-    hit = _TABLES.get(key)
-    if hit is not None:
-        return hit
-    cell = cut_polytope(point)
-    faces = cell.face_lattice()
-    reps = representatives(point)
-    tables = _StratumTables(
-        stratum_dim=stratum.dim,
-        dim_by_key={f.active: f.dim for f in faces},
-        rep_keys=frozenset().union(*reps.values()))
+    tables = _TABLES.pop(key, None)
+    if tables is None:
+        faces = cut_polytope(point).face_lattice()
+        reps = representatives(point)
+        tables = _StratumTables(
+            stratum_dim=stratum.dim,
+            dim_by_key={f.active: f.dim for f in faces},
+            rep_keys=frozenset().union(*reps.values()))
     _TABLES[key] = tables
+    while len(_TABLES) > _TABLES_MAX:
+        del _TABLES[next(iter(_TABLES))]
     return tables
 
 

@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve end-to-end checks, exact arithmetic, timed caps.
+"""Acceptance suite: thirteen end-to-end checks, exact arithmetic, timed caps.
 
 Each test prints one PASS line (with elapsed time) on success; a failure
 anywhere shows up as an ordinary pytest failure for that criterion.  All
@@ -25,6 +25,7 @@ from flatklein import (
 from flatklein.oracle import (
     brute_distance,
     brute_geodesic_count,
+    brute_minimal_images,
     brute_vertices,
     certify_vertices,
 )
@@ -503,3 +504,30 @@ def test_criterion_12_planner_continuity():
 
     assert sequences == 10
     _report(12, "chosen lifts converge along in-cell sequences", start)
+
+
+def test_criterion_13_planner_n4_to_n6():
+    from flatklein import planner as planner_mod
+
+    start = time.perf_counter()
+    rng = random.Random(1313)
+    kept = []
+    for n, count in ((4, 300), (5, 100), (6, 30)):
+        for i in range(count):
+            y = project(tuple(_rat(rng) for _ in range(n)))
+            z = project(tuple(_rat(rng) for _ in range(n)))
+            res = plan(y, z)
+            assert 0 <= res.index <= 2 * n
+            gap = sum((p - q) ** 2 for p, q in zip(y.rep, res.lift))
+            assert gap == squared_distance(y, z)
+            assert res.lift in brute_minimal_images(y, z)[1]
+            if i % 5 == 0:
+                kept.append((y, z, res))
+
+    # the same choices on a fresh table cache, in shuffled order
+    planner_mod._TABLES.clear()
+    random.Random(3131).shuffle(kept)
+    for y, z, res in kept:
+        assert plan(y, z) == res
+    _report(13, "planner at n=4/5/6: indices, exact lengths, oracle lifts, "
+                "determinism", start, cap=60.0)

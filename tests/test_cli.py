@@ -55,6 +55,15 @@ def test_polytope_text_and_json(capsys):
     assert len(data["vertices"]) == 6
 
 
+def test_polytope_n6_json(capsys):
+    code, out = run(capsys, "polytope", "--P", "1/10,1/5,2/7,1/3,2/9,1/3")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["vertices"]) == 600
+    assert len(data["faces"]) == 7873
+    assert len(data["equiv"]["faces"]) == 1296
+
+
 def test_strata_classify_text(capsys):
     code, out = run(capsys, "strata", "--P", "1/4,1/4,1/4,1/4,1/4,1/4,1/3",
                     "--format", "text")

@@ -1,6 +1,7 @@
 """Cells of closest lifts: half-spaces, vertex families, faces, pairings."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatklein import cut_polytope, delta, equivalent, k_value, minimal_lifts, project
+from flatklein._exact import invert_square, mat_rank
 from flatklein.cut_polytope import LabeledSet, chamber_reduce
+from flatklein.klein_space import DeckElement, apply_deck
 from flatklein.oracle import brute_vertices
 
 HEX_BASE = (F(1, 4), F(0))
@@ -375,6 +378,139 @@ def test_middle_truncating_pairing_n6():
             assert m.coords[m.pivot] + t.coords[t.pivot] == eps
             seen += 1
     assert seen > 0
+
+
+# ---------------------------------------------------------------------------
+# independent references: Fraction ranks and a pairwise deck search
+# ---------------------------------------------------------------------------
+
+def _fraction_rank(rows):
+    """Rank by plain Gaussian elimination over Fractions."""
+    rows = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _affine_dim(points):
+    base = points[0]
+    return _fraction_rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
+
+
+def _deck_maps(u, w):
+    """Deck elements g with g(u) = w: at most one per parity."""
+    for parity in (0, 1):
+        sign = -1 if parity else 1
+        shift = [wi - sign * ui for ui, wi in zip(u[:-1], w[:-1])]
+        t = w[-1] - u[-1]
+        if any(s.denominator != 1 for s in shift) or t.denominator != 1:
+            continue
+        if (int(t) - parity) % 2:
+            continue
+        g = DeckElement(parity, tuple(int(s) for s in shift), int(t))
+        # the cell lies within 1 of its base point in every coordinate
+        assert all(abs(v) <= 2 for v in g.shift) and abs(g.last_shift) <= 3
+        yield g
+
+
+def _faces_match(va, vb):
+    """Some deck map sends the vertex list va onto the vertex set vb."""
+    return any(all(apply_deck(g, c) in vb for c in va)
+               for target in vb for g in _deck_maps(va[0], target))
+
+
+def _reference_face_classes(cell):
+    verts = cell.vertices()
+    classes = []  # (dim, vertex set of the first member, member ids)
+    for i, f in enumerate(cell.face_lattice()):
+        va = [verts[j].coords for j in f.vertex_ids]
+        for dim, vb, members in classes:
+            if dim == f.dim and len(vb) == len(va) and _faces_match(va, vb):
+                members.append(i)
+                break
+        else:
+            classes.append((f.dim, set(va), [i]))
+    return sorted(members for _, _, members in classes)
+
+
+def _reference_cells():
+    rng = random.Random(404)
+    dens = (4, 6, 7, 9, 10, 12)
+    cells = [HEX_BASE]
+    for n in (2, 3):
+        for _ in range(12):
+            cells.append(tuple(F(rng.randrange(d), d)
+                               for d in (rng.choice(dens) for _ in range(n))))
+    cells += [(F(1, 5), F(3, 10), F(2, 5), F(1, 7)),
+              (F(3, 4), F(1, 2), F(1, 3), F(0)),
+              (F(1, 4), F(1, 4), F(7, 9), F(2, 7))]
+    return cells
+
+
+def test_face_dims_match_affine_rank():
+    cells = _reference_cells()
+    # the seeded draws include prism and reflected coordinates
+    assert any(F(1, 2) in p[:-1] or 0 in p[:-1] for p in cells if len(p) < 4)
+    assert any(c > F(1, 2) for p in cells if len(p) < 4 for c in p[:-1])
+    for p in cells:
+        cell = cut_polytope(p)
+        verts = cell.vertices()
+        for f in cell.face_lattice():
+            assert f.dim == _affine_dim([verts[i].coords for i in f.vertex_ids]), p
+
+
+def test_face_classes_match_pairwise_deck_search():
+    for p in _reference_cells():
+        cell = cut_polytope(p)
+        assert cell.face_equivalences() == _reference_face_classes(cell), p
+
+
+def test_face_census_n5():
+    cell = cut_polytope((F(1, 10), F(1, 5), F(2, 7), F(1, 3), F(1, 3)))
+    faces = cell.face_lattice()
+    assert len(faces) == 1331
+    assert len(cell.face_equivalences()) == 272
+    assert sum((-1) ** f.dim for f in faces) == 1  # Euler, top face included
+
+
+def test_rank_and_inverse_match_fraction_elimination():
+    rng = random.Random(505)
+    cases = [[[F(1, 2)]], [[F(0)]], [[F(2, 3), F(1, 2)], [F(-1, 5), F(3)]]]
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(cols)]
+             for _ in range(rows)]
+        if rng.random() < 0.3:  # a zero row
+            m.insert(rng.randrange(rows + 1), [F(0)] * cols)
+        if rows > 1 and rng.random() < 0.3:  # a dependent row
+            a, b = rng.sample(m, 2)
+            m.append([F(1, 3) * x - F(5, 2) * y for x, y in zip(a, b)])
+        cases.append(m)
+    assert any(x.denominator > 1 for m in cases for row in m for x in row)
+    squares = 0
+    for m in cases:
+        assert mat_rank(m) == _fraction_rank(m), m
+        if len(m) != len(m[0]):
+            continue
+        inv = invert_square(m)
+        if _fraction_rank(m) < len(m):
+            assert inv is None, m
+            continue
+        squares += 1
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)]
+                   for row in m]
+        assert product == [[int(i == j) for j in range(len(m))]
+                           for i in range(len(m))], m
+    assert invert_square([[F(1, 2)]]) == [[2]]
+    assert squares >= 20
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,19 @@ def test_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cone_ray_checks_survive_optimisation():
+    # a line {(0, t)} is no pointed cone; -O strips asserts, not raises
+    src = str(Path(flatklein.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1])\n"
+         "from flatklein.oracle import _cone_rays\n"
+         "try:\n    _cone_rays([(1, 0), (-1, 0)], 2)\n"
+         "except AssertionError as exc:\n    print(exc)", src],
+        capture_output=True, text=True, check=True)
+    assert "basis rows [(1, 0)]" in out.stdout
+
+
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------

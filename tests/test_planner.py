@@ -90,6 +90,26 @@ def test_plan_is_deterministic_and_cache_independent():
     assert plan(y, z) == first
 
 
+def test_tables_are_a_bounded_lru(monkeypatch):
+    builds = []
+    build = planner_mod.representatives
+    monkeypatch.setattr(planner_mod, "representatives",
+                        lambda p: builds.append(p) or build(p))
+    monkeypatch.setattr(planner_mod, "_TABLES_MAX", 2)
+    planner_mod._TABLES.clear()
+    z = project((F(1, 7), F(2, 5)))
+    # three strata: a_1 free with a_2 = 0, a prism point, a generic point
+    first, second, third = (project(p) for p in
+                            (HEX_BASE, (F(1, 2), F(1, 2)), (F(1, 3), F(1, 3))))
+    results = [plan(y, z) for y in (first, second, first, third)]
+    assert len(builds) == 3 and len(planner_mod._TABLES) == 2
+    # `first` was used after `second`, so `second` was evicted
+    assert plan(first, z) == results[0]
+    assert len(builds) == 3
+    assert plan(second, z) == results[1]
+    assert len(builds) == 4 and len(planner_mod._TABLES) == 2
+
+
 def test_plan_samples():
     y = project((F(1, 8), F(1, 8)))
     z = project((F(1, 4), F(1, 2)))
