@@ -1,10 +1,10 @@
 """Exact linear algebra over rationals, plus a small exact simplex solver.
 
-Everything in this module is tolerance-free: ranks and inverses come from
-one fraction-free elimination on integer rows, and the LP routines run over
-`fractions.Fraction`.  The LP solver is a dense two-phase simplex with
-Bland's rule; problem sizes in this package are tiny (fewer than ~30
-variables and ~60 rows), so clarity beats sparsity.
+Everything in this module is tolerance-free, and it has one elimination:
+`_eliminate`, a fraction-free row step on integer rows.  Rank, inverse and
+every simplex pivot run through it.  The LP solver is a dense two-phase
+simplex with Bland's rule; problem sizes in this package are tiny (fewer
+than ~30 variables and ~60 rows), so clarity beats sparsity.
 """
 
 from __future__ import annotations
@@ -22,11 +22,24 @@ def _scaled(row: Row) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
+def _eliminate(rows: list[Sequence[int]], r: int, col: int) -> None:
+    """Clear column col from every integer row but p = rows[r], in place.
+
+    Each other row becomes p[col]*row - row[col]*p divided by the gcd of
+    its entries, so it keeps its orientation when p[col] > 0.
+    """
+    p = rows[r]
+    pc = p[col]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if i != r and f != 0:
+            rows[i] = gcd_reduce([pc * x - f * y for x, y in zip(row, p)])
+
+
 def _gauss_jordan(m: list[Sequence[int]]) -> list[int]:
     """Reduce integer rows in place to fraction-free reduced echelon form.
 
-    Each row r is replaced by p[col]*r - r[col]*p for the pivot row p and
-    divided by the gcd of its entries; returns the pivot columns.
+    Returns the pivot columns.
     """
     if not m:
         return []
@@ -37,11 +50,7 @@ def _gauss_jordan(m: list[Sequence[int]]) -> list[int]:
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank]
-        for r in range(len(m)):
-            f = m[r][col]
-            if r != rank and f != 0:
-                m[r] = gcd_reduce([p[col] * x - f * y for x, y in zip(m[r], p)])
+        _eliminate(m, rank, col)
         pivots.append(col)
         if len(pivots) == len(m):
             break
@@ -84,143 +93,67 @@ def gcd_reduce(vec: Sequence[int]) -> tuple[int, ...]:
 # Exact simplex
 # ---------------------------------------------------------------------------
 
-LP_OPTIMAL = "optimal"
-LP_INFEASIBLE = "infeasible"
-LP_UNBOUNDED = "unbounded"
+def _phase(rows: list[Sequence[int]], basis: list[int], obj: list[int],
+           cols: int) -> Fraction:
+    """Maximize z over the tableau `rows` by Bland's rule; return its max.
 
-
-class LPResult:
-    def __init__(self, status: str, objective: Fraction | None,
-                 x: tuple[Fraction, ...] | None):
-        self.status = status
-        self.objective = objective
-        self.x = x
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LPResult({self.status}, obj={self.objective})"
+    `obj` encodes s*z - c.x = 0 with s > 0.  It is appended, cleared in the
+    basic columns and then pivoted on, with columns 1..cols-1 free to
+    enter, until no entry is negative; its last entry over its first is
+    then the optimum.  Every constraint row keeps a positive entry in its
+    basic column and a nonnegative rhs.
+    """
+    rows.append(obj)
+    for r, b in enumerate(basis):
+        _eliminate(rows, r, b)
+    while True:
+        obj = rows[-1]
+        col = next((j for j in range(1, cols) if obj[j] < 0), None)
+        if col is None:
+            rows.pop()
+            return Fraction(obj[-1], obj[0])
+        ratios = [(Fraction(row[-1], row[col]), b, r)
+                  for r, (row, b) in enumerate(zip(rows, basis)) if row[col] > 0]
+        if not ratios:
+            raise ValueError("LP is unbounded")
+        _, _, r = min(ratios)
+        _eliminate(rows, r, col)
+        basis[r] = col
 
 
 def lp_maximize(c: Row,
                 a_ub: Sequence[Row], b_ub: Row,
-                a_eq: Sequence[Row] = (), b_eq: Row = ()) -> LPResult:
-    """Maximize c.x subject to a_ub.x <= b_ub and a_eq.x == b_eq, x free.
+                a_eq: Sequence[Row] = (), b_eq: Row = ()) -> Fraction | None:
+    """Max of c.x subject to a_ub.x <= b_ub, a_eq.x == b_eq and x >= 0.
 
-    Free variables are split as x = x+ - x-.  Two-phase dense simplex with
-    Bland's rule (guaranteed termination); all arithmetic exact.
+    Returns None when the system is infeasible and raises ValueError when
+    the objective is unbounded.  Two-phase dense simplex with Bland's rule
+    (guaranteed termination) on integer rows; every pivot is `_eliminate`.
+    The tableau columns are: objective scale, x, slacks, artificials, rhs.
     """
-    n = len(c)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for row, b in zip(a_ub, b_ub):
-        rows.append([Fraction(x) for x in row] + [Fraction(0)])  # slot for slack sign
-        rows[-1][-1] = Fraction(1)
-        rhs.append(Fraction(b))
-    n_ub = len(rows)
-    # columns: x+ (n), x- (n), slacks (n_ub); equalities get artificials later
-    cols = 2 * n + n_ub
+    n, n_ub = len(c), len(a_ub)
+    lhs = [*a_ub, *a_eq]
+    m = len(lhs)
+    art = 1 + n + n_ub
+    rows: list[Sequence[int]] = []
+    for i, (row, b) in enumerate(zip(lhs, [*b_ub, *b_eq])):
+        ints = _scaled([0, *row, *(int(i == j) for j in range(n_ub)), b])
+        if b < 0:
+            ints = [-x for x in ints]
+        rows.append(ints[:-1] + [int(i == j) for j in range(m)] + ints[-1:])
+    basis = list(range(art, art + m))
 
-    def expand(row: Row, slack_idx: int | None) -> list[Fraction]:
-        out = [Fraction(0)] * cols
-        for j, v in enumerate(row):
-            out[j] = Fraction(v)
-            out[n + j] = -Fraction(v)
-        if slack_idx is not None:
-            out[2 * n + slack_idx] = Fraction(1)
-        return out
-
-    tableau: list[list[Fraction]] = []
-    tab_rhs: list[Fraction] = []
-    for i, (row, b) in enumerate(zip(a_ub, b_ub)):
-        tableau.append(expand(row, i))
-        tab_rhs.append(Fraction(b))
-    for row, b in zip(a_eq, b_eq):
-        tableau.append(expand(row, None))
-        tab_rhs.append(Fraction(b))
-
-    m = len(tableau)
-    # normalize rows to nonnegative rhs, then add artificial basis
-    for i in range(m):
-        if tab_rhs[i] < 0:
-            tableau[i] = [-x for x in tableau[i]]
-            tab_rhs[i] = -tab_rhs[i]
-    total_cols = cols + m
-    for i in range(m):
-        tableau[i] = tableau[i] + [Fraction(int(i == j)) for j in range(m)]
-    basis = [cols + i for i in range(m)]
-
-    def pivot(row_i: int, col_j: int) -> None:
-        piv = tableau[row_i][col_j]
-        tableau[row_i] = [x / piv for x in tableau[row_i]]
-        tab_rhs[row_i] /= piv
-        for r in range(m):
-            if r != row_i and tableau[r][col_j] != 0:
-                f = tableau[r][col_j]
-                tableau[r] = [x - f * y for x, y in zip(tableau[r], tableau[row_i])]
-                tab_rhs[r] -= f * tab_rhs[row_i]
-        basis[row_i] = col_j
-
-    def run_phase(obj: list[Fraction], allowed: int) -> Fraction:
-        # maximize obj.x over current tableau; returns optimal objective value
-        while True:
-            # reduced costs: z_j - c_j computed directly from the basis
-            duals = [obj[basis[r]] for r in range(m)]
-            entering = None
-            for j in range(allowed):  # Bland: smallest eligible index
-                if j in basis_set:
-                    continue
-                red = obj[j] - sum(duals[r] * tableau[r][j] for r in range(m))
-                if red > 0:
-                    entering = j
-                    break
-            if entering is None:
-                return sum(duals[r] * tab_rhs[r] for r in range(m))
-            leaving = None
-            best = None
-            for r in range(m):
-                if tableau[r][entering] > 0:
-                    ratio = tab_rhs[r] / tableau[r][entering]
-                    if best is None or ratio < best or (
-                            ratio == best and basis[r] < basis[leaving]):
-                        best, leaving = ratio, r
-            if leaving is None:
-                raise _Unbounded
-            basis_set.discard(basis[leaving])
-            basis_set.add(entering)
-            pivot(leaving, entering)
-
-    class _Unbounded(Exception):
-        pass
-
-    basis_set = set(basis)
-    phase1 = [Fraction(0)] * total_cols
-    for j in range(cols, total_cols):
-        phase1[j] = Fraction(-1)
-    try:
-        art_obj = run_phase(phase1, total_cols)
-    except _Unbounded:  # pragma: no cover - phase 1 is always bounded
-        raise AssertionError("phase 1 cannot be unbounded")
-    if art_obj != 0:
-        return LPResult(LP_INFEASIBLE, None, None)
-    # drive artificials out of the basis where possible
-    for r in range(m):
-        if basis[r] >= cols:
-            entering = next((j for j in range(cols) if j not in basis_set
-                             and tableau[r][j] != 0), None)
-            if entering is not None:
-                basis_set.discard(basis[r])
-                basis_set.add(entering)
-                pivot(r, entering)
-
-    phase2 = [Fraction(0)] * total_cols
-    for j in range(n):
-        phase2[j] = Fraction(c[j])
-        phase2[n + j] = -Fraction(c[j])
-    try:
-        obj = run_phase(phase2, cols)
-    except _Unbounded:
-        return LPResult(LP_UNBOUNDED, None, None)
-    x = [Fraction(0)] * total_cols
-    for r in range(m):
-        x[basis[r]] = tab_rhs[r]
-    point = tuple(x[j] - x[n + j] for j in range(n))
-    return LPResult(LP_OPTIMAL, obj, point)
+    # phase 1: maximize -sum(artificials); below zero means infeasible
+    if _phase(rows, basis, [1] + [0] * (art - 1) + [1] * m + [0], art + m):
+        return None
+    for r in range(m):  # drive zero-level artificials out where possible
+        if basis[r] >= art:
+            col = next((j for j in range(1, art) if rows[r][j] != 0), None)
+            if col is not None:
+                if rows[r][col] < 0:
+                    rows[r] = [-x for x in rows[r]]
+                _eliminate(rows, r, col)
+                basis[r] = col
+    # phase 2: the artificials may no longer enter
+    objective = _scaled([1, *(-x for x in c)]) + [0] * (n_ub + m + 1)
+    return _phase(rows, basis, objective, art)

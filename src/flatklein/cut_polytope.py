@@ -258,10 +258,14 @@ class CutPolytope:
 
     def active_descriptors(self, x: Sequence[Rational]) -> frozenset[Descriptor]:
         pt = as_point(x)
-        if not self.contains(pt):
-            raise ValueError("point is outside the cell")
-        return frozenset(d for d, normal, off in self.halfspaces()
-                         if sum(w * c for w, c in zip(normal, pt)) == off)
+        tight = []
+        for d, normal, off in self.halfspaces():
+            dot = sum(w * c for w, c in zip(normal, pt))
+            if dot > off:
+                raise ValueError("point is outside the cell")
+            if dot == off:
+                tight.append(d)
+        return frozenset(tight)
 
     # -- vertices -----------------------------------------------------------
 

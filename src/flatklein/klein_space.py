@@ -142,23 +142,22 @@ class KleinPoint:
 def canonicalize(x: Sequence[Rational]) -> tuple[KleinPoint, DeckElement]:
     """Reduce a cover point into the fundamental domain [0,1)^n.
 
-    Returns (point, g) with apply_deck(g, x) == point.rep.  The reduction is
-    the fixed three-step recipe: bring the last coordinate into [0,2) with an
-    even translation, apply the inverse glide once if it still is >= 1, then
-    reduce the remaining coordinates mod 1.
+    Returns (point, g) with apply_deck(g, x) == point.rep.  g is the fixed
+    three-step recipe (bring the last coordinate into [0,2) with an even
+    translation, apply the inverse glide once if it still is >= 1, then
+    reduce the remaining coordinates mod 1) in closed form: with
+    k = floor(x_n) the glide runs iff k is odd, so g has parity k mod 2 and
+    last shift -k, and each head coordinate h = x_i (1 - x_i if odd) ends
+    at h - floor(h).
     """
     pt = as_point(x)
-    n = len(pt)
-    g = DeckElement(0, (0,) * (n - 1), -2 * math.floor(pt[-1] / 2))
-    cur = apply_deck(g, pt)
-    if cur[-1] >= 1:
-        unglide = DeckElement(1, (1,) * (n - 1), -1)
-        g = unglide.compose(g)
-        cur = apply_deck(unglide, cur)
-    wrap = DeckElement(0, tuple(-math.floor(c) for c in cur[:-1]), 0)
-    g = wrap.compose(g)
-    cur = apply_deck(wrap, cur)
-    return KleinPoint(cur), g
+    k = math.floor(pt[-1])
+    parity = k % 2
+    heads = [1 - c if parity else c for c in pt[:-1]]
+    floors = [math.floor(h) for h in heads]
+    g = DeckElement(parity, tuple(parity - f for f in floors), -k)
+    rep = tuple(h - f for h, f in zip(heads, floors)) + (pt[-1] - k,)
+    return KleinPoint(rep), g
 
 
 def project(x: Sequence[Rational]) -> KleinPoint:

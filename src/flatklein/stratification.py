@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from ._exact import LP_OPTIMAL, lp_maximize, mat_rank
+from ._exact import lp_maximize, mat_rank
 from .klein_space import HALF, LiftPoint, Rational, as_point, format_rat, rat
 
 __all__ = [
@@ -173,47 +173,34 @@ def _dimension(n_active: int, signs: tuple[int, ...], last_interval: bool):
             ub_rows.append(coeffs + [Fraction(1)])
             ub_rhs.append(-const)
     if any_degenerable:
-        # feasibility with uniform slack tau > 0 (u_i < 1/16 made strict too)
+        # feasibility with uniform slack tau > 0 (u_i < 1/16 made strict
+        # too); u >= 0 and tau >= 0 are the LP's own bounds
         for j in range(n_active):
             row = [Fraction(0)] * (n_active + 1)
-            row[j] = Fraction(-1)
-            ub_rows.append(list(row))
-            ub_rhs.append(Fraction(0))
-            row2 = [Fraction(0)] * (n_active + 1)
-            row2[j] = Fraction(1)
-            row2[-1] = Fraction(1)
-            ub_rows.append(row2)
+            row[j] = Fraction(1)
+            row[-1] = Fraction(1)
+            ub_rows.append(row)
             ub_rhs.append(_SIXTEENTH)
-        res = lp_maximize(
+        tau = lp_maximize(
             [Fraction(0)] * n_active + [Fraction(1)],
             ub_rows, ub_rhs,
             [r + [Fraction(0)] for r in eq_rows], eq_rhs)
-        if res.status != LP_OPTIMAL or res.objective <= 0:
+        if tau is None or tau <= 0:
             return None
     dim_u = n_active
     if eq_rows:
         # Implicit equalities of the closed region {equations, 0 <= u <= 1/16}
         # can only be coordinate vanishing (strict constraints cannot shrink
         # the affine hull of a nonempty convex region).
-        box_rows, box_rhs = [], []
-        for j in range(n_active):
-            row = [Fraction(0)] * n_active
-            row[j] = Fraction(-1)
-            box_rows.append(list(row))
-            box_rhs.append(Fraction(0))
-            row2 = [Fraction(0)] * n_active
-            row2[j] = Fraction(1)
-            box_rows.append(row2)
-            box_rhs.append(_SIXTEENTH)
+        box = [[int(i == j) for j in range(n_active)] for i in range(n_active)]
         forced = []
-        for j in range(n_active):
-            c = [Fraction(0)] * n_active
-            c[j] = Fraction(1)
-            res = lp_maximize(c, box_rows, box_rhs, eq_rows, eq_rhs)
-            assert res.status == LP_OPTIMAL
-            if res.objective == 0:
-                row = [Fraction(0)] * n_active
-                row[j] = Fraction(1)
+        for row in box:
+            top = lp_maximize(row, box, [_SIXTEENTH] * n_active, eq_rows, eq_rhs)
+            if top is None:
+                raise AssertionError(
+                    "closed region of a feasible stratum is empty: "
+                    f"signs {signs} over {n_active} active coordinates")
+            if top == 0:
                 forced.append(row)
         dim_u = n_active - mat_rank(eq_rows + forced)
     return dim_u + (1 if last_interval else 0)
@@ -247,7 +234,10 @@ def classify(p: Sequence[Rational]) -> Stratum:
         signs.append(0 if val == 0 else (1 if val > 0 else -1))
     alpha = SignVector(active, tuple(signs))
     dim = stratum_dimension(alpha, domain)
-    assert dim is not None, "sign vector of a real point cannot be infeasible"
+    if dim is None:
+        raise AssertionError(
+            "sign vector of a real point cannot be infeasible: point "
+            f"({', '.join(format_rat(c) for c in pt)}), signs {tuple(signs)}")
     positions = _subsets(tuple(range(n_active)))
     return Stratum(domain, alpha, dim, pt,
                    _is_coincidence(n_active, tuple(signs), positions))

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatklein import cut_polytope, delta, equivalent, k_value, minimal_lifts, project
-from flatklein._exact import invert_square, mat_rank
+from flatklein._exact import gcd_reduce, integerize_row, invert_square, mat_rank
 from flatklein.cut_polytope import LabeledSet, chamber_reduce
-from flatklein.klein_space import DeckElement, apply_deck
+from flatklein.klein_space import DeckElement, apply_deck, neighbor_set
 from flatklein.oracle import brute_vertices
 
 HEX_BASE = (F(1, 4), F(0))
@@ -117,6 +117,31 @@ def test_base_point_strictly_interior(coords):
     cell = cut_polytope(p)
     for _, normal, offset in cell.halfspaces():
         assert sum(nc * pc for nc, pc in zip(normal, p.rep)) < offset
+
+
+def _integer_halfspace(normal, offset):
+    ints, off = integerize_row(normal, offset)
+    return gcd_reduce((*ints, off))
+
+
+def test_halfspaces_are_bisectors_with_neighbor_set():
+    # neighbor_set and realize share no formula: x is at least as close to
+    # p as to q iff 2(q - p).x <= |q|^2 - |p|^2
+    rng = random.Random(606)
+    prisms = 0
+    for k in range(400):
+        n = 2 + k % 4
+        p = tuple(F(rng.randrange(d), d)
+                  for d in (rng.choice((2, 4, 5, 6, 7, 9, 12)) for _ in range(n)))
+        prisms += any(c in (0, F(1, 2)) for c in p[:-1])
+        p_sq = sum(c * c for c in p)
+        bisectors = {_integer_halfspace([2 * (b - a) for a, b in zip(p, q)],
+                                        sum(c * c for c in q) - p_sq)
+                     for q in neighbor_set(p)}
+        cell = {_integer_halfspace(normal, off)
+                for _, normal, off in cut_polytope(p).halfspaces()}
+        assert bisectors == cell, p
+    assert prisms >= 100
 
 
 def test_chamber_reduce():
@@ -225,6 +250,15 @@ def test_contains_examples():
     assert cell.contains(HEX_BASE)
     assert cell.contains((F(1, 4), F(5, 8)))
     assert not cell.contains((F(1, 4), F(7, 10)))
+
+
+def test_active_descriptors_tight_set_and_outside_point():
+    cell = cut_polytope(HEX_BASE)
+    assert cell.active_descriptors(HEX_BASE) == frozenset()
+    apex = cell.active_descriptors((F(1, 4), F(5, 8)))
+    assert sorted(d.key() for d in apex) == ["s+0", "s+1"]
+    with pytest.raises(ValueError, match="outside the cell"):
+        cell.active_descriptors((F(1, 4), F(7, 10)))
 
 
 @settings(max_examples=50)

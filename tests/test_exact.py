@@ -1,0 +1,156 @@
+"""Exact simplex: `lp_maximize` against a basic-solution enumeration."""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from flatklein import _exact
+from flatklein._exact import lp_maximize
+
+
+def _dot(row, x):
+    return sum((a * b for a, b in zip(row, x)), start=F(0))
+
+
+def _solve(a, b):
+    """The unique solution of a square Fraction system; None if singular."""
+    n = len(a)
+    m = [[F(v) for v in row] + [F(rhs)] for row, rhs in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [row[-1] for row in m]
+
+
+def _reference_max(c, a_ub, b_ub, a_eq, b_eq):
+    """Max of c.x over x >= 0 by making every n-subset of constraints tight.
+
+    Enumerates the basic solutions of {rows, x_j = 0}, keeps the feasible
+    ones and returns the best objective (None if there is none).  Valid for
+    bounded LPs: x >= 0 makes the region pointed, so an optimum is basic.
+    """
+    n = len(c)
+    axes = [[int(i == j) for j in range(n)] for i in range(n)]
+    planes = [*zip(a_ub, b_ub), *zip(a_eq, b_eq), *((e, 0) for e in axes)]
+    best = None
+    for subset in itertools.combinations(planes, n):
+        x = _solve([row for row, _ in subset], [b for _, b in subset])
+        if x is None or any(v < 0 for v in x):
+            continue
+        if any(_dot(row, x) > b for row, b in zip(a_ub, b_ub)):
+            continue
+        if any(_dot(row, x) != b for row, b in zip(a_eq, b_eq)):
+            continue
+        value = _dot(c, x)
+        best = value if best is None else max(best, value)
+    return best
+
+
+def _parallel(u, v):
+    return all(a * d == b * c for (a, b), (c, d) in
+               itertools.combinations(zip(u, v), 2))
+
+
+def _random_lp(rng):
+    """A bounded LP with n <= 4 and rational data; often feasible at x0."""
+    n = rng.randint(1, 4)
+
+    def q():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    x0 = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(n)]
+    feasible = rng.random() < 0.7
+    c = [q() for _ in range(n)]
+    a_ub = [[q() for _ in range(n)] for _ in range(rng.randint(0, 4))]
+    b_ub = [_dot(row, x0) + F(rng.randint(0, 3), 2) if feasible else q()
+            for row in a_ub]
+    # sum(x) <= K keeps the LP bounded; a negative K makes it infeasible
+    a_ub.append([F(1)] * n)
+    b_ub.append(sum(x0) + rng.randint(0, 3) if feasible
+                else F(rng.randint(-4, 8), rng.randint(1, 3)))
+    a_eq = [[q() for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    b_eq = [_dot(row, x0) if feasible else q() for row in a_eq]
+    if a_eq and rng.random() < 0.5:  # a repeated or scaled equality row
+        i = rng.randrange(len(a_eq))
+        k = rng.choice((F(1), F(3), F(-2, 3)))
+        a_eq.append([k * v for v in a_eq[i]])
+        b_eq.append(k * b_eq[i])
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+def test_lp_matches_basic_solution_enumeration():
+    rng = random.Random(2024)
+    infeasible = redundant = negative_rhs = 0
+    for _ in range(240):
+        c, a_ub, b_ub, a_eq, b_eq = _random_lp(rng)
+        expected = _reference_max(c, a_ub, b_ub, a_eq, b_eq)
+        assert lp_maximize(c, a_ub, b_ub, a_eq, b_eq) == expected, \
+            (c, a_ub, b_ub, a_eq, b_eq)
+        infeasible += expected is None
+        redundant += any(_parallel(u, v) for u, v in itertools.combinations(a_eq, 2))
+        negative_rhs += any(b < 0 for b in [*b_ub, *b_eq])
+    assert infeasible >= 20 and redundant >= 20 and negative_rhs >= 40
+
+
+def test_lp_redundant_equalities_and_infeasibility():
+    # x1 - x2 = 1 given twice, once scaled: one artificial stays basic at zero
+    assert lp_maximize([1, 2], [[1, 1]], [4], [[1, -1], [2, -2]], [1, 2]) \
+        == F(11, 2)
+    assert lp_maximize([1, 2], [[1, 1]], [4], [[1, -1], [2, -2]], [1, 3]) is None
+    assert lp_maximize([1, 1], [[1, 1]], [F(-1, 2)]) is None
+    assert lp_maximize([-1, F(-1, 3)], [[-1, -1]], [-2]) == F(-2, 3)
+    assert lp_maximize([-1], [], []) == 0
+
+
+def test_beale_cycling_example_terminates():
+    # Beale (1955): the largest-coefficient rule cycles here; Bland's does not
+    c = [F(3, 4), -20, F(1, 2), -6]
+    a_ub = [[F(1, 4), -8, -1, 9], [F(1, 2), -12, F(-1, 2), 3], [0, 0, 1, 0]]
+    assert lp_maximize(c, a_ub, [0, 0, 1]) == F(5, 4)
+
+
+# Degenerate LPs (every rhs 0 but one) on which the smallest-index entering
+# rule cycles when ratio-test ties go to the first row (first) or to the
+# last row (second) instead of to the smallest basis index.  The optima
+# 9/7 and 3 are those of `_reference_max`.
+CYCLING = [
+    ([2, 2, 0, 2, -1, 0, -3],
+     [[0, -1, 1, 0, 2, -1, 1], [2, -1, -1, 2, 3, 0, -3],
+      [1, 2, 3, -1, -1, 2, -3], [0, 0, 2, 0, -2, 1, -3],
+      [-2, 0, 1, 0, -1, 3, -3], [1, 1, 1, 1, 1, 1, 1]],
+     [0, 0, 0, 0, 0, 1], F(9, 7)),
+    ([-1, -1, 0, 0, -1, 3, -2],
+     [[-2, -3, 3, 1, -3, 0, 3], [3, 0, 0, 1, -1, -1, 1],
+      [-2, -1, 3, 0, 0, -1, -2], [2, 0, -1, -2, 1, -3, 3],
+      [1, 1, 1, 1, 1, 1, 1]],
+     [0, 0, 0, 0, 1], 3),
+]
+
+
+@pytest.mark.parametrize("c, a_ub, b_ub, optimum", CYCLING)
+def test_bland_tie_break_prevents_cycling(monkeypatch, c, a_ub, b_ub, optimum):
+    steps = []
+    eliminate = _exact._eliminate
+
+    def counted(rows, r, col):
+        steps.append(col)
+        if len(steps) > 200:
+            raise AssertionError("simplex is cycling")
+        eliminate(rows, r, col)
+
+    monkeypatch.setattr(_exact, "_eliminate", counted)
+    assert lp_maximize(c, a_ub, b_ub) == optimum
+
+
+def test_lp_unbounded_raises():
+    with pytest.raises(ValueError, match="unbounded"):
+        lp_maximize([1, 1], [[1, 0]], [2])

@@ -1,5 +1,7 @@
 """Metric core: deck action, canonical forms, distance, minimal lifts."""
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -95,6 +97,29 @@ def test_canonicalize_roundtrip_and_idempotence(x):
     assert all(0 <= c < 1 for c in y.rep)
     again, g2 = canonicalize(y.rep)
     assert again == y and g2 == DeckElement.identity(len(x))
+
+
+def _three_step_canonicalize(x):
+    """The reduction step by step: even translation, glide, then mod 1."""
+    n = len(x)
+    g = DeckElement(0, (0,) * (n - 1), -2 * math.floor(x[-1] / 2))
+    cur = apply_deck(g, x)
+    if cur[-1] >= 1:
+        unglide = DeckElement(1, (1,) * (n - 1), -1)
+        g = unglide.compose(g)
+        cur = apply_deck(unglide, cur)
+    wrap = DeckElement(0, tuple(-math.floor(c) for c in cur[:-1]), 0)
+    return apply_deck(wrap, cur), wrap.compose(g)
+
+
+def test_canonicalize_matches_three_step_recipe():
+    rng = random.Random(808)
+    for _ in range(2000):
+        n = rng.randint(2, 7)
+        den = rng.choice((1, 2, 3, 4, 6, 12))
+        x = tuple(F(rng.randrange(-60 * den, 60 * den), den) for _ in range(n))
+        y, g = canonicalize(x)
+        assert (y.rep, g) == _three_step_canonicalize(x), x
 
 
 def test_equivalent_examples():

@@ -1,11 +1,15 @@
 """Sign-vector strata: classification, dimensions, catalogs."""
 
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import flatklein
 from flatklein import (
     DomainDescriptor,
     SignVector,
@@ -109,6 +113,20 @@ def test_classify_prism_coordinates_excluded():
     s = classify((F(1, 2), F(3, 10), F(0), F(1, 5)))
     assert s.domain.kinds == (PRISM, INTERVAL, PRISM, INTERVAL)
     assert s.alpha.active == (1,)
+
+
+def test_classify_check_survives_optimisation():
+    # an infeasible dimension for a real point is a bug; -O strips asserts
+    src = str(Path(flatklein.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1])\n"
+         "from flatklein import stratification\n"
+         "stratification._dimension = lambda *args: None\n"
+         "try:\n    stratification.classify(('1/4', '3/10', '1/3'))\n"
+         "except AssertionError as exc:\n    print(exc)", src],
+        capture_output=True, text=True, check=True)
+    assert "point (1/4, 3/10, 1/3)" in out.stdout
 
 
 def test_same_stratum_examples():
