@@ -2,25 +2,31 @@
 
 Every minimal lift of a target lands in the relative interior of exactly
 one face of the source's cell R(P), and the deck action permutes the faces
-hit by the different lifts within one equivalence class.  Picking a fixed
-representative face per class (per dimension) therefore selects exactly
-one lift for every pair of points, and the selection varies continuously
-while the pair stays in one partition cell; the cell index is the stratum
-dimension of the source plus the dimension of the face that was hit.
+hit by the different lifts within one equivalence class.  The deck group
+acts freely, so the minimal lifts meet every face of that class, one lift
+per face.  Picking a fixed representative face per class therefore selects
+exactly one lift for every pair of points, and the selection varies
+continuously while the pair stays in one partition cell; the cell index is
+the stratum dimension of the source plus the dimension of the face that
+was hit.
 
 Face identity is symbolic: a face is named by the sorted key strings of
-its tight boundary descriptors, which are stable across an entire stratum,
-so the representative tables are computed once per stratum and reused.
+its tight boundary descriptors, which are stable across an entire stratum.
+The representative of a class is its smallest key, so `plan` keeps the
+lift whose tight set has the smallest key and needs neither the face
+lattice nor the face classes; `representatives` lists those keys for a
+whole cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cut_polytope import CutPolytope, cut_polytope
-from .klein_space import (KleinPoint, LiftPoint, Rational, as_point,
+from ._exact import mat_rank
+from .cut_polytope import cut_polytope
+from .klein_space import (KleinPoint, LiftPoint, as_point,
                           format_rat, geodesic_path, minimal_lifts, project)
-from .stratification import Stratum, classify
+from .stratification import classify
 
 __all__ = ["FaceKey", "PlanResult", "partition_index", "plan", "representatives"]
 
@@ -67,55 +73,27 @@ def representatives(p) -> dict[int, set[FaceKey]]:
     return out
 
 
-@dataclass
-class _StratumTables:
-    stratum_dim: int
-    dim_by_key: dict
-    rep_keys: frozenset
-
-
-_TABLES_MAX = 256
-_TABLES: dict = {}  # least recently used first
-
-
-def _tables_for(point: KleinPoint, stratum: Stratum) -> _StratumTables:
-    key = (stratum.domain.kinds, stratum.alpha.signs)
-    tables = _TABLES.pop(key, None)
-    if tables is None:
-        faces = cut_polytope(point).face_lattice()
-        reps = representatives(point)
-        tables = _StratumTables(
-            stratum_dim=stratum.dim,
-            dim_by_key={f.active: f.dim for f in faces},
-            rep_keys=frozenset().union(*reps.values()))
-    _TABLES[key] = tables
-    while len(_TABLES) > _TABLES_MAX:
-        del _TABLES[next(iter(_TABLES))]
-    return tables
-
-
 def plan(y, z, samples: int = 0) -> PlanResult:
     """Deterministic selection of one minimal geodesic from y to z."""
     src = _as_klein(y)
     dst = _as_klein(z)
     stratum = classify(src.rep)
-    tables = _tables_for(src, stratum)
     cell = cut_polytope(src)
     lifts = minimal_lifts(src.rep, dst)
-    hits = []
-    keys = []
+    by_key = {}
     for q in lifts:
-        k = tuple(sorted(d.key() for d in cell.active_descriptors(q)))
-        keys.append(k)
-        if k in tables.rep_keys:
-            hits.append((q, k))
-    if len(hits) != 1:
+        tight = cell.active_descriptors(q)
+        by_key[tuple(sorted(d.key() for d in tight))] = (q, tight)
+    if len(by_key) != len(lifts):
         raise AssertionError(
-            "representative-face selection must pick exactly one lift; "
-            f"got {len(hits)} for source {src.rep} target {dst.rep}; "
-            f"lift keys {keys}; representatives {sorted(tables.rep_keys)}")
-    q, k = hits[0]
-    j = tables.dim_by_key[k]
+            "minimal lifts must lie on distinct faces: source "
+            f"({', '.join(format_rat(c) for c in src.rep)}), target "
+            f"({', '.join(format_rat(c) for c in dst.rep)}), "
+            f"{len(lifts)} lifts, keys {sorted(by_key)}")
+    k = min(by_key)
+    q, tight = by_key[k]
+    # q is relatively interior to its face, so this is the face's dimension
+    j = cell.n - mat_rank(cell.realize(d)[0] for d in tight)
     pts = tuple(geodesic_path(src.rep, q, samples)) if samples else ()
     return PlanResult(stratum.dim + j, stratum.dim, j, k, q, pts)
 

@@ -1,4 +1,4 @@
-"""Acceptance suite: thirteen end-to-end checks, exact arithmetic, timed caps.
+"""Acceptance suite: fourteen end-to-end checks, exact arithmetic, timed caps.
 
 Each test prints one PASS line (with elapsed time) on success; a failure
 anywhere shows up as an ordinary pytest failure for that criterion.  All
@@ -22,6 +22,7 @@ from flatklein import (
     project,
     squared_distance,
 )
+from flatklein.cut_polytope import _cached_cell
 from flatklein.oracle import (
     brute_distance,
     brute_geodesic_count,
@@ -29,6 +30,7 @@ from flatklein.oracle import (
     brute_vertices,
     certify_vertices,
 )
+from flatklein.stratification import _dimension
 
 DENS = (7, 9, 11, 12, 13, 20)
 
@@ -395,8 +397,8 @@ def test_criterion_11_planner_partition():
                 kept.append((y, z, res))
 
     # seed-independence: replay in shuffled order on a fresh cache
-    from flatklein import planner as planner_mod
-    planner_mod._TABLES.clear()
+    _cached_cell.cache_clear()
+    _dimension.cache_clear()
     replay = random.Random(2222)
     shuffled = kept[:]
     replay.shuffle(shuffled)
@@ -507,8 +509,6 @@ def test_criterion_12_planner_continuity():
 
 
 def test_criterion_13_planner_n4_to_n6():
-    from flatklein import planner as planner_mod
-
     start = time.perf_counter()
     rng = random.Random(1313)
     kept = []
@@ -524,10 +524,42 @@ def test_criterion_13_planner_n4_to_n6():
             if i % 5 == 0:
                 kept.append((y, z, res))
 
-    # the same choices on a fresh table cache, in shuffled order
-    planner_mod._TABLES.clear()
+    # the same choices on fresh caches, in shuffled order
+    _cached_cell.cache_clear()
+    _dimension.cache_clear()
     random.Random(3131).shuffle(kept)
     for y, z, res in kept:
         assert plan(y, z) == res
     _report(13, "planner at n=4/5/6: indices, exact lengths, oracle lifts, "
+                "determinism", start, cap=60.0)
+
+
+def test_criterion_14_planner_n7_n8():
+    start = time.perf_counter()
+    rng = random.Random(1414)
+    kept = []
+    for n, count in ((7, 60), (8, 20)):
+        for _ in range(count):
+            y = project(tuple(_rat(rng) for _ in range(n)))
+            z = project(tuple(_rat(rng) for _ in range(n)))
+            res = plan(y, z)
+            assert 0 <= res.index <= 2 * n
+            gap = sum((p - q) ** 2 for p, q in zip(y.rep, res.lift))
+            assert gap == squared_distance(y, z)
+            assert res.lift in brute_minimal_images(y, z)[1]
+            kept.append((y, z, res))
+
+    # a generic source planned to itself reaches the top index 2n
+    for y in ((F(1, 10), F(1, 5), F(2, 7), F(1, 3), F(2, 9), F(3, 11), F(1, 3)),
+              (F(1, 10), F(1, 5), F(2, 7), F(1, 3), F(2, 9), F(3, 11), F(1, 7),
+               F(1, 3))):
+        assert plan(project(y), project(y)).index == 2 * len(y)
+
+    # the same choices on fresh caches, in shuffled order
+    _cached_cell.cache_clear()
+    _dimension.cache_clear()
+    random.Random(4141).shuffle(kept)
+    for y, z, res in kept:
+        assert plan(y, z) == res
+    _report(14, "planner at n=7/8: indices, exact lengths, oracle lifts, "
                 "determinism", start, cap=60.0)

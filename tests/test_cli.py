@@ -95,6 +95,16 @@ def test_plan_text(capsys):
                    "  sample (1/4, 5/8)\n")
 
 
+def test_plan_n7_json(capsys):
+    code, out = run(capsys, "plan", "--P", "1/10,1/5,2/7,1/3,2/9,3/11,1/3",
+                    "--Q", "3/4,1/2,1/8,5/9,0,2/3,1/5")
+    assert code == 0
+    data = json.loads(out)
+    assert 0 <= data["index"] <= 14
+    assert data["index"] == data["stratum_dim"] + data["face_dim"]
+    assert len(data["lift"]) == 7
+
+
 def test_figure_svg_labels(capsys):
     code, out = run(capsys, "figure", "--kind", "hexagon")
     assert code == 0

@@ -1,12 +1,20 @@
 """Geodesic selection: representative faces, partition indices, determinism."""
 
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flatklein
 from flatklein import (
+    PlanResult,
+    classify,
+    cut_polytope,
     minimal_lifts,
     partition_index,
     plan,
@@ -14,7 +22,8 @@ from flatklein import (
     representatives,
     squared_distance,
 )
-from flatklein import planner as planner_mod
+from flatklein.cut_polytope import _cached_cell
+from flatklein.stratification import _dimension
 
 HEX_BASE = (F(1, 4), F(0))
 
@@ -32,8 +41,6 @@ def test_hexagon_representatives():
 
 
 def test_wall_and_slant_facets_halved_n3():
-    from flatklein import cut_polytope
-
     base = (F(1, 4), F(1, 4), F(0))
     reps = representatives(base)
     n_facets = sum(1 for f in cut_polytope(base).face_lattice() if f.dim == 2)
@@ -86,28 +93,83 @@ def test_plan_is_deterministic_and_cache_independent():
     y = project((F(1, 4), F(1, 8), F(0)))
     z = project((F(3, 4), F(5, 8), F(1, 2)))
     first = plan(y, z)
-    planner_mod._TABLES.clear()
+    _cached_cell.cache_clear()
+    _dimension.cache_clear()
     assert plan(y, z) == first
 
 
-def test_tables_are_a_bounded_lru(monkeypatch):
-    builds = []
-    build = planner_mod.representatives
-    monkeypatch.setattr(planner_mod, "representatives",
-                        lambda p: builds.append(p) or build(p))
-    monkeypatch.setattr(planner_mod, "_TABLES_MAX", 2)
-    planner_mod._TABLES.clear()
-    z = project((F(1, 7), F(2, 5)))
-    # three strata: a_1 free with a_2 = 0, a prism point, a generic point
-    first, second, third = (project(p) for p in
-                            (HEX_BASE, (F(1, 2), F(1, 2)), (F(1, 3), F(1, 3))))
-    results = [plan(y, z) for y in (first, second, first, third)]
-    assert len(builds) == 3 and len(planner_mod._TABLES) == 2
-    # `first` was used after `second`, so `second` was evicted
-    assert plan(first, z) == results[0]
-    assert len(builds) == 3
-    assert plan(second, z) == results[1]
-    assert len(builds) == 4 and len(planner_mod._TABLES) == 2
+def _reference_plan(y, z):
+    """The per-stratum table selection: the face lattice gives every face's
+    dimension, the face classes give one representative key per class, and
+    exactly one minimal lift must hit a representative face."""
+    cell = cut_polytope(y)
+    dim_by_key = {f.active: f.dim for f in cell.face_lattice()}
+    reps = representatives(y)
+    rep_keys = set().union(*reps.values())
+    assert len(rep_keys) == len(cell.face_equivalences())
+    hits = []
+    for q in minimal_lifts(y.rep, z):
+        key = tuple(sorted(d.key() for d in cell.active_descriptors(q)))
+        if key in rep_keys:
+            hits.append((q, key))
+    assert len(hits) == 1, (y, z, hits)
+    q, key = hits[0]
+    stratum_dim = classify(y.rep).dim
+    face_dim = dim_by_key[key]
+    return PlanResult(stratum_dim + face_dim, stratum_dim, face_dim, key, q)
+
+
+def _seeded_coord(rng):
+    if rng.random() < 0.3:
+        return rng.choice((F(0), F(1, 2), F(1, 4), F(3, 4)))
+    den = rng.choice((7, 9, 11, 12, 13, 20))
+    return F(rng.randrange(den), den)
+
+
+def test_plan_matches_table_selection_on_seeded_pairs():
+    rng = random.Random(606)
+    prism = reflected = 0
+    for n, count in ((2, 150), (3, 100), (4, 40), (5, 8)):
+        for _ in range(count):
+            y = project(tuple(_seeded_coord(rng) for _ in range(n)))
+            z = project(tuple(_seeded_coord(rng) for _ in range(n)))
+            cell = cut_polytope(y)
+            prism += bool(cell.prism)
+            reflected += bool(cell.reflected)
+            assert plan(y, z) == _reference_plan(y, z), (y, z)
+    assert prism and reflected
+
+
+def test_plan_matches_table_selection_on_face_barycenters():
+    rng = random.Random(616)
+    targets = 0
+    for n, cells in ((2, 6), (3, 6), (4, 2)):
+        for _ in range(cells):
+            y = project(tuple(_seeded_coord(rng) for _ in range(n)))
+            cell = cut_polytope(y)
+            verts = cell.vertices()
+            for face in cell.face_lattice():
+                pts = [verts[i].coords for i in face.vertex_ids]
+                avg = tuple(sum(col, F(0)) / len(pts) for col in zip(*pts))
+                z = project(avg)
+                assert plan(y, z) == _reference_plan(y, z), (y, z)
+                targets += 1
+    assert targets > 500
+
+
+def test_shared_face_key_check_survives_optimisation():
+    # two minimal lifts on one face is a bug; -O strips asserts
+    src = str(Path(flatklein.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1])\n"
+         "from flatklein import planner\n"
+         "lifts = planner.minimal_lifts\n"
+         "planner.minimal_lifts = lambda p, z: 2 * lifts(p, z)\n"
+         "try:\n    planner.plan(('1/4', '0'), ('1/4', '5/8'))\n"
+         "except AssertionError as exc:\n    print(exc)", src],
+        capture_output=True, text=True, check=True)
+    assert "source (1/4, 0), target (1/4, 5/8)" in out.stdout
 
 
 def test_plan_samples():
