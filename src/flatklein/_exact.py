@@ -16,10 +16,16 @@ from typing import Iterable, Sequence
 Row = Sequence[Fraction]
 
 
+def common_denominator(row: Row) -> tuple[list[int], int]:
+    """Integer numerators of a row of ints and Fractions over the lcm of
+    its denominators, and that lcm."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
 def _scaled(row: Row) -> list[int]:
     """A row of ints and Fractions times the lcm of its denominators."""
-    scale = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
+    return common_denominator(row)[0]
 
 
 def _eliminate(rows: list[Sequence[int]], r: int, col: int) -> None:

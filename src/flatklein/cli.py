@@ -196,13 +196,13 @@ def _cmd_polytope(args) -> int:
     elif args.format == "json":
         _emit(json.dumps(cell.to_json(), indent=2) + "\n", args.out)
     else:
+        dims = defaultdict(int)
+        for f in cell.face_lattice():
+            dims[f.dim] += 1
         verts = cell.vertices()
         kinds = defaultdict(int)
         for v in verts:
             kinds[v.kind] += 1
-        dims = defaultdict(int)
-        for f in cell.face_lattice():
-            dims[f.dim] += 1
         rows = [f"cell at P = {_pt_str(cell.point.rep)}",
                 f"  halfspaces: {len(cell.halfspaces())}",
                 f"  vertices:   {len(verts)} "

@@ -19,13 +19,13 @@ through the reflections, which conjugate the deck group to itself.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from ._exact import integerize_row, mat_rank
+from ._exact import common_denominator, mat_rank
 from .klein_space import (
     HALF,
     DeckElement,
@@ -50,6 +50,11 @@ STANDARD_MINUS = "StandardMinus"
 MIDDLE = "Middle"
 TRUNC_PLUS = "TruncPlus"
 TRUNC_MINUS = "TruncMinus"
+
+#: Largest dimension for which face work (lattice, classes, JSON) runs: the
+#: cell at n has about 2*3^(n-1) vertices, and the n = 7 lattice already
+#: takes seconds.
+FACE_N_MAX = 7
 
 
 def delta(a: Rational) -> Fraction:
@@ -199,6 +204,9 @@ class CutPolytope:
         self.n = point.n
         self.reduced, self.reflected, self.prism = chamber_reduce(point.rep)
         self.active = tuple(i for i in range(self.n - 1) if i not in self.prism)
+        # the reduced point as integer numerators over one denominator
+        self._nums, self._den = common_denominator(self.reduced)
+        self._rows: list[tuple[Descriptor, tuple[int, ...], int]] | None = None
         self._halfspaces: list[tuple[Descriptor, LiftPoint, Fraction]] | None = None
         self._vertices: list[Vertex] | None = None
         self._faces: list[Face] | None = None
@@ -222,48 +230,71 @@ class CutPolytope:
                 out.append(Slant(sign, tuple(full)))
         return out
 
-    def realize(self, d: Descriptor) -> tuple[LiftPoint, Fraction]:
-        """Concrete inequality normal.x <= offset for a descriptor."""
-        n = self.n
-        a_red = self.reduced
-        normal = [Fraction(0)] * n
-        if isinstance(d, Wall):
-            normal[d.index] = Fraction(d.sign)
-            offset = d.sign * a_red[d.index] + HALF
-        elif isinstance(d, Cap):
-            normal[n - 1] = Fraction(d.sign)
-            offset = d.sign * a_red[n - 1] + 1
-        else:
-            # reduced chamber: sign*(x_n - a_n) <= 1/2 + sum c_i (x_i - delta_i/2)
-            normal[n - 1] = Fraction(d.sign)
-            offset = d.sign * a_red[n - 1] + HALF
-            for i in self.active:
-                c = 2 * a_red[i] - d.delta_bits[i]
-                normal[i] = -c
-                offset -= c * d.delta_bits[i] / 2
-        for i in self.reflected:
-            offset -= normal[i]
-            normal[i] = -normal[i]
-        return tuple(normal), offset
+    def integer_rows(self) -> list[tuple[Descriptor, tuple[int, ...], int]]:
+        """Every half-space as integer data (descriptor, normal, offset).
+
+        Built once per cell in closed form from the numerators A_i of the
+        reduced point over their common denominator D, with the inequality
+        normal.x <= offset scaled by 2D: a wall has normal +-2D e_i and
+        offset +-2A_i + D, a cap +-2D e_n and +-2A_n + 2D, and a slant
+        +-2D e_n plus 2(bit_i D - 2A_i) e_i over the active coordinates,
+        with offset +-2A_n + D less 2A_i - D for every set bit.  A
+        reflected coordinate then flips its normal entry, moving the old
+        entry into the offset (x_i -> 1 - x_i).
+        """
+        if self._rows is None:
+            n = self.n
+            a, den = self._nums, self._den
+            rows = []
+            for d in self.descriptors():
+                normal = [0] * n
+                if isinstance(d, Wall):
+                    normal[d.index] = 2 * d.sign * den
+                    offset = 2 * d.sign * a[d.index] + den
+                elif isinstance(d, Cap):
+                    normal[-1] = 2 * d.sign * den
+                    offset = 2 * d.sign * a[-1] + 2 * den
+                else:
+                    normal[-1] = 2 * d.sign * den
+                    offset = 2 * d.sign * a[-1] + den
+                    for i in self.active:
+                        bit = d.delta_bits[i]
+                        normal[i] = 2 * (bit * den - 2 * a[i])
+                        if bit:
+                            offset -= 2 * a[i] - den
+                for i in self.reflected:
+                    offset -= normal[i]
+                    normal[i] = -normal[i]
+                rows.append((d, tuple(normal), offset))
+            self._rows = rows
+        return self._rows
 
     def halfspaces(self) -> list[tuple[Descriptor, LiftPoint, Fraction]]:
+        """`integer_rows` as exact rationals: normal.x <= offset."""
         if self._halfspaces is None:
-            self._halfspaces = [(d,) + self.realize(d) for d in self.descriptors()]
+            rows = self.integer_rows()
+            # one Fraction per distinct entry: rows share most of them
+            values = {v for _, normal, off in rows for v in (*normal, off)}
+            frac = {v: Fraction(v, 2 * self._den) for v in values}
+            self._halfspaces = [(d, tuple(frac[v] for v in normal), frac[off])
+                                for d, normal, off in rows]
         return self._halfspaces
 
+    def _slacks(self, x: Sequence[Rational]) -> list[tuple[Descriptor, int]]:
+        """(descriptor, offset - normal.x) per half-space, scaled to ints."""
+        pt, den = common_denominator(as_point(x))
+        return [(d, off * den - sum(map(operator.mul, normal, pt)))
+                for d, normal, off in self.integer_rows()]
+
     def contains(self, x: Sequence[Rational]) -> bool:
-        pt = as_point(x)
-        return all(sum(w * c for w, c in zip(normal, pt)) <= off
-                   for _, normal, off in self.halfspaces())
+        return all(slack >= 0 for _, slack in self._slacks(x))
 
     def active_descriptors(self, x: Sequence[Rational]) -> frozenset[Descriptor]:
-        pt = as_point(x)
         tight = []
-        for d, normal, off in self.halfspaces():
-            dot = sum(w * c for w, c in zip(normal, pt))
-            if dot > off:
+        for d, slack in self._slacks(x):
+            if slack < 0:
                 raise ValueError("point is outside the cell")
-            if dot == off:
+            if slack == 0:
                 tight.append(d)
         return frozenset(tight)
 
@@ -352,10 +383,9 @@ class CutPolytope:
 
     def _vertex_numerators(self) -> tuple[list[tuple[int, ...]], int]:
         """Vertex coordinates as integer numerators over one common denominator."""
-        coords = [v.coords for v in self.vertices()]
-        den = math.lcm(*(c.denominator for v in coords for c in v))
-        return [tuple(c.numerator * (den // c.denominator) for c in v)
-                for v in coords], den
+        n = self.n
+        flat, den = common_denominator([c for v in self.vertices() for c in v.coords])
+        return [tuple(flat[i:i + n]) for i in range(0, len(flat), n)], den
 
     def face_lattice(self) -> list[Face]:
         """All faces (dimension 0..n), bottom-up, exact ranks.
@@ -363,14 +393,18 @@ class CutPolytope:
         Faces are the nonempty intersections of facets, with vertex-facet
         incidences held as int bitmasks (as in Kaibel & Pfetsch, 2002).  A
         face's dimension is n minus the rank of the normals tight on all of
-        its vertices.
+        its vertices.  Refused with a ValueError above n = FACE_N_MAX.
         """
         if self._faces is not None:
             return self._faces
+        if self.n > FACE_N_MAX:
+            raise ValueError(
+                f"face lattice and face classes are limited to n <= {FACE_N_MAX}: "
+                f"the cell at n = {self.n} has about {2 * 3 ** (self.n - 1)} vertices")
         nums, den = self._vertex_numerators()
         n = self.n
-        keys = [d.key() for d, _, _ in self.halfspaces()]
-        rows = [integerize_row(normal, off) for _, normal, off in self.halfspaces()]
+        keys = [d.key() for d, _, _ in self.integer_rows()]
+        rows = [(normal, off) for _, normal, off in self.integer_rows()]
         # at[i]: mask of the descriptors tight at vertex i
         at = [sum(1 << j for j, (row, rhs) in enumerate(rows)
                   if sum(w * c for w, c in zip(row, v)) == rhs * den)
@@ -460,8 +494,8 @@ class CutPolytope:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        verts = self.vertices()
         faces = self.face_lattice()
+        verts = self.vertices()
         return {
             "n": self.n,
             "P": [format_rat(c) for c in self.point.rep],

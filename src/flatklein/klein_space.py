@@ -7,17 +7,22 @@ translations in the first n-1 coordinates together with the glide
 
 Every group element acts as x_i -> (-1)^s x_i + v_i on the first n-1
 coordinates and x_n -> x_n + t on the last, where s is a parity bit, v is an
-integer vector and t is an integer with t == s (mod 2).  All arithmetic here
-is exact over `fractions.Fraction`; nothing in this module touches floats.
+integer vector and t is an integer with t == s (mod 2).
+
+All arithmetic here is exact and touches no floats.  Points come in and go
+out as tuples of `fractions.Fraction`; inside, the metric works on integer
+numerators over one common denominator (the lcm of the input denominators)
+and builds a `Fraction` only for a value it returns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence, Union
+
+from ._exact import common_denominator
 
 #: Exact rational scalar used throughout the package.
 RatScalar = Fraction
@@ -131,7 +136,8 @@ class KleinPoint:
     rep: LiftPoint
 
     def __post_init__(self) -> None:
-        if any(not (0 <= c < 1) for c in self.rep):
+        # 0 <= p/q < 1 on the integers of each rational (q > 0)
+        if any(not 0 <= c.numerator < c.denominator for c in self.rep):
             raise ValueError("representative must lie in [0,1)^n")
 
     @property
@@ -148,16 +154,24 @@ def canonicalize(x: Sequence[Rational]) -> tuple[KleinPoint, DeckElement]:
     reduce the remaining coordinates mod 1) in closed form: with
     k = floor(x_n) the glide runs iff k is odd, so g has parity k mod 2 and
     last shift -k, and each head coordinate h = x_i (1 - x_i if odd) ends
-    at h - floor(h).
+    at h - floor(h).  Each coordinate p/d is reduced on its own integers:
+    d - p and p mod d are prime to d, so the result stays in lowest terms.
     """
     pt = as_point(x)
-    k = math.floor(pt[-1])
+    num, den = pt[-1].numerator, pt[-1].denominator
+    k = num // den
     parity = k % 2
-    heads = [1 - c if parity else c for c in pt[:-1]]
-    floors = [math.floor(h) for h in heads]
-    g = DeckElement(parity, tuple(parity - f for f in floors), -k)
-    rep = tuple(h - f for h, f in zip(heads, floors)) + (pt[-1] - k,)
-    return KleinPoint(rep), g
+    rep = []
+    shift = []
+    for c in pt[:-1]:
+        p, d = c.numerator, c.denominator
+        if parity:
+            p = d - p
+        f = p // d
+        rep.append(Fraction(p - f * d, d) if parity or f else c)
+        shift.append(parity - f)
+    rep.append(pt[-1] if not k else Fraction(num - k * den, den))
+    return KleinPoint(tuple(rep)), DeckElement(parity, tuple(shift), -k)
 
 
 def project(x: Sequence[Rational]) -> KleinPoint:
@@ -170,12 +184,6 @@ def equivalent(x: Sequence[Rational], y: Sequence[Rational]) -> bool:
     return canonicalize(x)[0] == canonicalize(y)[0]
 
 
-def _dist_to_translates(u: Fraction, step: int, offset: int) -> Fraction:
-    """Exact distance from u to the arithmetic progression offset + step*Z."""
-    r = (u - offset) % step
-    return min(r, step - r)
-
-
 def squared_distance(y: KleinPoint, z: KleinPoint) -> Fraction:
     """Exact squared quotient distance between two points.
 
@@ -183,27 +191,36 @@ def squared_distance(y: KleinPoint, z: KleinPoint) -> Fraction:
     independent one-dimensional problems: distance of z_i - y_i (parity 0) or
     z_i + y_i (parity 1) to the integers in the first n-1 coordinates, and
     distance of z_n - y_n to the even (parity 0) or odd (parity 1) integers.
+    Over the common denominator D each distance is min(r, D - r) for a
+    residue r mod D (mod 2D on the last axis, shifted by D for parity 1).
     """
     if y.n != z.n:
         raise ValueError("dimension mismatch")
-    a, b = y.rep, z.rep
-    even = sum((_dist_to_translates(bi - ai, 1, 0) ** 2 for ai, bi in zip(a[:-1], b[:-1])),
-               start=_dist_to_translates(b[-1] - a[-1], 2, 0) ** 2)
-    odd = sum((_dist_to_translates(bi + ai, 1, 0) ** 2 for ai, bi in zip(a[:-1], b[:-1])),
-              start=_dist_to_translates(b[-1] - a[-1], 2, 1) ** 2)
-    return min(even, odd)
+    nums, den = common_denominator(y.rep + z.rep)
+    a, b = nums[:y.n], nums[y.n:]
+    even = odd = 0
+    for ai, bi in zip(a[:-1], b[:-1]):
+        r = (bi - ai) % den
+        even += min(r, den - r) ** 2
+        r = (bi + ai) % den
+        odd += min(r, den - r) ** 2
+    two = 2 * den
+    r = (b[-1] - a[-1]) % two
+    even += min(r, two - r) ** 2
+    r = (b[-1] - a[-1] - den) % two
+    odd += min(r, two - r) ** 2
+    return Fraction(min(even, odd), den * den)
 
 
-def _nearest_in_progression(u: Fraction, step: int, offset: int) -> list[int]:
-    """All members of offset + step*Z at minimal distance from u (1 or 2)."""
-    lo = offset + step * math.floor((u - offset) / step)
-    hi = lo + step
-    d_lo, d_hi = u - lo, hi - u
-    if d_lo < d_hi:
+def _nearest(u: int, step: int) -> list[int]:
+    """All multiples of step at minimal distance from u (one or two)."""
+    lo = u - u % step
+    twice = 2 * (u - lo)
+    if twice < step:
         return [lo]
-    if d_hi < d_lo:
-        return [hi]
-    return [lo, hi]
+    if twice > step:
+        return [lo + step]
+    return [lo, lo + step]
 
 
 def minimal_lifts(p: Sequence[Rational], z: KleinPoint) -> list[LiftPoint]:
@@ -213,28 +230,34 @@ def minimal_lifts(p: Sequence[Rational], z: KleinPoint) -> list[LiftPoint]:
     per-coordinate argmin sets (each of size 1 or 2); branches that do not
     attain the global minimum are discarded, and coincident lifts produced by
     both branches (possible only at half-integer coordinates) are deduplicated.
-    The result is sorted lexicographically, hence deterministic.
+    The result is sorted lexicographically, hence deterministic.  Both
+    points are held as integer numerators over their common denominator.
     """
     pt = as_point(p)
-    if len(pt) != z.n:
+    n = len(pt)
+    if n != z.n:
         raise ValueError("dimension mismatch")
+    nums, den = common_denominator(pt + z.rep)
+    a, b = nums[:n], nums[n:]
     branches = []
     for parity in (0, 1):
         sign = -1 if parity else 1
-        axis_choices: list[list[Fraction]] = []
-        cost = Fraction(0)
-        for pi, zi in zip(pt[:-1], z.rep[:-1]):
-            vs = _nearest_in_progression(pi - sign * zi, 1, 0)
-            axis_choices.append([sign * zi + v for v in vs])
-            cost += (pi - sign * zi - vs[0]) ** 2
-        ts = _nearest_in_progression(pt[-1] - z.rep[-1], 2, parity)
-        axis_choices.append([z.rep[-1] + t for t in ts])
-        cost += (pt[-1] - z.rep[-1] - ts[0]) ** 2
+        axis_choices: list[list[int]] = []
+        cost = 0
+        for ai, bi in zip(a[:-1], b[:-1]):
+            u = ai - sign * bi
+            vs = _nearest(u, den)
+            axis_choices.append([sign * bi + v for v in vs])
+            cost += (u - vs[0]) ** 2
+        u = a[-1] - b[-1] - parity * den
+        ts = _nearest(u, 2 * den)
+        axis_choices.append([b[-1] + parity * den + t for t in ts])
+        cost += (u - ts[0]) ** 2
         branches.append((cost, axis_choices))
     best = min(cost for cost, _ in branches)
-    lifts = {tuple(q) for cost, choices in branches if cost == best
+    lifts = {q for cost, choices in branches if cost == best
              for q in product(*choices)}
-    return sorted(lifts)
+    return [tuple(Fraction(c, den) for c in q) for q in sorted(lifts)]
 
 
 def neighbor_set(p: Sequence[Rational]) -> list[LiftPoint]:

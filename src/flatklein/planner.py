@@ -93,7 +93,8 @@ def plan(y, z, samples: int = 0) -> PlanResult:
     k = min(by_key)
     q, tight = by_key[k]
     # q is relatively interior to its face, so this is the face's dimension
-    j = cell.n - mat_rank(cell.realize(d)[0] for d in tight)
+    j = cell.n - mat_rank(normal for d, normal, _ in cell.integer_rows()
+                          if d in tight)
     pts = tuple(geodesic_path(src.rep, q, samples)) if samples else ()
     return PlanResult(stratum.dim + j, stratum.dim, j, k, q, pts)
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from ._exact import lp_maximize, mat_rank
+from ._exact import common_denominator, lp_maximize, mat_rank
 from .klein_space import HALF, LiftPoint, Rational, as_point, format_rat, rat
 
 __all__ = [
@@ -79,11 +79,24 @@ class DomainDescriptor:
         return cls(tuple(kinds))
 
 
-def _subsets(items: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out = []
-    for r in range(len(items) + 1):
-        out.extend(itertools.combinations(items, r))
-    return out
+@lru_cache(maxsize=16)
+def _subsets(k: int) -> tuple[tuple[int, ...], ...]:
+    """Every subset of range(k), by size and then lexicographically.
+
+    This is the order of `SignVector.signs`; a subset's members are
+    positions in the active index tuple.
+    """
+    return tuple(sub for r in range(k + 1)
+                 for sub in itertools.combinations(range(k), r))
+
+
+@lru_cache(maxsize=16)
+def _subset_slots(k: int) -> tuple[int, ...]:
+    """The index in `_subsets(k)` of each subset, looked up by its bitmask."""
+    slots = [0] * (1 << k)
+    for index, sub in enumerate(_subsets(k)):
+        slots[sum(1 << j for j in sub)] = index
+    return tuple(slots)
 
 
 @dataclass(frozen=True)
@@ -100,11 +113,15 @@ class SignVector:
             raise ValueError("signs are -1/0/+1")
 
     def sign_of(self, subset) -> int:
-        key = tuple(sorted(subset))
-        return self.signs[_subsets(self.active).index(key)]
+        bits = [1 << self.active.index(i) for i in subset]
+        if len(set(bits)) != len(bits):
+            raise ValueError(f"repeated index in {tuple(subset)}")
+        return self.signs[_subset_slots(len(self.active))[sum(bits)]]
 
     def items(self):
-        return list(zip(_subsets(self.active), self.signs))
+        act = self.active
+        return [(tuple(act[j] for j in sub), sign)
+                for sub, sign in zip(_subsets(len(act)), self.signs)]
 
 
 @dataclass(frozen=True)
@@ -141,18 +158,16 @@ def _degenerable(n_active: int, size: int) -> bool:
     return size >= 5 or (size == 4 and size == n_active)
 
 
-def _is_coincidence(n_active: int, signs: tuple[int, ...],
-                    subsets: list[tuple[int, ...]]) -> bool:
+def _is_coincidence(n_active: int, signs: tuple[int, ...]) -> bool:
     if n_active != 6:
         return False
-    return all(s == 0 for sub, s in zip(subsets, signs) if len(sub) == 5)
+    return all(s == 0 for sub, s in zip(_subsets(6), signs) if len(sub) == 5)
 
 
 @lru_cache(maxsize=4096)
 def _dimension(n_active: int, signs: tuple[int, ...], last_interval: bool):
     """Affine-hull dimension of the stratum region, or None if empty."""
-    positions = tuple(range(n_active))
-    subsets = _subsets(positions)
+    subsets = _subsets(n_active)
     eq_rows, eq_rhs = [], []
     ub_rows, ub_rhs = [], []
     any_degenerable = False
@@ -219,28 +234,26 @@ def classify(p: Sequence[Rational]) -> Stratum:
     pt = as_point(p)
     domain = DomainDescriptor.of_point(pt)
     active = domain.active
-    u = {}
-    for i in active:
-        c = pt[i] if pt[i] < HALF else 1 - pt[i]
-        b = c - Fraction(1, 4)
-        u[i] = b * b
-    subsets = _subsets(active)
-    signs = []
     n_active = len(active)
-    for sub in subsets:
-        const, _ = _k_row(n_active, frozenset(range(len(sub))))
-        val = const + sum((u[i] for i in sub), start=Fraction(0)) \
-            - sum((u[i] for i in active if i not in sub), start=Fraction(0))
-        signs.append(0 if val == 0 else (1 if val > 0 else -1))
+    # over the common denominator D of the active coordinates, with c_i
+    # folded into (0, 1/2) and U_i = (4c_i - D)^2 = (16 D^2) b_i^2,
+    # 16 D^2 K_S = (N + 4 - 2|S|) D^2 + 2 sum_{i in S} U_i - sum_i U_i
+    nums, den = common_denominator([pt[i] for i in active])
+    u = [(4 * min(c, den - c) - den) ** 2 for c in nums]
+    total = sum(u)
+    sq = den * den
+    signs = []
+    for sub in _subsets(n_active):
+        val = (n_active + 4 - 2 * len(sub)) * sq + 2 * sum(u[j] for j in sub) - total
+        signs.append((val > 0) - (val < 0))
     alpha = SignVector(active, tuple(signs))
     dim = stratum_dimension(alpha, domain)
     if dim is None:
         raise AssertionError(
             "sign vector of a real point cannot be infeasible: point "
             f"({', '.join(format_rat(c) for c in pt)}), signs {tuple(signs)}")
-    positions = _subsets(tuple(range(n_active)))
     return Stratum(domain, alpha, dim, pt,
-                   _is_coincidence(n_active, tuple(signs), positions))
+                   _is_coincidence(n_active, alpha.signs))
 
 
 def same_stratum(p: Sequence[Rational], q: Sequence[Rational]) -> bool:
@@ -255,9 +268,8 @@ def same_stratum(p: Sequence[Rational], q: Sequence[Rational]) -> bool:
 def _witness_b(n_active: int, signs: tuple[int, ...]) -> tuple[Fraction, ...]:
     """A rational b-vector realizing a feasible sign pattern (N <= 6)."""
     F = Fraction
-    subsets = _subsets(tuple(range(n_active)))
     by_size = {}
-    for sub, s in zip(subsets, signs):
+    for sub, s in zip(_subsets(n_active), signs):
         by_size.setdefault(len(sub), {})[sub] = s
     if n_active <= 3:
         return (F(0),) * n_active
@@ -325,8 +337,7 @@ def _plausible_six(choice: dict, deg: list) -> bool:
 def _strata_for_size(n_active: int):
     """All feasible sign patterns over subsets of range(n_active), with
     witnesses (as b-vectors) and coincidence flags."""
-    positions = tuple(range(n_active))
-    subsets = _subsets(positions)
+    subsets = _subsets(n_active)
     deg = [sub for sub in subsets if _degenerable(n_active, len(sub))]
     found = []
     for assignment in itertools.product((1, 0, -1), repeat=len(deg)):
@@ -351,7 +362,7 @@ def _strata_for_size(n_active: int):
     out = []
     for signs in found:
         b = _witness_b(n_active, signs)
-        out.append((signs, b, _is_coincidence(n_active, signs, subsets)))
+        out.append((signs, b, _is_coincidence(n_active, signs)))
     return out
 
 

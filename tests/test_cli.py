@@ -1,7 +1,11 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +66,19 @@ def test_polytope_n6_json(capsys):
     assert len(data["vertices"]) == 600
     assert len(data["faces"]) == 7873
     assert len(data["equiv"]["faces"]) == 1296
+
+
+def test_polytope_n8_is_refused_quickly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatklein.cli", "polytope",
+         "--P", "1/10,1/5,2/7,1/3,2/9,1/3,3/7,1/5"],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "n <= 7" in proc.stderr and "4374 vertices" in proc.stderr
 
 
 def test_strata_classify_text(capsys):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatklein import cut_polytope, delta, equivalent, k_value, minimal_lifts, project
+from flatklein import (cut_polytope, delta, equivalent, k_value, minimal_lifts, project,
+                       representatives)
 from flatklein._exact import gcd_reduce, integerize_row, invert_square, mat_rank
-from flatklein.cut_polytope import LabeledSet, chamber_reduce
+from flatklein.cut_polytope import Cap, LabeledSet, Wall, chamber_reduce
 from flatklein.klein_space import DeckElement, apply_deck, neighbor_set
 from flatklein.oracle import brute_vertices
 
@@ -142,6 +143,63 @@ def test_halfspaces_are_bisectors_with_neighbor_set():
                 for _, normal, off in cut_polytope(p).halfspaces()}
         assert bisectors == cell, p
     assert prisms >= 100
+
+
+def _fraction_halfspaces(cell):
+    """Each descriptor's inequality built on Fractions, one at a time."""
+    out = []
+    a = cell.reduced
+    for d in cell.descriptors():
+        normal = [F(0)] * cell.n
+        if isinstance(d, Wall):
+            normal[d.index] = F(d.sign)
+            offset = d.sign * a[d.index] + F(1, 2)
+        elif isinstance(d, Cap):
+            normal[-1] = F(d.sign)
+            offset = d.sign * a[-1] + 1
+        else:
+            # sign*(x_n - a_n) <= 1/2 + sum c_i (x_i - bit_i/2)
+            normal[-1] = F(d.sign)
+            offset = d.sign * a[-1] + F(1, 2)
+            for i in cell.active:
+                c = 2 * a[i] - d.delta_bits[i]
+                normal[i] = -c
+                offset -= c * d.delta_bits[i] / 2
+        for i in cell.reflected:
+            offset -= normal[i]
+            normal[i] = -normal[i]
+        out.append((d, tuple(normal), offset))
+    return out
+
+
+def test_integer_rows_match_fraction_halfspaces():
+    rng = random.Random(1717)
+    prisms = reflected = 0
+    for k in range(420):
+        n = 2 + k % 5
+        p = tuple(rng.choice((F(0), F(1, 2))) if rng.random() < 0.2
+                  else F(rng.randrange(d), d)
+                  for d in (rng.choice((3, 4, 5, 7, 9, 12, 20)) for _ in range(n)))
+        cell = cut_polytope(p)
+        prisms += bool(cell.prism)
+        reflected += bool(cell.reflected)
+        reference = _fraction_halfspaces(cell)
+        got = cell.halfspaces()
+        assert got == reference, p
+        assert all(type(c) is F for _, normal, off in got for c in (*normal, off))
+        if n > 4:
+            continue
+        # membership and tight sets against Fraction dot products
+        points = [v.coords for v in cell.vertices()[:4]]
+        points += [tuple(c + F(rng.randrange(-6, 7), 8) for c in p) for _ in range(3)]
+        for x in points:
+            slack = [off - sum(w * c for w, c in zip(normal, x))
+                     for _, normal, off in reference]
+            assert cell.contains(x) == (min(slack) >= 0)
+            if min(slack) >= 0:
+                assert cell.active_descriptors(x) == frozenset(
+                    d for (d, _, _), s in zip(reference, slack) if s == 0)
+    assert prisms >= 100 and reflected >= 200
 
 
 def test_chamber_reduce():
@@ -550,6 +608,17 @@ def test_rank_and_inverse_match_fraction_elimination():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+def test_face_work_refused_above_n7():
+    p = (F(1, 10), F(1, 5), F(2, 7), F(1, 3), F(2, 9), F(1, 3), F(3, 7), F(1, 5))
+    cell = cut_polytope(p)
+    for work in (cell.face_lattice, cell.face_equivalences, cell.to_json,
+                 lambda: representatives(p)):
+        with pytest.raises(ValueError, match=r"n <= 7: .* n = 8 has about 4374 vertices"):
+            work()
+    assert cell._vertices is None  # refused before any vertex was built
+    assert len(cell.vertices()) == 5712
+
 
 def test_json_shape():
     data = cut_polytope(HEX_BASE).to_json()

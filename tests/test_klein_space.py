@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from flatklein import (
     DeckElement,
+    KleinPoint,
     apply_deck,
     canonicalize,
     equivalent,
@@ -122,6 +124,13 @@ def test_canonicalize_matches_three_step_recipe():
         assert (y.rep, g) == _three_step_canonicalize(x), x
 
 
+def test_klein_point_validation():
+    assert KleinPoint((F(0), F(99, 100), 0)).n == 3
+    for rep in ((F(1), F(0)), (F(-1, 3), F(1, 2)), (F(1, 2), F(7, 7)), (F(0), 1)):
+        with pytest.raises(ValueError, match=r"\[0,1\)"):
+            KleinPoint(rep)
+
+
 def test_equivalent_examples():
     assert equivalent((F(1, 4), F(0)), (F(3, 4), F(1)))
     assert not equivalent((F(1, 4), F(0)), (F(3, 4), F(0)))
@@ -212,6 +221,34 @@ def test_minimal_lifts_match_enumerated_images(x, data):
     d2, images = brute_minimal_images(y.rep, z)
     assert minimal_lifts(y.rep, z) == list(images)
     assert squared_distance(y, z) == d2
+
+
+def test_metric_kernel_matches_enumeration():
+    # the integer kernel against the windowed oracle: points in [-60, 60)
+    # over small denominators (many ties) and one large prime
+    rng = random.Random(4242)
+    dens = (1, 2, 4, 7, 12, 20, 2**61 - 1)
+    lift_counts = Counter()
+    branches = set()
+    for k in range(700):
+        n = 2 + k % 5
+        den = dens[k % len(dens)]
+        x, w = (tuple(F(rng.randrange(-60 * den, 60 * den), den) for _ in range(n))
+                for _ in range(2))
+        y, g = canonicalize(x)
+        assert all(0 <= c < 1 for c in y.rep) and apply_deck(g, x) == y.rep
+        assert brute_distance(x, y.rep, window=62) == 0, x
+        z = project(w)
+        d2, images = brute_minimal_images(y, z)
+        assert squared_distance(y, z) == d2 == squared_distance(z, y), (x, w)
+        lifts = minimal_lifts(y.rep, z)
+        assert lifts == images, (x, w)
+        assert minimal_lifts(x, z) == brute_minimal_images(x, z, window=62)[1]
+        lift_counts[len(lifts)] += 1
+        # a lift's branch is the parity of its vertical shift
+        branches |= {(q[-1] - z.rep[-1]) % 2 for q in lifts}
+    assert lift_counts[2] and any(c >= 4 for c in lift_counts), lift_counts
+    assert branches == {0, 1}
 
 
 def test_neighbor_set_counts():

@@ -1,5 +1,7 @@
 """Sign-vector strata: classification, dimensions, catalogs."""
 
+import itertools
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -66,6 +68,22 @@ def test_sign_vector_lookup():
     assert sv.sign_of((3,)) == 0
     assert sv.sign_of((3, 1)) == -1
     assert dict(sv.items())[(1,)] == 1
+    with pytest.raises(ValueError):
+        sv.sign_of((2,))
+    with pytest.raises(ValueError):
+        sv.sign_of((3, 3))
+
+
+def test_sign_of_agrees_with_items_in_any_order():
+    rng = random.Random(31)
+    for k in range(7):
+        active = tuple(sorted(rng.sample(range(9), k)))
+        sv = SignVector(active, tuple(rng.choice((-1, 0, 1)) for _ in range(2 ** k)))
+        items = sv.items()
+        assert [sub for sub, _ in items] == [
+            sub for r in range(k + 1) for sub in itertools.combinations(active, r)]
+        for sub, sign in items:
+            assert sv.sign_of(rng.sample(sub, len(sub))) == sign
 
 
 def test_stratum_dimension_requires_matching_active():
@@ -251,6 +269,50 @@ def test_catalog_witnesses_realize_their_strata():
         for s in catalog(n):
             got = classify(s.witness)
             assert (got.domain, got.alpha, got.dim) == (s.domain, s.alpha, s.dim)
+
+
+def _fraction_signs(p):
+    """Sign of K_S for every subset S, on Fractions and term by term."""
+    active = [i for i, c in enumerate(p[:-1]) if c not in (0, F(1, 2))]
+    b = [min(p[i], 1 - p[i]) - F(1, 4) for i in active]
+    m = len(b)
+    signs = []
+    for r in range(m + 1):
+        for sub in itertools.combinations(range(m), r):
+            k = (F(m + 4 - 2 * r, 16) + sum(b[j] ** 2 for j in sub)
+                 - sum(b[j] ** 2 for j in range(m) if j not in sub))
+            signs.append((k > 0) - (k < 0))
+    return tuple(active), tuple(signs)
+
+
+def test_classify_signs_match_fraction_slacks():
+    rng = random.Random(909)
+    points = [s.witness for s in catalog(7)]
+    for k in range(400):
+        n = 2 + k % 8
+        # coordinates near 1/4 or 3/4 make the large subsets degenerate
+        p = tuple(rng.choice((F(0), F(1, 2))) if rng.random() < 0.15
+                  else rng.choice((F(1, 4), F(3, 4))) + F(rng.randrange(-4, 5), 80)
+                  if rng.random() < 0.5
+                  else F(rng.randrange(d), d)
+                  for d in (rng.choice((5, 7, 9, 12, 13, 20)) for _ in range(n - 1)))
+        points.append(p + (F(rng.randrange(7), 7),))
+    for k in range(16):
+        # every head near 1/4 or 3/4: at N = 7, 8 the large subsets go
+        # negative, and b = 0 makes |S| = N/2 + 2 vanish
+        n = 8 + k % 2
+        spread = k % 3
+        points.append(tuple(rng.choice((F(1, 4), F(3, 4)))
+                            + F(rng.randint(-spread, spread), 80)
+                            for _ in range(n - 1)) + (F(1, 3),))
+    seen = set()
+    for p in points:
+        stratum = classify(p)
+        assert (stratum.alpha.active, stratum.alpha.signs) == _fraction_signs(p), p
+        seen |= {(len(p), sign) for sign in stratum.alpha.signs}
+    # zero patterns at N = 6 (the n = 7 catalog witnesses), negative signs
+    # at n = 8, 9 and zeros at n = 9
+    assert {(7, 0), (8, -1), (9, -1), (9, 0)} <= seen
 
 
 # ---------------------------------------------------------------------------
