@@ -1,10 +1,11 @@
 """Exact linear algebra over rationals, plus a small exact simplex solver.
 
 Everything in this module is tolerance-free, and it has one elimination:
-`_eliminate`, a fraction-free row step on integer rows.  Rank, inverse and
-every simplex pivot run through it.  The LP solver is a dense two-phase
-simplex with Bland's rule; problem sizes in this package are tiny (fewer
-than ~30 variables and ~60 rows), so clarity beats sparsity.
+`_eliminate`, a fraction-free row step on integer rows.  Rank, the vertex
+oracle's simplicial cones and every simplex pivot run through it.  The LP
+solver is a dense two-phase simplex with Bland's rule; problem sizes in
+this package are tiny (fewer than ~30 variables and ~60 rows), so clarity
+beats sparsity.
 """
 
 from __future__ import annotations
@@ -66,21 +67,6 @@ def _gauss_jordan(m: list[Sequence[int]]) -> list[int]:
 def mat_rank(rows: Iterable[Row]) -> int:
     """Rank of a rational matrix by fraction-free integer elimination."""
     return len(_gauss_jordan([_scaled(row) for row in rows]))
-
-
-def invert_square(a: Iterable[Row]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square rational matrix; None if singular.
-
-    Scaling whole rows of [A | I] to integers leaves its reduced form
-    [I | A^-1] unchanged; each reduced row is then divided by its pivot.
-    """
-    rows = [list(row) for row in a]
-    n = len(rows)
-    aug = [_scaled(row + [int(i == j) for j in range(n)])
-           for i, row in enumerate(rows)]
-    if _gauss_jordan(aug) != list(range(n)):
-        return None
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
 
 
 def integerize_row(normal: Row, offset: Fraction) -> tuple[tuple[int, ...], int]:

@@ -531,9 +531,12 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=128)
+# a cell's memory grows like its 2*3^(n-1) vertices (about 0.4 MB at n = 6
+# once they are built), so the cache holds few cells
+@lru_cache(maxsize=32)
 def _cached_cell(rep: LiftPoint) -> CutPolytope:
-    return CutPolytope(rep)
+    # rep is canonical already: wrapping it skips the cell's own projection
+    return CutPolytope(KleinPoint(rep))
 
 
 def cut_polytope(p: Union[KleinPoint, Sequence[Rational]]) -> CutPolytope:

@@ -8,10 +8,25 @@ edge graph.  These routines are deliberately dumb and exact; they are the
 ground truth the unit and acceptance tests compare against.
 
 `brute_vertices` and `certify_vertices` share one routine, the cone
-enumerator `_cone_rays`.  They never check the same cell (the CLI and the
-benchmark send n <= 5 to the first and n >= 6 to the second), and neither
-shares a formula with the closed-form vertex families.  The tests also hold
-`brute_vertices` to a plain exhaustive basis enumeration at n <= 3.
+enumerator `_cone_rays`, which starts from the simplicial cone of a greedy
+basis found by one fraction-free elimination (`_simplicial_cone`).  They
+never check the same cell (the CLI and the benchmark send n <= 5 to the
+first and n >= 6 to the second), and neither shares a formula with the
+closed-form vertex families.  The tests also hold `brute_vertices` to a
+plain exhaustive basis enumeration at n <= 3, and the edge count of
+`certify_vertices` to the vertex pairs whose shared tight rows have rank
+n - 1.
+
+The edge walk runs on integers.  Each claimed point is its numerators
+over the lcm of its denominators, and its slacks off*den - row.num are
+computed once: they give feasibility, the active set and the gaps of the
+ratio test.  The same basis elimination is the active-rank check.  Ratios
+gap / step are compared crosswise, and an edge's endpoint
+(num*step + gap*ray) / (den*step), reduced by its gcd, is looked up
+directly among the claimed points; a Fraction is built only for a problem
+message.  The rows an edge direction climbs, with their steps row.ray,
+are kept per direction for the length of one call: a cell's edges run
+along far fewer directions than there are edges.
 """
 
 from __future__ import annotations
@@ -20,9 +35,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
-from ._exact import gcd_reduce, integerize_row, invert_square, mat_rank
+from ._exact import (_eliminate, common_denominator, gcd_reduce,
+                     integerize_row, mat_rank)
 
 Halfspace = tuple[Sequence[Fraction], Fraction]
 
@@ -30,6 +47,10 @@ Halfspace = tuple[Sequence[Fraction], Fraction]
 def _coords(point) -> tuple[Fraction, ...]:
     rep = getattr(point, "rep", point)
     return tuple(Fraction(x) for x in rep)
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -153,42 +174,71 @@ class CertificationReport:
         return self.ok
 
 
-def _cone_rays(active_rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+def _simplicial_cone(rows: Sequence[Sequence[int]],
+                     n: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Greedy rank-n basis of integer rows and the extreme rays of its cone.
+
+    A row joins the basis when it raises the rank of the rows chosen so
+    far.  One incremental fraction-free Gauss-Jordan elimination of
+    [B | I] decides this: a row, with the unit vector of its basis
+    position appended, joins when it is still nonzero on the left after
+    reduction by the rows already in, and then clears its pivot column
+    from them.  With n rows the left block is a scaled permutation, so
+    the row with pivot c holds row c of B^-1 on the right, and ray j
+    (tight on every basis row but j) is the primitive multiple of minus
+    column j.  Returns (basis, rays); rays is empty when the rows have
+    rank below n.
+    """
+    basis: list[int] = []
+    pivots: list[int] = []
+    reduced: list[Sequence[int]] = []
+    for i, row in enumerate(rows):
+        k = len(basis)
+        if k == n:
+            break
+        reduced.append([*row, *(int(j == k) for j in range(n))])
+        for r, col in enumerate(pivots):
+            _eliminate(reduced, r, col)
+        col = next((c for c in range(n) if reduced[k][c]), None)
+        if col is None:
+            reduced.pop()
+            continue
+        _eliminate(reduced, k, col)
+        basis.append(i)
+        pivots.append(col)
+    if len(basis) < n:
+        return basis, []
+    by_col = [row for _, row in sorted(zip(pivots, reduced))]
+    scale = math.lcm(*(row[c] for c, row in enumerate(by_col)))
+    factors = [scale // row[c] for c, row in enumerate(by_col)]
+    rays = [gcd_reduce([-row[n + j] * f for row, f in zip(by_col, factors)])
+            for j in range(n)]
+    return basis, rays
+
+
+def _cone_rays(active_rows: list[tuple[int, ...]], n: int,
+               start: tuple[list[int], list[tuple[int, ...]]] | None = None,
+               ) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {d : row.d <= 0} (rows rank n).
 
     Double description: start from a rank-n subset (a simplicial cone that
     contains the target) and insert the remaining rows one at a time, with
-    the usual combinatorial adjacency test on zero sets.
+    the usual combinatorial adjacency test on zero sets.  `start` is the
+    `_simplicial_cone` of the rows when the caller has it already.
     """
-    basis: list[int] = []
-    for i, row in enumerate(active_rows):
-        if mat_rank([active_rows[j] for j in basis] + [row]) > len(basis):
-            basis.append(i)
-            if len(basis) == n:
-                break
-    rows = [active_rows[i] for i in basis]
+    basis, rays = start or _simplicial_cone(active_rows, n)
     if len(basis) != n:
-        raise AssertionError(f"cone is not pointed: basis rows {rows}")
-    inv = invert_square(rows)
-    if inv is None:
-        raise AssertionError(f"basis rows {rows} are singular")
-    rays: list[tuple[int, ...]] = []
-    zerosets: list[int] = []
-    for j in range(n):
-        col = [-inv[i][j] for i in range(n)]
-        den = math.lcm(*(f.denominator for f in col))
-        ray = gcd_reduce([int(f * den) for f in col])
-        rays.append(ray)
-        zerosets.append(sum(1 << basis[i] for i in range(n) if i != j))
-
-    def dot(row: Sequence[int], d: Sequence[int]) -> int:
-        return sum(r * v for r, v in zip(row, d))
+        raise AssertionError(
+            f"cone is not pointed: basis rows {[active_rows[i] for i in basis]}")
+    zerosets = [sum(1 << basis[i] for i in range(n) if i != j)
+                for j in range(n)]
+    in_basis = set(basis)
 
     for i, row in enumerate(active_rows):
-        if i in basis:
+        if i in in_basis:
             continue
         bit = 1 << i
-        vals = [dot(row, r) for r in rays]
+        vals = [_dot(row, r) for r in rays]
         keep = [j for j, v in enumerate(vals) if v <= 0]
         pos = [j for j, v in enumerate(vals) if v > 0]
         neg = [j for j, v in enumerate(vals) if v < 0]
@@ -231,40 +281,23 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     rows, offs = _integerized(halfspaces)
     n = len(rows[0]) if rows else 0
     problems: list[str] = []
-    index: dict[tuple[Fraction, ...], int] = {}
+    # each point as integer numerators over the lcm of its denominators,
+    # which is its lowest-terms key; Fractions are kept for messages only
+    index: dict[tuple[tuple[int, ...], int], int] = {}
     points: list[tuple[Fraction, ...]] = []
+    scaled: list[tuple[tuple[int, ...], int]] = []
     for p in claimed:
-        t = tuple(Fraction(x) for x in p)
-        if t in index:
+        t = _coords(p)
+        nums, den = common_denominator(t)
+        key = (tuple(nums), den)
+        if key in index:
             problems.append(f"duplicate vertex {t}")
             continue
-        index[t] = len(points)
+        index[key] = len(points)
         points.append(t)
+        scaled.append(key)
     if not points:
         return CertificationReport(False, 0, 0, ["no vertices supplied"])
-
-    scaled: list[tuple[tuple[int, ...], int]] = []
-    for t in points:
-        den = math.lcm(*(f.denominator for f in t))
-        scaled.append((tuple(int(f * den) for f in t), den))
-
-    active_sets: list[list[int]] = []
-    for vi, ((vnum, vden), t) in enumerate(zip(scaled, points)):
-        act = []
-        feasible = True
-        for ri, (row, off) in enumerate(zip(rows, offs)):
-            lhs = sum(r * v for r, v in zip(row, vnum))
-            rhs = off * vden
-            if lhs > rhs:
-                problems.append(f"vertex {t} violates constraint {ri}")
-                feasible = False
-                break
-            if lhs == rhs:
-                act.append(ri)
-        if feasible and mat_rank([rows[i] for i in act]) < n:
-            problems.append(f"vertex {t} has active rank < {n}")
-            feasible = False
-        active_sets.append(act if feasible else [])
 
     parent = list(range(len(points)))
 
@@ -275,31 +308,51 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
         return i
 
     edges: set[tuple[int, int]] = set()
-    for vi, act in enumerate(active_sets):
-        if not act:
+    # the report lists every point problem before the edge problems
+    walk_problems: list[str] = []
+    # (row, row.ray) for the rows an edge direction climbs, per direction:
+    # the cell's edges run along far fewer directions than they number
+    climbs: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for vi, (t, (vnum, vden)) in enumerate(zip(points, scaled)):
+        slacks = [off * vden - _dot(row, vnum) for row, off in zip(rows, offs)]
+        bad = next((ri for ri, s in enumerate(slacks) if s < 0), None)
+        if bad is not None:
+            problems.append(f"vertex {t} violates constraint {bad}")
             continue
-        vnum, vden = scaled[vi]
-        for ray in _cone_rays([rows[i] for i in act], n):
-            lam: Fraction | None = None
-            for row, off in zip(rows, offs):
-                step = sum(r * d for r, d in zip(row, ray))
-                if step > 0:
-                    gap = Fraction(off * vden - sum(r * v for r, v in zip(row, vnum)),
-                                   vden * step)
-                    if lam is None or gap < lam:
-                        lam = gap
-            if lam is None:
-                problems.append(f"unbounded edge direction at vertex {points[vi]}")
+        act = [row for row, s in zip(rows, slacks) if s == 0]
+        start = _simplicial_cone(act, n)
+        if len(start[0]) < n:
+            problems.append(f"vertex {t} has active rank < {n}")
+            continue
+        for ray in _cone_rays(act, n, start):
+            climb = climbs.get(ray)
+            if climb is None:
+                climb = climbs[ray] = [
+                    (ri, step) for ri, row in enumerate(rows)
+                    if (step := _dot(row, ray)) > 0]
+            if not climb:
+                walk_problems.append(f"unbounded edge direction at vertex {t}")
                 continue
-            endpoint = tuple(Fraction(v, vden) + lam * d
-                             for v, d in zip(vnum, ray))
-            vj = index.get(endpoint)
+            # the edge ends at the least slack / step, compared crosswise
+            ri, step = climb[0]
+            gap = slacks[ri]
+            for ri, s in climb:
+                if slacks[ri] * step < gap * s:
+                    gap, step = slacks[ri], s
+            # vnum / vden + gap / (vden * step) * ray, in lowest terms
+            num = [v * step + gap * d for v, d in zip(vnum, ray)]
+            den = vden * step
+            g = math.gcd(den, *num)
+            key = (tuple(x // g for x in num), den // g)
+            vj = index.get(key)
             if vj is None:
-                problems.append(
-                    f"edge from {points[vi]} reaches unlisted vertex {endpoint}")
+                endpoint = tuple(Fraction(x, key[1]) for x in key[0])
+                walk_problems.append(
+                    f"edge from {t} reaches unlisted vertex {endpoint}")
                 continue
             edges.add((min(vi, vj), max(vi, vj)))
             parent[find(vi)] = find(vj)
+    problems += walk_problems
     roots = {find(i) for i in range(len(points))}
     if len(roots) > 1 and not problems:
         problems.append("claimed vertex set splits into disconnected components")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from flatklein import (cut_polytope, delta, equivalent, k_value, minimal_lifts, project,
                        representatives)
-from flatklein._exact import gcd_reduce, integerize_row, invert_square, mat_rank
+from flatklein._exact import gcd_reduce, integerize_row, mat_rank
 from flatklein.cut_polytope import Cap, LabeledSet, Wall, chamber_reduce
 from flatklein.klein_space import DeckElement, apply_deck, neighbor_set
 from flatklein.oracle import brute_vertices
@@ -573,7 +573,7 @@ def test_face_census_n5():
     assert sum((-1) ** f.dim for f in faces) == 1  # Euler, top face included
 
 
-def test_rank_and_inverse_match_fraction_elimination():
+def test_rank_matches_fraction_elimination():
     rng = random.Random(505)
     cases = [[[F(1, 2)]], [[F(0)]], [[F(2, 3), F(1, 2)], [F(-1, 5), F(3)]]]
     for _ in range(300):
@@ -587,22 +587,8 @@ def test_rank_and_inverse_match_fraction_elimination():
             m.append([F(1, 3) * x - F(5, 2) * y for x, y in zip(a, b)])
         cases.append(m)
     assert any(x.denominator > 1 for m in cases for row in m for x in row)
-    squares = 0
     for m in cases:
         assert mat_rank(m) == _fraction_rank(m), m
-        if len(m) != len(m[0]):
-            continue
-        inv = invert_square(m)
-        if _fraction_rank(m) < len(m):
-            assert inv is None, m
-            continue
-        squares += 1
-        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)]
-                   for row in m]
-        assert product == [[int(i == j) for j in range(len(m))]
-                           for i in range(len(m))], m
-    assert invert_square([[F(1, 2)]]) == [[2]]
-    assert squares >= 20
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Brute-force reference implementations: enumeration, certification."""
 
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -10,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import flatklein
-from flatklein import cut_polytope, project
+from flatklein import KleinPoint, cut_polytope, project
 from flatklein.oracle import (
+    _simplicial_cone,
     brute_distance,
     brute_geodesic_count,
     brute_minimal_images,
@@ -234,9 +236,93 @@ def test_certify_accepts_klein_point_inputs():
                                       project((F(1, 4), F(5, 8))))
     assert d2 == F(25, 64)
     assert len(images) == 3
+    # the box [0, 1/2]^2 has its vertices in [0, 1)^2
+    box = [(nrm, off / 2) for nrm, off in _cube(2)]
+    corners = [KleinPoint(v) for v in brute_vertices(box)]
+    report = certify_vertices(box, corners)
+    assert report.ok, report.problems
+    assert (report.vertex_count, report.edge_count) == (4, 4)
+    assert not certify_vertices(box, corners[1:]).ok
 
 
-@pytest.mark.slow
+def _fraction_rank(rows):
+    """Rank by plain Gaussian elimination over Fractions."""
+    rows = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _adjacent_pairs(halfspaces, verts):
+    """Vertex pairs whose shared tight rows have rank n - 1 (the edges)."""
+    n = len(verts[0])
+    tight = [{i for i, (nrm, off) in enumerate(halfspaces)
+              if sum(a * x for a, x in zip(nrm, v)) == off} for v in verts]
+    return [(a, b) for a, b in itertools.combinations(range(len(verts)), 2)
+            if _fraction_rank([halfspaces[i][0] for i in tight[a] & tight[b]])
+            == n - 1]
+
+
+def test_edge_walk_matches_adjacent_vertex_pairs():
+    rng = random.Random(41)
+    for n in (2, 3, 4):
+        for base in _seeded_bases(rng, n, 15):
+            pairs = _cell_pairs(base)
+            verts = brute_vertices(pairs)
+            adjacent = _adjacent_pairs(pairs, verts)
+            report = certify_vertices(pairs, verts)
+            assert report.ok, (base, report.problems)
+            assert report.edge_count == len(adjacent), base
+    # drop one vertex of the last n = 4 cell: every neighbour walks into it
+    k = len(verts) // 2
+    degree = sum(k in pair for pair in adjacent)
+    report = certify_vertices(pairs, verts[:k] + verts[k + 1:])
+    unlisted = [msg for msg in report.problems if "unlisted" in msg]
+    assert not report.ok
+    assert len(unlisted) == degree > 0
+    assert all(msg.endswith(f"unlisted vertex {verts[k]}") for msg in unlisted)
+    assert report.edge_count == len(adjacent) - degree
+
+
+def test_simplicial_cone_rays_are_negated_inverse_columns():
+    rng = random.Random(505)
+    squares = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-6, 6) for _ in range(n))
+                for _ in range(rng.randint(1, n + 3))]
+        if rng.random() < 0.3:  # a zero row
+            rows.insert(rng.randrange(len(rows) + 1), (0,) * n)
+        if len(rows) > 1 and rng.random() < 0.3:  # a dependent row
+            a, b = rng.sample(rows, 2)
+            rows.insert(rng.randrange(len(rows) + 1),
+                        tuple(2 * x - 3 * y for x, y in zip(a, b)))
+        greedy = []
+        for i, row in enumerate(rows):
+            picked = [rows[j] for j in greedy]
+            if len(greedy) < n and _fraction_rank(picked + [row]) > len(greedy):
+                greedy.append(i)
+        basis, rays = _simplicial_cone(rows, n)
+        assert basis == greedy, rows
+        if len(basis) < n:
+            assert rays == [], rows
+            continue
+        squares += 1
+        for j, ray in enumerate(rays):
+            assert math.gcd(*ray) == 1, rows
+            dots = [sum(a * d for a, d in zip(rows[i], ray)) for i in basis]
+            assert dots[j] < 0 and not any(dots[:j] + dots[j + 1:]), rows
+    assert squares >= 100
+
+
 def test_certify_large_chamber_with_dominant_coordinate():
     # n=7 chamber where one (a_k - 1/4)^2 exceeds half the total: the cell
     # carries middle and truncating vertices for two nested subsets at once.
