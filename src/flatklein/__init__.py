@@ -6,6 +6,7 @@ geodesic planning (`planner`), independent brute-force/certification
 oracles (`oracle`), and a command-line interface (`cli`).
 """
 
+from ._exact import InvariantError
 from .klein_space import (
     RatScalar,
     LiftPoint,
@@ -56,6 +57,7 @@ from .stratification import (
 )
 
 __all__ = [
+    "InvariantError",
     "RatScalar",
     "LiftPoint",
     "KleinPoint",

@@ -17,6 +17,14 @@ from typing import Iterable, Sequence
 Row = Sequence[Fraction]
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed; the message names the exact inputs.
+
+    Raised, never asserted, so that it still fires under `python -O`.  It
+    subclasses AssertionError, so `except AssertionError` still catches it.
+    """
+
+
 def common_denominator(row: Row) -> tuple[list[int], int]:
     """Integer numerators of a row of ints and Fractions over the lcm of
     its denominators, and that lcm."""

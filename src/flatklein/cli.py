@@ -15,6 +15,7 @@ import sys
 from collections import defaultdict
 from fractions import Fraction
 
+from ._exact import InvariantError
 from .cut_polytope import CutPolytope, cut_polytope
 from .klein_space import format_rat, minimal_lifts, project, squared_distance
 from .oracle import brute_distance, brute_vertices, certify_vertices
@@ -387,6 +388,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

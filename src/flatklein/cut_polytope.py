@@ -10,6 +10,12 @@ form (standard / middle / truncating families), assembles the face lattice
 with exact rank computations, and computes which vertices and faces are
 identified with each other in the quotient.
 
+Inside, the half-spaces and the vertex families run on the integer
+numerators of the reduced point over their common denominator D.  Every
+vertex coordinate is an integer over one denominator per cell, so the
+vertices are sorted and checked for collisions as integer tuples, and a
+Fraction is built once per distinct coordinate value.
+
 Coordinate indices are 0-based everywhere, including emitted JSON.
 Half-space descriptors are expressed in the reduced chamber (every active
 a_i folded into (0, 1/2)); realized inequalities are transported back
@@ -19,13 +25,14 @@ through the reflections, which conjugate the deck group to itself.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from ._exact import common_denominator, mat_rank
+from ._exact import InvariantError, common_denominator, mat_rank
 from .klein_space import (
     HALF,
     DeckElement,
@@ -71,7 +78,7 @@ def delta(a: Rational) -> Fraction:
     return Fraction(1, 8) - 2 * (a - Fraction(3, 4)) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledSet:
     """A subset of horizontal coordinate indices with 0/1 labels on it."""
 
@@ -177,7 +184,7 @@ class Cap:
 Descriptor = Union[Wall, Slant, Cap]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     kind: str
     support: LabeledSet
@@ -186,7 +193,7 @@ class Vertex:
     merged: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     dim: int
     active: tuple[str, ...]
@@ -300,82 +307,100 @@ class CutPolytope:
 
     # -- vertices -----------------------------------------------------------
 
-    def _reduced_vertex_data(self):
-        """Vertices of the active-coordinate cell, reduced chamber.
-
-        Yields (kind, members, labels, pivot, sign, coords) where members
-        holds original active indices and coords is a dict {index: value}
-        plus the vertical value under key n-1.
-        """
-        act = self.active
-        a = {i: self.reduced[i] for i in act}
-        dl = {i: delta(a[i]) for i in act}
-        total = sum(dl.values(), start=Fraction(0))
-        a_n = self.reduced[self.n - 1]
-        out = []
-        for r in range(len(act) + 1):
-            for mem in itertools.combinations(act, r):
-                k_s = HALF + total - 2 * sum((dl[i] for i in mem), start=Fraction(0))
-                outside = {i: HALF - a[i] for i in act if i not in mem}
-                if 0 <= k_s <= 1:
-                    for labels in itertools.product((0, 1), repeat=r):
-                        base = dict(outside)
-                        for i, e in zip(mem, labels):
-                            base[i] = a[i] - HALF + e
-                        if k_s == 0:
-                            base[self.n - 1] = a_n
-                            out.append((STANDARD_PLUS, mem, labels, None, 0, base))
-                        else:
-                            up, dn = dict(base), dict(base)
-                            up[self.n - 1] = a_n + k_s
-                            dn[self.n - 1] = a_n - k_s
-                            out.append((STANDARD_PLUS, mem, labels, None, 1, up))
-                            out.append((STANDARD_MINUS, mem, labels, None, -1, dn))
-                for k in mem:
-                    c_k = k_s + 2 * dl[k]  # K of the set without / with the pivot
-                    if k_s < 0 < c_k:
-                        for labels in itertools.product((0, 1), repeat=r):
-                            e_k = labels[mem.index(k)]
-                            base = dict(outside)
-                            for i, e in zip(mem, labels):
-                                base[i] = a[i] - HALF + e
-                            base[k] = a[k] - HALF + e_k - k_s / (2 * a[k] - e_k)
-                            base[self.n - 1] = a_n
-                            out.append((MIDDLE, mem, labels, k, 0, base))
-                    if k_s < 1 < c_k:
-                        for labels in itertools.product((0, 1), repeat=r):
-                            e_k = labels[mem.index(k)]
-                            base = dict(outside)
-                            for i, e in zip(mem, labels):
-                                base[i] = a[i] - HALF + e
-                            base[k] = (a[k] - HALF + e_k
-                                       + (1 - k_s) / (2 * a[k] - e_k))
-                            for kind, s in ((TRUNC_PLUS, 1), (TRUNC_MINUS, -1)):
-                                co = dict(base)
-                                co[self.n - 1] = a_n + s
-                                out.append((kind, mem, labels, k, s, co))
-        return out
-
     def vertices(self) -> list[Vertex]:
-        """All vertices, classified; sorted by coordinates."""
+        """All vertices, classified; sorted by coordinates.
+
+        The closed-form families run on the numerators A_i of the reduced
+        point over D, as `integer_rows` does: delta_i D^2 = A_i D - 2A_i^2
+        and 2D^2 K(S) = D^2 + 2 sum_i delta_i D^2 - 4 sum_S delta_i D^2.
+        For a set S (labels e_i on it) the reduced coordinates are
+        a_i - 1/2 + e_i on S and 1/2 - a_i off it; the vertical one is
+        a_n +- K(S) (merged when K(S) = 0) when 0 <= K(S) <= 1.  A pivot k
+        of S with K(S) < 0 < K(S - k) moves x_k by -K(S) / (2a_k - e_k)
+        (Middle, at height a_n); with K(S) < 1 < K(S - k) it moves x_k by
+        (1 - K(S)) / (2a_k - e_k) at height a_n +- 1 (Trunc).  Every
+        coordinate is an integer over one denominator
+        Q = lcm(2D^2, 2D|2A_k - e D|), so the sort and the collision check
+        compare integer tuples, and each distinct value becomes a Fraction
+        once.
+        """
         if self._vertices is not None:
             return self._vertices
-        raw = self._reduced_vertex_data()
-        built: list[Vertex] = []
-        prism_choices = list(itertools.product((0, 1), repeat=len(self.prism)))
-        for kind, mem, labels, pivot, sign, coords in raw:
-            merged = kind == STANDARD_PLUS and sign == 0
-            for bits in prism_choices:
-                full = list(self.point.rep)
-                for i, v in coords.items():
-                    full[i] = 1 - v if i in self.reflected else v
-                for j, b in zip(self.prism, bits):
-                    full[j] = self.point.rep[j] - HALF + b
-                built.append(Vertex(kind, LabeledSet(mem, labels), pivot,
-                                    tuple(full), merged))
-        built.sort(key=lambda v: v.coords)
-        if len({v.coords for v in built}) != len(built):
-            raise AssertionError("vertex coordinates collide")
+        n, den, a = self.n, self._den, self._nums
+        act, last, sq = self.active, n - 1, den * den
+        dl = {i: a[i] * den - 2 * a[i] * a[i] for i in act}  # delta_i D^2
+        q = math.lcm(2 * sq, *(2 * den * abs(2 * a[k] - e * den)
+                               for k in act for e in (0, 1)))
+        # Q over 2D and over 2D^2 (one unit of 2D^2 K), and the pivot's
+        # shift per unit of 2D^2 K: Q / (2D (2A_k - e D))
+        per_2d, per_k = q // (2 * den), q // (2 * sq)
+        step = {(k, e): q // (2 * den * (2 * a[k] - e * den))
+                for k in act for e in (0, 1)}
+        refl = set(self.reflected)
+
+        def real(i: int, x: int) -> int:  # back out of the reduced chamber
+            return q - x if i in refl else x
+
+        off = {i: (den - 2 * a[i]) * per_2d for i in act}
+        on = {(i, e): (2 * a[i] - den + 2 * e * den) * per_2d
+              for i in act for e in (0, 1)}
+        height = 2 * den * a[last] * per_k
+        # (kind, support, pivot, merged, numerators over Q)
+        raw: list[tuple[str, LabeledSet, int | None, bool, list[int]]] = []
+        k_empty = sq + 2 * sum(dl.values())
+        for r in range(len(act) + 1):
+            for mem in itertools.combinations(act, r):
+                ks = k_empty - 4 * sum(dl[i] for i in mem)  # 2D^2 K(S)
+                # (kind, pivot, the pivot's shift in units of K, height)
+                families = []
+                if 0 <= ks <= 2 * sq:  # one merged StandardPlus when K(S) = 0
+                    families.append((STANDARD_PLUS, None, 0, height + ks * per_k))
+                    if ks:
+                        families.append((STANDARD_MINUS, None, 0, height - ks * per_k))
+                for k in mem:
+                    ck = ks + 4 * dl[k]
+                    if ks < 0 < ck:
+                        families.append((MIDDLE, k, -ks, height))
+                    if ks < 2 * sq < ck:
+                        families.append((TRUNC_PLUS, k, 2 * sq - ks, height + q))
+                        families.append((TRUNC_MINUS, k, 2 * sq - ks, height - q))
+                if not families:
+                    continue
+                for labels in itertools.product((0, 1), repeat=r):
+                    support = LabeledSet(mem, labels)
+                    base = [0] * n
+                    for i in act:
+                        base[i] = real(i, off[i])
+                    for i, e in zip(mem, labels):
+                        base[i] = real(i, on[i, e])
+                    for kind, k, shift, z in families:
+                        co = base[:]
+                        if k is not None:
+                            e_k = labels[mem.index(k)]
+                            co[k] = real(k, on[k, e_k] + shift * step[k, e_k])
+                        co[last] = z
+                        raw.append((kind, support, k, k is None and not ks, co))
+        # prism coordinates take a_j - 1/2 + b for both bits b
+        prism = [(j, a[j] * (q // den) - q // 2) for j in self.prism]
+        keyed: list[tuple[tuple[int, ...], int]] = []
+        for idx, (*_, co) in enumerate(raw):
+            for bits in itertools.product((0, q), repeat=len(prism)):
+                for (j, x), b in zip(prism, bits):
+                    co[j] = x + b
+                keyed.append((tuple(co), idx))
+        keyed.sort()
+        for (c1, _), (c2, _) in zip(keyed, keyed[1:]):
+            if c1 == c2:
+                base_p = ",".join(format_rat(c) for c in self.point.rep)
+                raise InvariantError(
+                    f"vertex coordinates collide in the cell at P = {base_p}: "
+                    + ",".join(format_rat(Fraction(x, q)) for x in c1))
+        frac = {x: Fraction(x, q) for x in {x for co, _ in keyed for x in co}}
+        built = []
+        for co, idx in keyed:
+            kind, support, pivot, merged, _ = raw[idx]
+            built.append(Vertex(kind, support, pivot,
+                                tuple(frac[x] for x in co), merged))
         self._vertices = built
         return built
 
@@ -484,7 +509,7 @@ class CutPolytope:
                     for v in (nums[i] for i in faces[first].vertex_ids))
                 if image != [nums[i] for i in faces[fid].vertex_ids]:
                     base = ",".join(format_rat(c) for c in self.point.rep)
-                    raise AssertionError(
+                    raise InvariantError(
                         f"faces {first} and {fid} of the cell at P = {base} have "
                         "deck-equivalent barycenters but are not deck images")
         classes = sorted([fid for fid, _ in members] for members in groups.values())

@@ -17,16 +17,24 @@ plain exhaustive basis enumeration at n <= 3, and the edge count of
 `certify_vertices` to the vertex pairs whose shared tight rows have rank
 n - 1.
 
-The edge walk runs on integers.  Each claimed point is its numerators
-over the lcm of its denominators, and its slacks off*den - row.num are
-computed once: they give feasibility, the active set and the gaps of the
-ratio test.  The same basis elimination is the active-rank check.  Ratios
-gap / step are compared crosswise, and an edge's endpoint
-(num*step + gap*ray) / (den*step), reduced by its gcd, is looked up
-directly among the claimed points; a Fraction is built only for a problem
-message.  The rows an edge direction climbs, with their steps row.ray,
-are kept per direction for the length of one call: a cell's edges run
-along far fewer directions than there are edges.
+`brute_vertices` inserts the homogenised rows densest first (a stable
+sort by nonzero count): double description is very sensitive to the
+insertion order (Fukuda & Prodon, "Double description method revisited",
+1996), and dense rows cut the intermediate cones down soonest.
+
+The edge walk runs on integers, in two passes.  Each claimed point is its
+numerators over the lcm of its denominators, and its slacks
+off*den - row.num give feasibility and the active set; the basis
+elimination is the active-rank check.  The first pass checks every point,
+runs the cone enumeration at each verified one and keeps each edge
+direction's zero set, and records for every row the bitmask of the
+verified points tight on it.  The rows tight at v and flat along an edge
+direction cut out the edge [v, e], and a verified point inside that edge
+would have rank n - 1.  So in the second pass the AND of those rows'
+masks, less v, is {e}, or empty when the edge ends at no listed vertex.
+Only then is the ratio test run, with ratios slack / step compared
+crosswise, to name the unlisted endpoint or the unbounded direction; a
+Fraction is built only for a problem message.
 """
 
 from __future__ import annotations
@@ -38,8 +46,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from ._exact import (_eliminate, common_denominator, gcd_reduce,
-                     integerize_row, mat_rank)
+from ._exact import (InvariantError, _eliminate, common_denominator,
+                     gcd_reduce, integerize_row, mat_rank)
 
 Halfspace = tuple[Sequence[Fraction], Fraction]
 
@@ -153,8 +161,10 @@ def brute_vertices(halfspaces: Sequence[Halfspace]) -> list[tuple[Fraction, ...]
         return []
     cone = [row + (-off,) for row, off in zip(rows, offs)]
     cone.append((0,) * n + (-1,))
+    # dense rows first: they cut the intermediate cones down soonest
+    cone.sort(key=lambda row: sum(x != 0 for x in row), reverse=True)
     return sorted(tuple(Fraction(v, ray[-1]) for v in ray[:-1])
-                  for ray in _cone_rays(cone, n + 1) if ray[-1] > 0)
+                  for ray in _cone_rays(cone, n + 1)[0] if ray[-1] > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +228,19 @@ def _simplicial_cone(rows: Sequence[Sequence[int]],
 
 def _cone_rays(active_rows: list[tuple[int, ...]], n: int,
                start: tuple[list[int], list[tuple[int, ...]]] | None = None,
-               ) -> list[tuple[int, ...]]:
+               ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Extreme rays of the pointed cone {d : row.d <= 0} (rows rank n).
 
     Double description: start from a rank-n subset (a simplicial cone that
     contains the target) and insert the remaining rows one at a time, with
     the usual combinatorial adjacency test on zero sets.  `start` is the
-    `_simplicial_cone` of the rows when the caller has it already.
+    `_simplicial_cone` of the rows when the caller has it already.  Returns
+    the rays and their zero sets: bit i of a ray's mask is set when
+    active_rows[i].ray == 0.
     """
     basis, rays = start or _simplicial_cone(active_rows, n)
     if len(basis) != n:
-        raise AssertionError(
+        raise InvariantError(
             f"cone is not pointed: basis rows {[active_rows[i] for i in basis]}")
     zerosets = [sum(1 << basis[i] for i in range(n) if i != j)
                 for j in range(n)]
@@ -264,7 +276,32 @@ def _cone_rays(active_rows: list[tuple[int, ...]], n: int,
         rays = [rays[j] for j in keep] + new_rays
         zerosets = [zerosets[j] | (bit if vals[j] == 0 else 0)
                     for j in keep] + new_zerosets
-    return rays
+    return rays, zerosets
+
+
+def _edge_problem(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
+                  point: tuple[Fraction, ...],
+                  scaled: tuple[tuple[int, ...], int],
+                  ray: tuple[int, ...]) -> str:
+    """The problem with an edge from a claimed vertex that ends on no other.
+
+    The ratio test, exact: the edge leaves along `ray` and stops at the
+    least slack / step over the rows it climbs (step = row.ray > 0), the
+    ratios compared crosswise; with no such row the edge is unbounded.
+    """
+    vnum, vden = scaled
+    climb = [(off * vden - _dot(row, vnum), step)
+             for row, off in zip(rows, offs) if (step := _dot(row, ray)) > 0]
+    if not climb:
+        return f"unbounded edge direction at vertex {point}"
+    gap, step = climb[0]
+    for s, st in climb:
+        if s * step < gap * st:
+            gap, step = s, st
+    # vnum / vden + gap / (vden * step) * ray
+    endpoint = tuple(Fraction(v * step + gap * d, vden * step)
+                     for v, d in zip(vnum, ray))
+    return f"edge from {point} reaches unlisted vertex {endpoint}"
 
 
 def certify_vertices(halfspaces: Sequence[Halfspace],
@@ -283,21 +320,42 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     problems: list[str] = []
     # each point as integer numerators over the lcm of its denominators,
     # which is its lowest-terms key; Fractions are kept for messages only
-    index: dict[tuple[tuple[int, ...], int], int] = {}
     points: list[tuple[Fraction, ...]] = []
     scaled: list[tuple[tuple[int, ...], int]] = []
+    seen: set[tuple[tuple[int, ...], int]] = set()
     for p in claimed:
         t = _coords(p)
         nums, den = common_denominator(t)
         key = (tuple(nums), den)
-        if key in index:
+        if key in seen:
             problems.append(f"duplicate vertex {t}")
             continue
-        index[key] = len(points)
+        seen.add(key)
         points.append(t)
         scaled.append(key)
     if not points:
         return CertificationReport(False, 0, 0, ["no vertices supplied"])
+
+    # pass 1, point checks: the verified points, each with its tight rows
+    # and the zero sets of its edge directions; on_row[r] is the mask of
+    # the verified points tight on row r
+    on_row = [0] * len(rows)
+    verified: list[tuple[int, list[int], list[int]]] = []
+    for vi, (t, (vnum, vden)) in enumerate(zip(points, scaled)):
+        slacks = [off * vden - _dot(row, vnum) for row, off in zip(rows, offs)]
+        bad = next((ri for ri, s in enumerate(slacks) if s < 0), None)
+        if bad is not None:
+            problems.append(f"vertex {t} violates constraint {bad}")
+            continue
+        tight = [ri for ri, s in enumerate(slacks) if s == 0]
+        act = [rows[ri] for ri in tight]
+        start = _simplicial_cone(act, n)
+        if len(start[0]) < n:
+            problems.append(f"vertex {t} has active rank < {n}")
+            continue
+        verified.append((vi, tight, _cone_rays(act, n, start)[1]))
+        for ri in tight:
+            on_row[ri] |= 1 << vi
 
     parent = list(range(len(points)))
 
@@ -307,52 +365,28 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
             i = parent[i]
         return i
 
+    # pass 2, the edge walk: the AND of the masks of the rows tight at v
+    # and flat along an edge direction, less v, holds the edge's other end
+    # alone (see the module docstring); the ratio test runs only when the
+    # AND is empty
     edges: set[tuple[int, int]] = set()
-    # the report lists every point problem before the edge problems
-    walk_problems: list[str] = []
-    # (row, row.ray) for the rows an edge direction climbs, per direction:
-    # the cell's edges run along far fewer directions than they number
-    climbs: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for vi, (t, (vnum, vden)) in enumerate(zip(points, scaled)):
-        slacks = [off * vden - _dot(row, vnum) for row, off in zip(rows, offs)]
-        bad = next((ri for ri, s in enumerate(slacks) if s < 0), None)
-        if bad is not None:
-            problems.append(f"vertex {t} violates constraint {bad}")
-            continue
-        act = [row for row, s in zip(rows, slacks) if s == 0]
-        start = _simplicial_cone(act, n)
-        if len(start[0]) < n:
-            problems.append(f"vertex {t} has active rank < {n}")
-            continue
-        for ray in _cone_rays(act, n, start):
-            climb = climbs.get(ray)
-            if climb is None:
-                climb = climbs[ray] = [
-                    (ri, step) for ri, row in enumerate(rows)
-                    if (step := _dot(row, ray)) > 0]
-            if not climb:
-                walk_problems.append(f"unbounded edge direction at vertex {t}")
+    for vi, tight, zerosets in verified:
+        rays = None
+        for j, zs in enumerate(zerosets):
+            ends = -1
+            for b, ri in enumerate(tight):
+                if zs >> b & 1:
+                    ends &= on_row[ri]
+            ends &= ~(1 << vi)
+            if not ends:
+                if rays is None:
+                    rays = _cone_rays([rows[ri] for ri in tight], n)[0]
+                problems.append(_edge_problem(rows, offs, points[vi],
+                                              scaled[vi], rays[j]))
                 continue
-            # the edge ends at the least slack / step, compared crosswise
-            ri, step = climb[0]
-            gap = slacks[ri]
-            for ri, s in climb:
-                if slacks[ri] * step < gap * s:
-                    gap, step = slacks[ri], s
-            # vnum / vden + gap / (vden * step) * ray, in lowest terms
-            num = [v * step + gap * d for v, d in zip(vnum, ray)]
-            den = vden * step
-            g = math.gcd(den, *num)
-            key = (tuple(x // g for x in num), den // g)
-            vj = index.get(key)
-            if vj is None:
-                endpoint = tuple(Fraction(x, key[1]) for x in key[0])
-                walk_problems.append(
-                    f"edge from {t} reaches unlisted vertex {endpoint}")
-                continue
+            vj = ends.bit_length() - 1
             edges.add((min(vi, vj), max(vi, vj)))
             parent[find(vi)] = find(vj)
-    problems += walk_problems
     roots = {find(i) for i in range(len(points))}
     if len(roots) > 1 and not problems:
         problems.append("claimed vertex set splits into disconnected components")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._exact import mat_rank
+from ._exact import InvariantError, mat_rank
 from .cut_polytope import cut_polytope
 from .klein_space import (KleinPoint, LiftPoint, as_point,
                           format_rat, geodesic_path, minimal_lifts, project)
@@ -85,7 +85,7 @@ def plan(y, z, samples: int = 0) -> PlanResult:
         tight = cell.active_descriptors(q)
         by_key[tuple(sorted(d.key() for d in tight))] = (q, tight)
     if len(by_key) != len(lifts):
-        raise AssertionError(
+        raise InvariantError(
             "minimal lifts must lie on distinct faces: source "
             f"({', '.join(format_rat(c) for c in src.rep)}), target "
             f"({', '.join(format_rat(c) for c in dst.rep)}), "

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from ._exact import common_denominator, lp_maximize, mat_rank
+from ._exact import InvariantError, common_denominator, lp_maximize, mat_rank
 from .klein_space import HALF, LiftPoint, Rational, as_point, format_rat, rat
 
 __all__ = [
@@ -212,7 +212,7 @@ def _dimension(n_active: int, signs: tuple[int, ...], last_interval: bool):
         for row in box:
             top = lp_maximize(row, box, [_SIXTEENTH] * n_active, eq_rows, eq_rhs)
             if top is None:
-                raise AssertionError(
+                raise InvariantError(
                     "closed region of a feasible stratum is empty: "
                     f"signs {signs} over {n_active} active coordinates")
             if top == 0:
@@ -249,7 +249,7 @@ def classify(p: Sequence[Rational]) -> Stratum:
     alpha = SignVector(active, tuple(signs))
     dim = stratum_dimension(alpha, domain)
     if dim is None:
-        raise AssertionError(
+        raise InvariantError(
             "sign vector of a real point cannot be infeasible: point "
             f"({', '.join(format_rat(c) for c in pt)}), signs {tuple(signs)}")
     return Stratum(domain, alpha, dim, pt,
@@ -358,7 +358,7 @@ def _strata_for_size(n_active: int):
         if _dimension(n_active, signs, True) is not None:
             found.append(signs)
         if len(found) > 256:  # defensive: sizes beyond the supported range
-            raise AssertionError("sign-pattern search exploded")
+            raise InvariantError("sign-pattern search exploded")
     out = []
     for signs in found:
         b = _witness_b(n_active, signs)
@@ -389,7 +389,7 @@ def catalog(n: int) -> list[Stratum]:
                                   tuple(witness), coin)
                 check = classify(stratum.witness)
                 if (check.domain, check.alpha) != (domain, stratum.alpha):
-                    raise AssertionError(
+                    raise InvariantError(
                         f"witness fails to realize its sign pattern: {signs}")
                 out.append(stratum)
     return out

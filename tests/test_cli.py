@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flatklein import cli
+from flatklein import CutPolytope, cli, project
 
 
 def run(capsys, *argv):
@@ -197,6 +197,20 @@ def test_value_error_exits_2(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_invariant_error_exits_3(capsys, monkeypatch):
+    # listing the prism coordinate twice makes the vertex families collide
+    broken = CutPolytope(project((F(0), F(1, 3))))
+    broken.prism = (0, 0)
+    monkeypatch.setattr(cli, "cut_polytope", lambda p: broken)
+    code = cli.main(["polytope", "--P", "0,1/3", "--format", "text"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: vertex coordinates collide in the cell at "
+                          "P = 0,1/3: ")
+    assert err.count("\n") == 1
 
 
 def test_strata_requires_exactly_one_mode(capsys):

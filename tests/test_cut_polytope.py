@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatklein import (cut_polytope, delta, equivalent, k_value, minimal_lifts, project,
-                       representatives)
+from flatklein import (CutPolytope, InvariantError, cut_polytope, delta, equivalent,
+                       k_value, minimal_lifts, project, representatives)
 from flatklein._exact import gcd_reduce, integerize_row, mat_rank
 from flatklein.cut_polytope import Cap, LabeledSet, Wall, chamber_reduce
 from flatklein.klein_space import DeckElement, apply_deck, neighbor_set
@@ -297,6 +297,134 @@ def test_truncating_matches_segment_interpolation():
             + (1 - 2 * a[k] - eps) / (2 * delta(a[k])) * (1 - ks)
         assert v.coords[k] == x_k
         assert v.coords[-1] == base[-1] + 1
+
+
+def _fraction_vertex_families(cell):
+    """The closed-form vertex families on Fractions, the reference for
+    the integer kernel of `vertices()`.
+
+    (kind, members, labels, pivot, coords, merged) per vertex, sorted by
+    coordinates.
+    """
+    half = F(1, 2)
+    act = cell.active
+    a = {i: cell.reduced[i] for i in act}
+    dl = {i: delta(a[i]) for i in act}
+    total = sum(dl.values(), start=F(0))
+    a_n = cell.reduced[cell.n - 1]
+    raw = []
+    for r in range(len(act) + 1):
+        for mem in itertools.combinations(act, r):
+            k_s = half + total - 2 * sum((dl[i] for i in mem), start=F(0))
+            outside = {i: half - a[i] for i in act if i not in mem}
+            if 0 <= k_s <= 1:
+                for labels in itertools.product((0, 1), repeat=r):
+                    base = dict(outside)
+                    for i, e in zip(mem, labels):
+                        base[i] = a[i] - half + e
+                    if k_s == 0:
+                        base[cell.n - 1] = a_n
+                        raw.append(("StandardPlus", mem, labels, None, 0, base))
+                    else:
+                        up, dn = dict(base), dict(base)
+                        up[cell.n - 1] = a_n + k_s
+                        dn[cell.n - 1] = a_n - k_s
+                        raw.append(("StandardPlus", mem, labels, None, 1, up))
+                        raw.append(("StandardMinus", mem, labels, None, -1, dn))
+            for k in mem:
+                c_k = k_s + 2 * dl[k]  # K of the set without / with the pivot
+                if k_s < 0 < c_k:
+                    for labels in itertools.product((0, 1), repeat=r):
+                        e_k = labels[mem.index(k)]
+                        base = dict(outside)
+                        for i, e in zip(mem, labels):
+                            base[i] = a[i] - half + e
+                        base[k] = a[k] - half + e_k - k_s / (2 * a[k] - e_k)
+                        base[cell.n - 1] = a_n
+                        raw.append(("Middle", mem, labels, k, 0, base))
+                if k_s < 1 < c_k:
+                    for labels in itertools.product((0, 1), repeat=r):
+                        e_k = labels[mem.index(k)]
+                        base = dict(outside)
+                        for i, e in zip(mem, labels):
+                            base[i] = a[i] - half + e
+                        base[k] = (a[k] - half + e_k
+                                   + (1 - k_s) / (2 * a[k] - e_k))
+                        for kind, s in (("TruncPlus", 1), ("TruncMinus", -1)):
+                            co = dict(base)
+                            co[cell.n - 1] = a_n + s
+                            raw.append((kind, mem, labels, k, s, co))
+    built = []
+    rep = cell.point.rep
+    for kind, mem, labels, pivot, sign, coords in raw:
+        for bits in itertools.product((0, 1), repeat=len(cell.prism)):
+            full = list(rep)
+            for i, v in coords.items():
+                full[i] = 1 - v if i in cell.reflected else v
+            for j, b in zip(cell.prism, bits):
+                full[j] = rep[j] - half + b
+            built.append((kind, mem, labels, pivot, tuple(full),
+                          kind == "StandardPlus" and sign == 0))
+    built.sort(key=lambda v: v[4])
+    return built
+
+
+def _family_bases(rng):
+    # four or six active values at 1/4 or 3/4 (delta = 1/8) drive some K(S)
+    # to exactly 0, and 3/10 gives Middle vertices; 0 and 1/2 are prism
+    # values, and those above 1/2 reflect
+    quarters = (F(1, 4), F(3, 4))
+    pool = (*quarters, F(3, 10), F(7, 10), F(0), F(1, 2))
+
+    def coord(mode):
+        if mode < 0.2:
+            return rng.choice(quarters)
+        if mode < 0.7:
+            return rng.choice(pool)
+        den = rng.choice((7, 9, 11, 12, 13, 20))
+        return F(rng.randrange(den), den)
+    counts = {2: 60, 3: 60, 4: 60, 5: 60, 6: 45, 7: 15}
+    bases = []
+    for n, count in counts.items():
+        for _ in range(count):
+            mode = rng.random()
+            bases.append(tuple(coord(mode) for _ in range(n - 1))
+                         + (F(rng.randrange(7), 7),))
+    return bases
+
+
+def test_integer_vertex_kernel_matches_fraction_families():
+    seen = set()
+    bases = _family_bases(random.Random(2719))
+    assert len(bases) >= 300
+    for base in bases:
+        cell = CutPolytope(project(base))
+        got = [(v.kind, v.support.members, v.support.labels, v.pivot,
+                v.coords, v.merged) for v in cell.vertices()]
+        assert got == _fraction_vertex_families(cell), base
+        seen |= {v[0] for v in got}
+        seen |= {"merged"} if any(v[5] for v in got) else set()
+        seen |= {"prism"} if cell.prism else set()
+        seen |= {"reflected"} if cell.reflected else set()
+    assert seen >= {"merged", "Middle", "TruncPlus", "TruncMinus", "prism",
+                    "reflected"}
+
+
+def test_vertex_collision_raises_invariant_error():
+    # listing the prism coordinate twice gives every vertex two copies
+    cell = CutPolytope(project((F(0), F(1, 3), F(2, 7))))
+    cell.prism = (0, 0)
+    with pytest.raises(InvariantError) as exc:
+        cell.vertices()
+    assert isinstance(exc.value, AssertionError)
+    assert str(exc.value).startswith(
+        "vertex coordinates collide in the cell at P = 0,1/3,2/7: ")
+
+
+def test_cell_records_are_slotted():
+    v = cut_polytope(HEX_BASE).vertices()[0]
+    for record in (v, v.support, cut_polytope(HEX_BASE).face_lattice()[0]):
+        assert not hasattr(record, "__dict__")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ import pytest
 
 import flatklein
 from flatklein import KleinPoint, cut_polytope, project
+from flatklein._exact import integerize_row
 from flatklein.oracle import (
+    _cone_rays,
     _simplicial_cone,
     brute_distance,
     brute_geodesic_count,
@@ -332,3 +334,105 @@ def test_certify_large_chamber_with_dominant_coordinate():
     report = certify_vertices(pairs, [v.coords for v in cell.vertices()])
     assert report.ok, report.problems
     assert report.vertex_count == 1800
+
+
+def test_brute_vertices_ignores_row_order_and_repeats():
+    # the rows are sorted dense first inside; the output is sorted anyway
+    rng = random.Random(83)
+    for n in (2, 3, 4):
+        for base in _seeded_bases(rng, n, 8):
+            pairs = _cell_pairs(base)
+            want = brute_vertices(pairs)
+            shuffled = pairs + rng.sample(pairs, len(pairs) // 3)
+            rng.shuffle(shuffled)
+            assert brute_vertices(shuffled) == want, base
+
+
+def _ratio_walk_report(halfspaces, claimed):
+    """certify_vertices' report from a plain Fraction ratio test per edge.
+
+    Every edge from a verified point is followed to the least slack / step
+    over the rows it climbs, and the endpoint is looked up among the
+    claimed points.  The edge directions are the oracle's own cone rays.
+    """
+    rows = [(tuple(F(c) for c in nrm), F(off)) for nrm, off in halfspaces]
+    n = len(rows[0][0])
+    problems, points, index = [], [], {}
+    for p in claimed:
+        t = tuple(F(x) for x in p)
+        if t in index:
+            problems.append(f"duplicate vertex {t}")
+            continue
+        index[t] = len(points)
+        points.append(t)
+    walk, edges, steps = [], set(), {}
+    for vi, t in enumerate(points):
+        slack = [off - sum(a * x for a, x in zip(nrm, t)) for nrm, off in rows]
+        bad = next((i for i, s in enumerate(slack) if s < 0), None)
+        if bad is not None:
+            problems.append(f"vertex {t} violates constraint {bad}")
+            continue
+        act = [integerize_row(nrm, off)[0]
+               for (nrm, off), s in zip(rows, slack) if s == 0]
+        if _fraction_rank(act) < n:
+            problems.append(f"vertex {t} has active rank < {n}")
+            continue
+        for ray in _cone_rays(act, n)[0]:
+            if ray not in steps:
+                steps[ray] = [sum(a * d for a, d in zip(nrm, ray)) for nrm, _ in rows]
+            ratios = [s / step for s, step in zip(slack, steps[ray]) if step > 0]
+            if not ratios:
+                walk.append(f"unbounded edge direction at vertex {t}")
+                continue
+            end = tuple(x + min(ratios) * d for x, d in zip(t, ray))
+            if end not in index:
+                walk.append(f"edge from {t} reaches unlisted vertex {end}")
+                continue
+            edges.add(tuple(sorted((vi, index[end]))))
+    problems += walk
+    adjacent = {}
+    for a, b in edges:
+        adjacent.setdefault(a, []).append(b)
+        adjacent.setdefault(b, []).append(a)
+    reach, todo = {0}, [0]
+    while todo:
+        for j in adjacent.get(todo.pop(), ()):
+            if j not in reach:
+                reach.add(j)
+                todo.append(j)
+    if len(reach) < len(points) and not problems:
+        problems.append("claimed vertex set splits into disconnected components")
+    return not problems, len(points), len(edges), problems
+
+
+def _same_report(pairs, claim):
+    report = certify_vertices(pairs, claim)
+    got = (report.ok, report.vertex_count, report.edge_count, report.problems)
+    assert got == _ratio_walk_report(pairs, claim), claim
+    return report.problems
+
+
+def test_mask_endpoints_match_fraction_ratio_walk():
+    rng = random.Random(977)
+    for n, count in ((3, 6), (4, 4), (5, 2)):
+        for base in _seeded_bases(rng, n, count):
+            pairs = _cell_pairs(base)
+            verts = brute_vertices(pairs)
+            k = rng.randrange(len(verts))
+            j = next(j for j in range(len(verts))
+                     if _adjacent_pairs(pairs, [verts[k], verts[j]]))
+            mid = tuple((x + y) / 2 for x, y in zip(verts[k], verts[j]))
+            shifted = tuple(x + F(1, 97) for x in verts[k])
+            assert _same_report(pairs, verts) == []
+            missing = _same_report(pairs, verts[:k] + verts[k + 1:])
+            assert any("unlisted" in msg for msg in missing)
+            assert f"vertex {mid} has active rank < {n}" in _same_report(
+                pairs, verts + [mid])
+            assert f"duplicate vertex {verts[k]}" in _same_report(
+                pairs, verts + [verts[k]])
+            moved = _same_report(pairs, verts[:k] + [shifted] + verts[k + 1:])
+            assert any(f"unlisted vertex {verts[k]}" in msg for msg in moved)
+    # x, y, z >= 0 and x + y + z >= 1: every vertex has an unbounded edge
+    pointed = _cube(3)[1::2] + [((F(-1), F(-1), F(-1)), F(-1))]
+    problems = _same_report(pointed, brute_vertices(pointed))
+    assert problems and all(msg.startswith("unbounded") for msg in problems)
