@@ -3,9 +3,11 @@
 Everything in this module is tolerance-free, and it has one elimination:
 `_eliminate`, a fraction-free row step on integer rows.  Rank, the vertex
 oracle's simplicial cones and every simplex pivot run through it.  The LP
-solver is a dense two-phase simplex with Bland's rule; problem sizes in
-this package are tiny (fewer than ~30 variables and ~60 rows), so clarity
-beats sparsity.
+solver is a dense two-phase simplex with Bland's rule.  It starts from the
+slack basis wherever it can: only equality rows and rows negated for a
+negative rhs get an artificial variable, and phase 1 runs only when some
+row has one.  Problem sizes in this package are tiny (fewer than ~30
+variables and ~60 rows), so clarity beats sparsity.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ def _phase(rows: list[Sequence[int]], basis: list[int], obj: list[int],
     basic columns and then pivoted on, with columns 1..cols-1 free to
     enter, until no entry is negative; its last entry over its first is
     then the optimum.  Every constraint row keeps a positive entry in its
-    basic column and a nonnegative rhs.
+    basic column and a nonnegative rhs, so the ratio test compares
+    rhs/a crosswise on integers; ties go to the smaller basis index.
     """
     rows.append(obj)
     for r, b in enumerate(basis):
@@ -112,11 +115,16 @@ def _phase(rows: list[Sequence[int]], basis: list[int], obj: list[int],
         if col is None:
             rows.pop()
             return Fraction(obj[-1], obj[0])
-        ratios = [(Fraction(row[-1], row[col]), b, r)
-                  for r, (row, b) in enumerate(zip(rows, basis)) if row[col] > 0]
-        if not ratios:
+        r = None
+        for i, b in enumerate(basis):
+            a = rows[i][col]
+            if a <= 0:
+                continue
+            t = rows[i][-1]
+            if r is None or t * a_r < t_r * a or (t * a_r == t_r * a and b < b_r):
+                r, t_r, a_r, b_r = i, t, a, b
+        if r is None:
             raise ValueError("LP is unbounded")
-        _, _, r = min(ratios)
         _eliminate(rows, r, col)
         basis[r] = col
 
@@ -128,32 +136,39 @@ def lp_maximize(c: Row,
 
     Returns None when the system is infeasible and raises ValueError when
     the objective is unbounded.  Two-phase dense simplex with Bland's rule
-    (guaranteed termination) on integer rows; every pivot is `_eliminate`.
-    The tableau columns are: objective scale, x, slacks, artificials, rhs.
+    (guaranteed termination from any starting basis) on integer rows; every
+    pivot is `_eliminate`.  The tableau columns are: objective scale, x,
+    slacks, artificials, rhs.  A <= row with rhs >= 0 starts with its slack
+    basic; only equality rows and negated (rhs < 0) rows get an artificial,
+    and phase 1 runs only when there is one.
     """
     n, n_ub = len(c), len(a_ub)
-    lhs = [*a_ub, *a_eq]
-    m = len(lhs)
+    rhs = [*b_ub, *b_eq]
     art = 1 + n + n_ub
+    art_rows = [i for i, b in enumerate(rhs) if i >= n_ub or b < 0]
+    k = len(art_rows)
+    slot = {i: art + j for j, i in enumerate(art_rows)}
+    basis = [slot.get(i, 1 + n + i) for i in range(len(rhs))]
     rows: list[Sequence[int]] = []
-    for i, (row, b) in enumerate(zip(lhs, [*b_ub, *b_eq])):
+    for i, (row, b) in enumerate(zip([*a_ub, *a_eq], rhs)):
         ints = _scaled([0, *row, *(int(i == j) for j in range(n_ub)), b])
         if b < 0:
             ints = [-x for x in ints]
-        rows.append(ints[:-1] + [int(i == j) for j in range(m)] + ints[-1:])
-    basis = list(range(art, art + m))
+        rows.append(ints[:-1] + [int(basis[i] == art + j) for j in range(k)]
+                    + ints[-1:])
 
-    # phase 1: maximize -sum(artificials); below zero means infeasible
-    if _phase(rows, basis, [1] + [0] * (art - 1) + [1] * m + [0], art + m):
-        return None
-    for r in range(m):  # drive zero-level artificials out where possible
-        if basis[r] >= art:
-            col = next((j for j in range(1, art) if rows[r][j] != 0), None)
-            if col is not None:
-                if rows[r][col] < 0:
-                    rows[r] = [-x for x in rows[r]]
-                _eliminate(rows, r, col)
-                basis[r] = col
+    if k:
+        # phase 1: maximize -sum(artificials); below zero means infeasible
+        if _phase(rows, basis, [1] + [0] * (art - 1) + [1] * k + [0], art + k):
+            return None
+        for r in range(len(rhs)):  # drive zero-level artificials out where possible
+            if basis[r] >= art:
+                col = next((j for j in range(1, art) if rows[r][j] != 0), None)
+                if col is not None:
+                    if rows[r][col] < 0:
+                        rows[r] = [-x for x in rows[r]]
+                    _eliminate(rows, r, col)
+                    basis[r] = col
     # phase 2: the artificials may no longer enter
-    objective = _scaled([1, *(-x for x in c)]) + [0] * (n_ub + m + 1)
+    objective = _scaled([1, *(-x for x in c)]) + [0] * (n_ub + k + 1)
     return _phase(rows, basis, objective, art)

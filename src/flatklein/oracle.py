@@ -241,7 +241,8 @@ def _cone_rays(active_rows: list[tuple[int, ...]], n: int,
     basis, rays = start or _simplicial_cone(active_rows, n)
     if len(basis) != n:
         raise InvariantError(
-            f"cone is not pointed: basis rows {[active_rows[i] for i in basis]}")
+            f"cone is not pointed: active rows {list(active_rows)} have rank "
+            f"{len(basis)} < {n}; basis rows {[active_rows[i] for i in basis]}")
     zerosets = [sum(1 << basis[i] for i in range(n) if i != j)
                 for j in range(n)]
     in_basis = set(basis)

@@ -16,7 +16,10 @@ Stratum dimension is a real-variety dimension computed in the squared
 coordinates u_i = b_i^2 by exact linear programming: nonnegativity can
 force coordinates to vanish, so naive rank counting over the zero-set
 equations is wrong (a two-equation pattern at N = 6 pins four further
-coordinates at 0 and the true dimension is 2, not 5).
+coordinates at 0 and the true dimension is 2, not 5).  The LPs see only
+the active count and the sign pattern, so `_dimension` is cached per
+pattern and returns the u-space dimension; a stratum whose last
+coordinate is an interval adds 1 to it.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ PRISM = "prism"
 POINT = "point"
 
 _SIXTEENTH = Fraction(1, 16)
+_PATTERN_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -165,8 +169,9 @@ def _is_coincidence(n_active: int, signs: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def _dimension(n_active: int, signs: tuple[int, ...], last_interval: bool):
-    """Affine-hull dimension of the stratum region, or None if empty."""
+def _dimension(n_active: int, signs: tuple[int, ...]):
+    """Affine-hull dimension of the pattern's region in u-space, or None if
+    it is empty.  The stratum adds 1 when its last coordinate is an interval."""
     subsets = _subsets(n_active)
     eq_rows, eq_rhs = [], []
     ub_rows, ub_rhs = [], []
@@ -218,15 +223,15 @@ def _dimension(n_active: int, signs: tuple[int, ...], last_interval: bool):
             if top == 0:
                 forced.append(row)
         dim_u = n_active - mat_rank(eq_rows + forced)
-    return dim_u + (1 if last_interval else 0)
+    return dim_u
 
 
 def stratum_dimension(alpha: SignVector, domain: DomainDescriptor):
     """Dimension of the stratum, or None when the sign vector is infeasible."""
     if alpha.active != domain.active:
         raise ValueError("sign vector does not match the domain")
-    return _dimension(len(alpha.active), alpha.signs,
-                      domain.kinds[-1] == INTERVAL)
+    dim = _dimension(len(alpha.active), alpha.signs)
+    return None if dim is None else dim + (domain.kinds[-1] == INTERVAL)
 
 
 def classify(p: Sequence[Rational]) -> Stratum:
@@ -339,26 +344,26 @@ def _strata_for_size(n_active: int):
     witnesses (as b-vectors) and coincidence flags."""
     subsets = _subsets(n_active)
     deg = [sub for sub in subsets if _degenerable(n_active, len(sub))]
+    # index pairs (small, big) into deg with small a proper subset of big
+    nested = [(i, j) for i, small in enumerate(deg) for j, big in enumerate(deg)
+              if len(small) < len(big) and set(small) <= set(big)]
     found = []
     for assignment in itertools.product((1, 0, -1), repeat=len(deg)):
-        choice = dict(zip(deg, assignment))
         # monotone filter: S subset S' forces sign(S') <= sign(S), not both 0
-        ok = True
-        for s1, s2 in itertools.combinations(deg, 2):
-            small, big = (s1, s2) if len(s1) < len(s2) else (s2, s1)
-            if set(small) <= set(big):
-                if choice[big] > choice[small] or choice[big] == choice[small] == 0:
-                    ok = False
-                    break
-        if not ok:
+        if any(assignment[big] > assignment[small]
+               or assignment[big] == assignment[small] == 0
+               for small, big in nested):
             continue
+        choice = dict(zip(deg, assignment))
         if n_active == 6 and not _plausible_six(choice, deg):
             continue
         signs = tuple(choice.get(sub, 1) for sub in subsets)
-        if _dimension(n_active, signs, True) is not None:
+        if _dimension(n_active, signs) is not None:
             found.append(signs)
-        if len(found) > 256:  # defensive: sizes beyond the supported range
-            raise InvariantError("sign-pattern search exploded")
+        if len(found) > _PATTERN_LIMIT:  # defensive: unsupported sizes
+            raise InvariantError(
+                f"sign-pattern search exploded: {len(found)} feasible patterns "
+                f"over {n_active} active coordinates, limit {_PATTERN_LIMIT}")
     out = []
     for signs in found:
         b = _witness_b(n_active, signs)
@@ -376,9 +381,7 @@ def catalog(n: int) -> list[Stratum]:
             domain = DomainDescriptor(horiz + (last,))
             active = domain.active
             for signs, b_vals, coin in _strata_for_size(len(active)):
-                dim = _dimension(len(active), signs, last == INTERVAL)
-                if dim is None:
-                    continue
+                dim = _dimension(len(active), signs) + (last == INTERVAL)
                 witness = [Fraction(0)] * n
                 for i, b in zip(active, b_vals):
                     witness[i] = Fraction(1, 4) + b

@@ -118,10 +118,14 @@ def test_beale_cycling_example_terminates():
     assert lp_maximize(c, a_ub, [0, 0, 1]) == F(5, 4)
 
 
-# Degenerate LPs (every rhs 0 but one) on which the smallest-index entering
-# rule cycles when ratio-test ties go to the first row (first) or to the
-# last row (second) instead of to the smallest basis index.  The optima
-# 9/7 and 3 are those of `_reference_max`.
+# Degenerate LPs (every rhs 0 but one).  The smallest-index entering rule
+# cycles on them when ratio-test ties go to the first row or to the last
+# row instead of to the smallest basis index: on the first two when every
+# row starts with an artificial variable (first row, last row), and on the
+# last two when the simplex starts from the slack basis (first row, last
+# row).  The last two were found by a seeded search over random LPs with
+# entries in -3..3 and rhs (0, ..., 0, 1).  The optima are those of
+# `_reference_max`.
 CYCLING = [
     ([2, 2, 0, 2, -1, 0, -3],
      [[0, -1, 1, 0, 2, -1, 1], [2, -1, -1, 2, 3, 0, -3],
@@ -133,6 +137,16 @@ CYCLING = [
       [-2, -1, 3, 0, 0, -1, -2], [2, 0, -1, -2, 1, -3, 3],
       [1, 1, 1, 1, 1, 1, 1]],
      [0, 0, 0, 0, 1], 3),
+    ([2, -3, -2, 0, 1, 0, -1],
+     [[-1, 2, 0, -2, -1, 0, 0], [2, -1, -2, 3, -1, 3, 0],
+      [2, -3, 1, 3, -2, -2, -3], [-2, 1, 0, 0, 2, -1, -1],
+      [1, -1, 3, -3, -1, 0, -1], [1, 1, 1, 1, 1, 1, 1]],
+     [0, 0, 0, 0, 0, 1], F(3, 5)),
+    ([0, 2, -2, 0, 1, 0],
+     [[-2, 0, 2, 1, -1, -1], [-1, -1, -3, 2, 2, 0],
+      [3, 3, 2, -3, 1, -2], [2, 3, -3, 2, 0, -1],
+      [2, 0, 2, -3, -3, -3], [1, 1, 1, 1, 1, 1]],
+     [0, 0, 0, 0, 0, 1], F(5, 9)),
 ]
 
 

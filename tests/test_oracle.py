@@ -185,6 +185,15 @@ def test_cone_ray_checks_survive_optimisation():
     assert "basis rows [(1, 0)]" in out.stdout
 
 
+def test_cone_not_pointed_names_every_active_row():
+    # the basis holds only the first row; the message names all three
+    with pytest.raises(flatklein.InvariantError) as info:
+        _cone_rays([(1, 0), (2, 0), (-1, 0)], 2)
+    assert str(info.value) == (
+        "cone is not pointed: active rows [(1, 0), (2, 0), (-1, 0)] have "
+        "rank 1 < 2; basis rows [(1, 0)]")
+
+
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------

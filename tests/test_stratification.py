@@ -20,7 +20,15 @@ from flatklein import (
     same_stratum,
     stratum_dimension,
 )
-from flatklein.stratification import INTERVAL, POINT, PRISM
+from flatklein import stratification
+from flatklein.oracle import brute_vertices
+from flatklein.stratification import (
+    INTERVAL,
+    POINT,
+    PRISM,
+    _dimension,
+    _strata_for_size,
+)
 
 canon_coord = st.fractions(min_value=0, max_value=F(39, 40), max_denominator=40)
 
@@ -313,6 +321,126 @@ def test_classify_signs_match_fraction_slacks():
     # zero patterns at N = 6 (the n = 7 catalog witnesses), negative signs
     # at n = 8, 9 and zeros at n = 9
     assert {(7, 0), (8, -1), (9, -1), (9, 0)} <= seen
+
+
+def test_pattern_search_limit_names_its_inputs(monkeypatch):
+    # every monotone size-6 candidate "feasible": far more than the limit
+    monkeypatch.setattr(stratification, "_dimension", lambda n_active, signs: 0)
+    monkeypatch.setattr(stratification, "_plausible_six", lambda choice, deg: True)
+    with pytest.raises(flatklein.InvariantError) as info:
+        _strata_for_size.__wrapped__(6)
+    assert str(info.value) == (
+        "sign-pattern search exploded: 257 feasible patterns over 6 active "
+        "coordinates, limit 256")
+
+
+# ---------------------------------------------------------------------------
+# dimension: a second way, and the LP count
+# ---------------------------------------------------------------------------
+
+def _subsets(n):
+    return [sub for r in range(n + 1) for sub in itertools.combinations(range(n), r)]
+
+
+def _fraction_rank(rows):
+    m = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _vertex_dimension(n, signs):
+    """Dimension of {u : sign K_S = signs[S], 0 <= u < 1/16} from the
+    vertices of its closure, or None when it is empty; no LP.
+
+    The closure relaxes every sign to non-strict and u < 1/16 to <=.  A
+    nonempty region is dense in it, so the vertex barycenter (a point of
+    the closure's relative interior) meets every strict condition exactly
+    when the region is nonempty, and the dimension is the vertices' affine
+    rank.
+    """
+    closed, strict = [], []
+    for sub, sign in zip(_subsets(n), signs):
+        const = F(n + 4 - 2 * len(sub), 16)
+        coeffs = [F(1) if j in sub else F(-1) for j in range(n)]
+        ge = ([-c for c in coeffs], const)   # K_S >= 0
+        le = (coeffs, -const)                # K_S <= 0
+        closed += [h for h, keep in ((ge, sign >= 0), (le, sign <= 0)) if keep]
+        if sign:
+            strict.append(ge if sign > 0 else le)
+    for j in range(n):
+        e = [F(int(i == j)) for i in range(n)]
+        closed += [([-x for x in e], F(0)), (e, F(1, 16))]
+        strict.append((e, F(1, 16)))
+    verts = brute_vertices(closed)
+    if not verts:
+        return None
+    bary = [sum(v[j] for v in verts) / len(verts) for j in range(n)]
+    if any(sum(a * b for a, b in zip(normal, bary)) >= off for normal, off in strict):
+        return None
+    return _fraction_rank([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]])
+
+
+def test_dimension_matches_vertex_enumeration():
+    # every sign choice on the subsets that can reach K_S = 0 on the box
+    # that passes the monotone rule, including those `_plausible_six` drops
+    empty = nonempty = 0
+    for n in (4, 5, 6):
+        subs = _subsets(n)
+        deg = [s for s in subs if len(s) >= 5 or len(s) == 4 == n]
+        for assignment in itertools.product((1, 0, -1), repeat=len(deg)):
+            sign = dict(zip(deg, assignment))
+            if any(set(a) < set(b) and (sign[b] > sign[a] or sign[a] == sign[b] == 0)
+                   for a in deg for b in deg):
+                continue
+            signs = tuple(sign.get(s, 1) for s in subs)
+            dim = _vertex_dimension(n, signs)
+            assert _dimension(n, signs) == dim, (n, signs)
+            empty += dim is None
+            nonempty += dim is not None
+    assert (empty, nonempty) == (701, 36)
+    for n in range(7):
+        for signs, _, _ in _strata_for_size(n):
+            assert _dimension(n, signs) == _vertex_dimension(n, signs), (n, signs)
+
+
+def test_catalog_solves_each_lp_once(monkeypatch):
+    seen = []
+    solve = stratification.lp_maximize
+
+    def recorder(c, a_ub, b_ub, a_eq=(), b_eq=()):
+        seen.append((tuple(c), tuple(map(tuple, a_ub)), tuple(b_ub),
+                     tuple(map(tuple, a_eq)), tuple(b_eq)))
+        return solve(c, a_ub, b_ub, a_eq, b_eq)
+
+    monkeypatch.setattr(stratification, "lp_maximize", recorder)
+    _dimension.cache_clear()
+    _strata_for_size.cache_clear()
+    try:
+        center = next(s for s in catalog(7) if s.coincidence)
+        assert seen
+        assert len(set(seen)) == len(seen), f"{len(seen) - len(set(seen))} repeated LPs"
+        _dimension.cache_clear()
+        seen.clear()
+        interval = DomainDescriptor((INTERVAL,) * 7)
+        point = DomainDescriptor((INTERVAL,) * 6 + (POINT,))
+        assert stratum_dimension(center.alpha, interval) == 1
+        solved = len(seen)
+        assert solved > 0
+        assert stratum_dimension(center.alpha, point) == 0
+        assert len(seen) == solved
+    finally:
+        _dimension.cache_clear()
+        _strata_for_size.cache_clear()
 
 
 # ---------------------------------------------------------------------------
