@@ -132,7 +132,7 @@ def _off_cell(cell: CutPolytope) -> str:
     faces = cell.face_lattice()
     edges = [f for f in faces if f.dim == 1]
     facets = [f for f in faces if f.dim == 2]
-    normals = {d.key(): (nrm, off) for d, nrm, off in cell.halfspaces()}
+    normals = {d.key(): nrm for d, nrm, _ in cell.integer_rows()}
     lines = ["OFF", f"{len(verts)} {len(facets)} {len(edges)}"]
     for v in verts:
         lines.append(" ".join(f"{float(c):.12g}" for c in v.coords))
@@ -140,7 +140,7 @@ def _off_cell(cell: CutPolytope) -> str:
         ids = set(f.vertex_ids)
         own_edges = [e.vertex_ids for e in edges if set(e.vertex_ids) <= ids]
         cycle = _polygon_cycle(f.vertex_ids, own_edges)
-        nrm, _ = normals[f.active[0]]
+        nrm = normals[f.active[0]]
         p0 = verts[cycle[0]].coords
         vol = Fraction(0)
         for i in range(1, len(cycle) - 1):
@@ -188,6 +188,8 @@ def _cmd_geodesics(args) -> int:
 
 def _cmd_polytope(args) -> int:
     if args.n is not None and args.n != len(args.P):
+        print(f"error: --n {args.n} does not match the {len(args.P)}-coordinate --P",
+              file=sys.stderr)
         raise SystemExit(2)
     cell = cut_polytope(project(args.P))
     if args.format == "svg":
@@ -205,7 +207,7 @@ def _cmd_polytope(args) -> int:
         for v in verts:
             kinds[v.kind] += 1
         rows = [f"cell at P = {_pt_str(cell.point.rep)}",
-                f"  halfspaces: {len(cell.halfspaces())}",
+                f"  halfspaces: {len(cell.integer_rows())}",
                 f"  vertices:   {len(verts)} "
                 + "(" + ", ".join(f"{k} {kinds[k]}" for k in sorted(kinds)) + ")",
                 "  faces:      "
@@ -221,6 +223,8 @@ def _domain_short(kinds) -> str:
 
 def _cmd_strata(args) -> int:
     if (args.P is None) == (args.catalog is None):
+        print("error: strata takes exactly one of --P and --catalog, got "
+              + ("neither" if args.P is None else "both"), file=sys.stderr)
         raise SystemExit(2)
     if args.P is not None:
         s = classify(args.P)

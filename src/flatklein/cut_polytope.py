@@ -6,9 +6,9 @@ half-spaces: two walls per horizontal coordinate, two caps in the vertical
 coordinate, and a family of slanted bisectors indexed by 0/1 vectors over
 the "active" coordinates (those with a_i not in {0, 1/2}).  This module
 builds that description symbolically, enumerates the vertices in closed
-form (standard / middle / truncating families), assembles the face lattice
-with exact rank computations, and computes which vertices and faces are
-identified with each other in the quotient.
+form (standard / middle / truncating families), grades the face lattice
+from the vertex-facet incidences, and computes which vertices and faces
+are identified with each other in the quotient.
 
 Inside, the half-spaces and the vertex families run on the integer
 numerators of the reduced point over their common denominator D.  Every
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from ._exact import InvariantError, common_denominator, mat_rank
+from ._exact import InvariantError, common_denominator
 from .klein_space import (
     HALF,
     DeckElement,
@@ -216,6 +216,8 @@ class CutPolytope:
         self._rows: list[tuple[Descriptor, tuple[int, ...], int]] | None = None
         self._halfspaces: list[tuple[Descriptor, LiftPoint, Fraction]] | None = None
         self._vertices: list[Vertex] | None = None
+        self._vertex_nums: list[tuple[int, ...]] = []  # over _vertex_den
+        self._vertex_den = 1
         self._faces: list[Face] | None = None
         self._vertex_classes: list[list[int]] | None = None
         self._face_classes: list[list[int]] | None = None
@@ -321,8 +323,8 @@ class CutPolytope:
         (1 - K(S)) / (2a_k - e_k) at height a_n +- 1 (Trunc).  Every
         coordinate is an integer over one denominator
         Q = lcm(2D^2, 2D|2A_k - e D|), so the sort and the collision check
-        compare integer tuples, and each distinct value becomes a Fraction
-        once.
+        compare integer tuples, each distinct value becomes a Fraction once,
+        and the face work reads the numerators over Q kept on the cell.
         """
         if self._vertices is not None:
             return self._vertices
@@ -402,23 +404,20 @@ class CutPolytope:
             built.append(Vertex(kind, support, pivot,
                                 tuple(frac[x] for x in co), merged))
         self._vertices = built
+        self._vertex_nums = [co for co, _ in keyed]
+        self._vertex_den = q
         return built
 
     # -- face lattice -------------------------------------------------------
 
-    def _vertex_numerators(self) -> tuple[list[tuple[int, ...]], int]:
-        """Vertex coordinates as integer numerators over one common denominator."""
-        n = self.n
-        flat, den = common_denominator([c for v in self.vertices() for c in v.coords])
-        return [tuple(flat[i:i + n]) for i in range(0, len(flat), n)], den
-
     def face_lattice(self) -> list[Face]:
-        """All faces (dimension 0..n), bottom-up, exact ranks.
+        """All faces (dimension 0..n), graded top-down from the incidences.
 
-        Faces are the nonempty intersections of facets, with vertex-facet
-        incidences held as int bitmasks (as in Kaibel & Pfetsch, 2002).  A
-        face's dimension is n minus the rank of the normals tight on all of
-        its vertices.  Refused with a ValueError above n = FACE_N_MAX.
+        Vertex-row incidences are int bitmasks (Kaibel & Pfetsch, 2002).
+        The facets are the maximal vertex sets of single rows; the faces a
+        face G covers are the maximal meets of G with the facets, so the
+        cell is level n and a face's dimension is its level.  Refused with
+        a ValueError above n = FACE_N_MAX.
         """
         if self._faces is not None:
             return self._faces
@@ -426,44 +425,30 @@ class CutPolytope:
             raise ValueError(
                 f"face lattice and face classes are limited to n <= {FACE_N_MAX}: "
                 f"the cell at n = {self.n} has about {2 * 3 ** (self.n - 1)} vertices")
-        nums, den = self._vertex_numerators()
-        n = self.n
-        keys = [d.key() for d, _, _ in self.integer_rows()]
-        rows = [(normal, off) for _, normal, off in self.integer_rows()]
-        # at[i]: mask of the descriptors tight at vertex i
-        at = [sum(1 << j for j, (row, rhs) in enumerate(rows)
-                  if sum(w * c for w, c in zip(row, v)) == rhs * den)
+        self.vertices()
+        nums, q = self._vertex_nums, self._vertex_den
+        rows = self.integer_rows()
+        keys = [d.key() for d, _, _ in rows]
+        # at[i]: mask of the rows tight at vertex i
+        at = [sum(1 << j for j, (_, normal, off) in enumerate(rows)
+                  if sum(map(operator.mul, normal, v)) == off * q)
               for v in nums]
-        ranks: dict[int, int] = {}
-
-        def dim_and_tight(s: int) -> tuple[int, int]:
-            on = -1
-            for i in _bits(s):
-                on &= at[i]
-            if on not in ranks:
-                ranks[on] = mat_rank([rows[j][0] for j in _bits(on)])
-            return n - ranks[on], on
-
-        tight = [sum(1 << i for i, a in enumerate(at) if a >> j & 1)
-                 for j in range(len(rows))]
-        facets = [t for t in tight if t and dim_and_tight(t)[0] == n - 1]
         top = (1 << len(nums)) - 1
-        sets = {top}
-        frontier = [top]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for f in facets:
-                    meet = g & f
-                    if meet and meet not in sets:
-                        sets.add(meet)
-                        nxt.append(meet)
-            frontier = nxt
+        tight = {sum(1 << i for i, on in enumerate(at) if on >> j & 1)
+                 for j in range(len(rows))}
+        facets = _maximal(tight - {0, top})
         faces = []
-        for s in sets:
-            dim, on = dim_and_tight(s)
-            active = tuple(sorted(keys[j] for j in _bits(on)))
-            faces.append(Face(dim, active, tuple(_bits(s))))
+        level = {top}
+        for dim in range(self.n, -1, -1):
+            below: set[int] = set()
+            for g in level:
+                ids, on = tuple(_bits(g)), -1
+                for i in ids:
+                    on &= at[i]
+                active = tuple(sorted(keys[j] for j in _bits(on)))
+                faces.append(Face(dim, active, ids))
+                below.update(_maximal({g & f for f in facets} - {0, g}))
+            level = below
         faces.sort(key=lambda f: (f.dim, f.vertex_ids))
         self._faces = faces
         return faces
@@ -491,7 +476,7 @@ class CutPolytope:
         if self._face_classes is not None:
             return self._face_classes
         faces = self.face_lattice()
-        nums, den = self._vertex_numerators()
+        nums, den = self._vertex_nums, self._vertex_den
         groups: dict[tuple[int, KleinPoint], list[tuple[int, DeckElement]]] = {}
         for fid, f in enumerate(faces):
             total = [sum(col) for col in zip(*(nums[i] for i in f.vertex_ids))]
@@ -544,6 +529,15 @@ class CutPolytope:
                 "faces": self.face_equivalences(),
             },
         }
+
+
+def _maximal(masks: set[int]) -> list[int]:
+    """The inclusion-maximal masks among `masks`."""
+    out: list[int] = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        if all(m & k != m for k in out):
+            out.append(m)
+    return out
 
 
 def _bits(mask: int) -> list[int]:

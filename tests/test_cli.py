@@ -189,7 +189,9 @@ def test_dimension_mismatch_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["polytope", "--P", "1/4,0", "--n", "3"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --n 3 does not match the 2-coordinate --P\n"
 
 
 def test_value_error_exits_2(capsys):
@@ -214,8 +216,12 @@ def test_invariant_error_exits_3(capsys, monkeypatch):
 
 
 def test_strata_requires_exactly_one_mode(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["strata", "--format", "text"])
-    with pytest.raises(SystemExit):
-        cli.main(["strata", "--P", "1/4,0", "--catalog", "2"])
-    capsys.readouterr()
+    for argv, got in ((["strata", "--format", "text"], "neither"),
+                      (["strata", "--P", "1/4,0", "--catalog", "2"], "both")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: strata takes exactly one of --P and --catalog, "
+                       f"got {got}\n")

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatklein import (CutPolytope, InvariantError, cut_polytope, delta, equivalent,
-                       k_value, minimal_lifts, project, representatives)
+from flatklein import (CutPolytope, InvariantError, catalog, cut_polytope, delta,
+                       equivalent, k_value, minimal_lifts, project, representatives)
 from flatklein._exact import gcd_reduce, integerize_row, mat_rank
 from flatklein.cut_polytope import Cap, LabeledSet, Wall, chamber_reduce
 from flatklein.klein_space import DeckElement, apply_deck, neighbor_set
@@ -673,6 +673,56 @@ def _reference_cells():
               (F(3, 4), F(1, 2), F(1, 3), F(0)),
               (F(1, 4), F(1, 4), F(7, 9), F(2, 7))]
     return cells
+
+
+def _reference_lattice(cell):
+    """The face lattice as the intersections of rank-tested facets.
+
+    A row's vertex set is a facet when the normals tight on all of it have
+    rank 1.  The faces are the cell and every nonempty intersection of
+    facets, each of dimension n minus the rank of the normals tight on all
+    of its vertices.  Returns (dim, active, vertex_ids) per face in
+    `face_lattice` order, and the nonempty row vertex sets that are not
+    facets.
+    """
+    rows = cell.halfspaces()
+    tight_at = [frozenset(j for j, (_, nrm, off) in enumerate(rows)
+                          if sum(a * x for a, x in zip(nrm, v.coords)) == off)
+                for v in cell.vertices()]
+
+    def on_all(face):
+        return frozenset.intersection(*(tight_at[i] for i in face))
+
+    def dim(face):
+        return cell.n - _fraction_rank([rows[j][1] for j in on_all(face)])
+
+    row_sets = {frozenset(i for i, t in enumerate(tight_at) if j in t)
+                for j in range(len(rows))} - {frozenset()}
+    facets = {s for s in row_sets if dim(s) == cell.n - 1}
+    faces = {frozenset(range(len(tight_at)))}
+    frontier = faces
+    while frontier:
+        frontier = {g & f for g in frontier for f in facets} - faces - {frozenset()}
+        faces |= frontier
+    out = [(dim(s), tuple(sorted(rows[j][0].key() for j in on_all(s))),
+            tuple(sorted(s))) for s in faces]
+    return sorted(out, key=lambda f: (f[0], f[2])), row_sets - facets
+
+
+def test_face_lattice_matches_facet_intersections():
+    cells = _reference_cells()
+    cells += [s.witness for n in (2, 3, 4) for s in catalog(n)]
+    # each cap is tight at a single vertex of this cell
+    cells.append((F(1, 4), F(1, 4), F(1, 4), F(1, 4), F(1, 3)))
+    non_facet_rows = 0
+    for p in cells:
+        cell = CutPolytope(project(p))
+        expected, non_facets = _reference_lattice(cell)
+        non_facet_rows += len(non_facets)
+        got = [(f.dim, f.active, f.vertex_ids) for f in cell.face_lattice()]
+        assert got == expected, p
+    # some row is tight on a face below a facet, so rows and facets differ
+    assert non_facet_rows > 0
 
 
 def test_face_dims_match_affine_rank():
