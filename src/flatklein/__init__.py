@@ -8,7 +8,6 @@ oracles (`oracle`), and a command-line interface (`cli`).
 
 from ._exact import InvariantError
 from .klein_space import (
-    RatScalar,
     LiftPoint,
     KleinPoint,
     DeckElement,
@@ -30,12 +29,7 @@ from .cut_polytope import (
     Face,
     cut_polytope,
     delta,
-    face_equivalences,
-    face_lattice,
-    halfspaces,
     k_value,
-    vertex_equivalences,
-    vertices,
 )
 from .oracle import (
     CertificationReport,
@@ -58,7 +52,6 @@ from .stratification import (
 
 __all__ = [
     "InvariantError",
-    "RatScalar",
     "LiftPoint",
     "KleinPoint",
     "DeckElement",
@@ -78,12 +71,7 @@ __all__ = [
     "Face",
     "cut_polytope",
     "delta",
-    "face_equivalences",
-    "face_lattice",
-    "halfspaces",
     "k_value",
-    "vertex_equivalences",
-    "vertices",
     "CertificationReport",
     "brute_distance",
     "brute_geodesic_count",

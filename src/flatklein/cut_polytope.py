@@ -35,12 +35,10 @@ from typing import Iterable, Sequence, Union
 from ._exact import InvariantError, common_denominator
 from .klein_space import (
     HALF,
-    DeckElement,
     KleinPoint,
     LiftPoint,
     Rational,
     as_point,
-    canonicalize,
     format_rat,
     project,
     rat,
@@ -48,8 +46,7 @@ from .klein_space import (
 
 __all__ = [
     "Cap", "CutPolytope", "LabeledSet", "Slant", "Vertex", "Wall",
-    "chamber_reduce", "contains", "cut_polytope", "delta", "face_equivalences",
-    "face_lattice", "halfspaces", "k_value", "vertex_equivalences", "vertices",
+    "chamber_reduce", "cut_polytope", "delta", "k_value",
 ]
 
 STANDARD_PLUS = "StandardPlus"
@@ -112,9 +109,9 @@ def k_value(subset: Union[LabeledSet, Iterable[int]],
     mem = set(members)
     if not mem <= set(range(len(vals))):
         raise ValueError("subset indexes outside the coordinate list")
-    total = sum((delta(v) for v in vals), start=Fraction(0))
-    inside = sum((delta(vals[i]) for i in mem), start=Fraction(0))
-    return HALF + total - 2 * inside
+    gains = [delta(v) for v in vals]
+    inside = sum((gains[i] for i in mem), start=Fraction(0))
+    return HALF + sum(gains, start=Fraction(0)) - 2 * inside
 
 
 def chamber_reduce(p: Sequence[Rational]):
@@ -225,19 +222,7 @@ class CutPolytope:
     # -- half-spaces --------------------------------------------------------
 
     def descriptors(self) -> list[Descriptor]:
-        out: list[Descriptor] = []
-        for i in range(self.n - 1):
-            out.append(Wall(i, 1))
-            out.append(Wall(i, -1))
-        out.append(Cap(1))
-        out.append(Cap(-1))
-        for sign in (1, -1):
-            for bits in itertools.product((0, 1), repeat=len(self.active)):
-                full = [0] * (self.n - 1)
-                for i, b in zip(self.active, bits):
-                    full[i] = b
-                out.append(Slant(sign, tuple(full)))
-        return out
+        return [d for d, _, _ in self.integer_rows()]
 
     def integer_rows(self) -> list[tuple[Descriptor, tuple[int, ...], int]]:
         """Every half-space as integer data (descriptor, normal, offset).
@@ -249,32 +234,38 @@ class CutPolytope:
         +-2D e_n plus 2(bit_i D - 2A_i) e_i over the active coordinates,
         with offset +-2A_n + D less 2A_i - D for every set bit.  A
         reflected coordinate then flips its normal entry, moving the old
-        entry into the offset (x_i -> 1 - x_i).
+        entry into the offset (x_i -> 1 - x_i).  Rows come walls first,
+        then caps, then slants.
         """
         if self._rows is None:
-            n = self.n
-            a, den = self._nums, self._den
+            n, a, den = self.n, self._nums, self._den
             rows = []
-            for d in self.descriptors():
+            for i in range(n - 1):
+                for sign in (1, -1):
+                    normal = [0] * n
+                    normal[i] = 2 * sign * den
+                    rows.append((Wall(i, sign), normal, 2 * sign * a[i] + den))
+            for sign in (1, -1):
                 normal = [0] * n
-                if isinstance(d, Wall):
-                    normal[d.index] = 2 * d.sign * den
-                    offset = 2 * d.sign * a[d.index] + den
-                elif isinstance(d, Cap):
-                    normal[-1] = 2 * d.sign * den
-                    offset = 2 * d.sign * a[-1] + 2 * den
-                else:
-                    normal[-1] = 2 * d.sign * den
-                    offset = 2 * d.sign * a[-1] + den
-                    for i in self.active:
-                        bit = d.delta_bits[i]
+                normal[-1] = 2 * sign * den
+                rows.append((Cap(sign), normal, 2 * sign * a[-1] + 2 * den))
+            for sign in (1, -1):
+                for bits in itertools.product((0, 1), repeat=len(self.active)):
+                    normal = [0] * n
+                    normal[-1] = 2 * sign * den
+                    offset = 2 * sign * a[-1] + den
+                    full = [0] * (n - 1)
+                    for i, bit in zip(self.active, bits):
+                        full[i] = bit
                         normal[i] = 2 * (bit * den - 2 * a[i])
                         if bit:
                             offset -= 2 * a[i] - den
+                    rows.append((Slant(sign, tuple(full)), normal, offset))
+            for r, (d, normal, offset) in enumerate(rows):
                 for i in self.reflected:
                     offset -= normal[i]
                     normal[i] = -normal[i]
-                rows.append((d, tuple(normal), offset))
+                rows[r] = (d, tuple(normal), offset)
             self._rows = rows
         return self._rows
 
@@ -457,49 +448,30 @@ class CutPolytope:
 
     def vertex_equivalences(self) -> list[list[int]]:
         """Partition of vertex ids by their image in the quotient."""
-        if self._vertex_classes is not None:
-            return self._vertex_classes
-        groups: dict[KleinPoint, list[int]] = {}
-        for i, v in enumerate(self.vertices()):
-            groups.setdefault(project(v.coords), []).append(i)
-        classes = sorted(groups.values())
-        self._vertex_classes = classes
-        return classes
+        if self._vertex_classes is None:
+            self.vertices()
+            q = self._vertex_den
+            groups: dict[tuple, list[int]] = {}
+            for i, v in enumerate(self._vertex_nums):
+                groups.setdefault(_deck_image([v], q), []).append(i)
+            self._vertex_classes = sorted(groups.values())
+        return self._vertex_classes
 
     def face_equivalences(self) -> list[list[int]]:
         """Partition of face ids under the deck action (dimension-preserving).
 
-        The deck group acts freely, so g_b^-1 g_a, with g_f from
-        canonicalize(barycenter of f), is the only deck map that can carry
-        face a onto face b; faces are grouped by (dim, projected barycenter).
+        The deck group acts freely, so two faces have the same
+        `_deck_image` exactly when one is a deck image of the other.
         """
-        if self._face_classes is not None:
-            return self._face_classes
-        faces = self.face_lattice()
-        nums, den = self._vertex_nums, self._vertex_den
-        groups: dict[tuple[int, KleinPoint], list[tuple[int, DeckElement]]] = {}
-        for fid, f in enumerate(faces):
-            total = [sum(col) for col in zip(*(nums[i] for i in f.vertex_ids))]
-            point, g = canonicalize(
-                [Fraction(t, den * len(f.vertex_ids)) for t in total])
-            groups.setdefault((f.dim, point), []).append((fid, g))
-        for members in groups.values():
-            first, g_first = members[0]
-            for fid, g in members[1:]:
-                h = g.inverse().compose(g_first)
-                sign = -1 if h.parity else 1
-                image = sorted(
-                    tuple(sign * c + s * den for c, s in zip(v, h.shift))
-                    + (v[-1] + h.last_shift * den,)
-                    for v in (nums[i] for i in faces[first].vertex_ids))
-                if image != [nums[i] for i in faces[fid].vertex_ids]:
-                    base = ",".join(format_rat(c) for c in self.point.rep)
-                    raise InvariantError(
-                        f"faces {first} and {fid} of the cell at P = {base} have "
-                        "deck-equivalent barycenters but are not deck images")
-        classes = sorted([fid for fid, _ in members] for members in groups.values())
-        self._face_classes = classes
-        return classes
+        if self._face_classes is None:
+            faces = self.face_lattice()
+            nums, q = self._vertex_nums, self._vertex_den
+            groups: dict[tuple, list[int]] = {}
+            for fid, f in enumerate(faces):
+                key = (f.dim, _deck_image([nums[i] for i in f.vertex_ids], q))
+                groups.setdefault(key, []).append(fid)
+            self._face_classes = sorted(groups.values())
+        return self._face_classes
 
     # -- serialization ------------------------------------------------------
 
@@ -550,6 +522,24 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _deck_image(pts: list[tuple[int, ...]], q: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted image of integer points over q under the deck map that
+    takes their barycenter into [0,1)^n.
+
+    The map is `canonicalize`'s closed form at the barycenter b: with
+    k = floor(b_n) the glide runs iff k is odd (sign -1), the last
+    coordinate moves by -k and each head coordinate by -floor(sign b_i).
+    """
+    m = len(pts)
+    total = [sum(col) for col in zip(*pts)]
+    k = total[-1] // (m * q)
+    sign = -1 if k % 2 else 1
+    shift = [-(sign * t // (m * q)) * q for t in total[:-1]]
+    return tuple(sorted(
+        tuple(sign * c + s for c, s in zip(v, shift)) + (v[-1] - k * q,)
+        for v in pts))
+
+
 # a cell's memory grows like its 2*3^(n-1) vertices (about 0.4 MB at n = 6
 # once they are built), so the cache holds few cells
 @lru_cache(maxsize=32)
@@ -562,27 +552,3 @@ def cut_polytope(p: Union[KleinPoint, Sequence[Rational]]) -> CutPolytope:
     """Shared-cache constructor (cells are immutable)."""
     point = p if isinstance(p, KleinPoint) else project(as_point(p))
     return _cached_cell(point.rep)
-
-
-def halfspaces(p) -> list[tuple[Descriptor, LiftPoint, Fraction]]:
-    return cut_polytope(p).halfspaces()
-
-
-def vertices(p) -> list[Vertex]:
-    return cut_polytope(p).vertices()
-
-
-def contains(p, x: Sequence[Rational]) -> bool:
-    return cut_polytope(p).contains(x)
-
-
-def face_lattice(p) -> list[Face]:
-    return cut_polytope(p).face_lattice()
-
-
-def vertex_equivalences(p) -> list[list[int]]:
-    return cut_polytope(p).vertex_equivalences()
-
-
-def face_equivalences(p) -> list[list[int]]:
-    return cut_polytope(p).face_equivalences()

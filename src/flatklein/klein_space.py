@@ -24,9 +24,6 @@ from typing import Iterable, Sequence, Union
 
 from ._exact import common_denominator
 
-#: Exact rational scalar used throughout the package.
-RatScalar = Fraction
-
 #: A point of the universal cover R^n, always a tuple of Fractions.
 LiftPoint = tuple[Fraction, ...]
 
@@ -47,21 +44,10 @@ def rat(value: Rational) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def format_rat(x: Fraction, digits: int | None = None) -> str:
-    """Render a rational as 'p/q' (digits=None) or as a fixed-point decimal."""
+def format_rat(x: Fraction) -> str:
+    """Render a rational as 'p/q', or as an integer when q = 1."""
     x = Fraction(x)
-    if digits is None:
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    scaled = x * 10**digits
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    # round half away from zero, deterministically
-    if 2 * abs(r) >= scaled.denominator:
-        q += 1 if scaled >= 0 else -1
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    if digits == 0:
-        return f"{sign}{q}"
-    return f"{sign}{q // 10**digits}.{q % 10**digits:0{digits}d}"
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def as_point(coords: Sequence[Rational]) -> LiftPoint:
@@ -114,9 +100,6 @@ class DeckElement:
         sign = -1 if self.parity else 1
         return DeckElement(self.parity, tuple(-sign * v for v in self.shift),
                            -self.last_shift)
-
-    def is_identity(self) -> bool:
-        return self.parity == 0 and self.last_shift == 0 and not any(self.shift)
 
 
 def apply_deck(g: DeckElement, x: Sequence[Rational]) -> LiftPoint:

@@ -62,10 +62,6 @@ class DomainDescriptor:
             raise ValueError(f"bad vertical kind {self.kinds[-1]!r}")
 
     @property
-    def n(self) -> int:
-        return len(self.kinds)
-
-    @property
     def active(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds[:-1]) if k == INTERVAL)
 

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from flatklein import CutPolytope, cli, project
+from flatklein import (CutPolytope, catalog, classify, cli, format_rat,
+                       minimal_lifts, project)
 
 
 def run(capsys, *argv):
@@ -43,6 +44,15 @@ def test_geodesics_text(capsys):
                    "  -> (-1/4, -3/8)\n"
                    "  -> (1/4, 5/8)\n"
                    "  -> (3/4, -3/8)\n")
+
+
+def test_geodesics_json_matches_library(capsys):
+    code, out = run(capsys, "geodesics", "--P", "1/4,0", "--Q", "1/4,5/8")
+    assert code == 0
+    lifts = minimal_lifts(project((F(1, 4), F(0))).rep, project((F(1, 4), F(5, 8))))
+    assert json.loads(out) == {
+        "count": len(lifts), "lifts": [[format_rat(c) for c in q] for q in lifts]}
+    assert json.loads(out)["count"] == 3
 
 
 def test_polytope_text_and_json(capsys):
@@ -89,6 +99,16 @@ def test_strata_classify_text(capsys):
     assert "dim     1" in out
     assert "negs    [[0, 1, 2, 3, 4, 5]]" in out
     assert "coincidence stratum" in out
+
+
+def test_strata_json_matches_library(capsys):
+    code, out = run(capsys, "strata", "--P", "1/3,1/5", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == classify((F(1, 3), F(1, 5))).to_json()
+    code, out = run(capsys, "strata", "--catalog", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [s.to_json() for s in catalog(3)]
+    assert len(json.loads(out)) == 8
 
 
 def test_strata_catalog_table(capsys):
@@ -170,6 +190,15 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_certifies_above_n5(capsys):
+    code, out = run(capsys, "verify", "--n", "6", "--samples", "1", "--seed", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[-1] == "pass"
+    assert lines[0].startswith("trial   0: P = (")
+    assert lines[0].endswith(" edges: ok")
+
+
 def test_verify_reports_failure(monkeypatch, capsys):
     monkeypatch.setattr(cli, "brute_distance", lambda y, z: F(999))
     code, out = run(capsys, "verify", "--n", "2", "--samples", "1", "--seed", "0")
@@ -199,6 +228,14 @@ def test_value_error_exits_2(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_svg_of_a_3_cell_exits_2(capsys):
+    code = cli.main(["polytope", "--P", "1/4,1/3,0", "--format", "svg"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: SVG output needs a 2-dimensional cell\n"
 
 
 def test_invariant_error_exits_3(capsys, monkeypatch):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from flatklein import (CutPolytope, InvariantError, catalog, cut_polytope, delta,
                        equivalent, k_value, minimal_lifts, project, representatives)
 from flatklein._exact import gcd_reduce, integerize_row, mat_rank
-from flatklein.cut_polytope import Cap, LabeledSet, Wall, chamber_reduce
-from flatklein.klein_space import DeckElement, apply_deck, neighbor_set
+from flatklein.cut_polytope import Cap, LabeledSet, Wall, _deck_image, chamber_reduce
+from flatklein.klein_space import DeckElement, apply_deck, canonicalize, neighbor_set
 from flatklein.oracle import brute_vertices
 
 HEX_BASE = (F(1, 4), F(0))
@@ -600,6 +600,112 @@ def test_middle_truncating_pairing_n6():
     assert seen > 0
 
 
+def _reference_vertex_classes(cell):
+    """Vertex classes keyed on `project` of each vertex's Fractions."""
+    groups = {}
+    for i, v in enumerate(cell.vertices()):
+        groups.setdefault(project(v.coords), []).append(i)
+    return sorted(groups.values())
+
+
+def _reference_barycenter_classes(cell):
+    """Face classes keyed on the canonical form of each face's barycenter,
+    a Fraction over the vertex numerators; every member is checked to be
+    the deck image of its class's first face."""
+    faces = cell.face_lattice()
+    nums, den = cell._vertex_nums, cell._vertex_den
+    groups = {}
+    for fid, f in enumerate(faces):
+        total = [sum(col) for col in zip(*(nums[i] for i in f.vertex_ids))]
+        point, g = canonicalize([F(t, den * len(f.vertex_ids)) for t in total])
+        groups.setdefault((f.dim, point), []).append((fid, g))
+    for members in groups.values():
+        first, g_first = members[0]
+        for fid, g in members[1:]:
+            h = g.inverse().compose(g_first)
+            sign = -1 if h.parity else 1
+            image = sorted(tuple(sign * c + s * den for c, s in zip(v, h.shift))
+                           + (v[-1] + h.last_shift * den,)
+                           for v in (nums[i] for i in faces[first].vertex_ids))
+            assert image == [nums[i] for i in faces[fid].vertex_ids], (first, fid)
+    return sorted([fid for fid, _ in members] for members in groups.values())
+
+
+def _seeded_class_cells(rng, counts):
+    # 30% of the coordinates at 0, 1/4, 1/2 or 3/4: prism values, values
+    # that drive K(S) to 0, and their reflections
+    special = (F(0), F(1, 4), F(1, 2), F(3, 4))
+
+    def coord():
+        if rng.random() < 0.3:
+            return rng.choice(special)
+        den = rng.choice((5, 7, 9, 10, 11, 12, 13, 20))
+        return F(rng.randrange(den), den)
+    return [tuple(coord() for _ in range(n))
+            for n, count in counts.items() for _ in range(count)]
+
+
+def test_deck_image_is_the_canonical_deck_map():
+    # the image under canonicalize's deck map at the Fraction barycenter;
+    # a third of the barycenters get an integer head coordinate
+    rng = random.Random(3130)
+    integer_heads = 0
+    for _ in range(600):
+        n, q, m = rng.randint(2, 5), rng.randint(1, 12), rng.randint(1, 4)
+        pts = [tuple(rng.randint(-3 * q, 3 * q) for _ in range(n)) for _ in range(m)]
+        if rng.random() < 0.3:
+            pts.append(tuple(-sum(col) + m * q * rng.randint(-2, 2)
+                             for col in zip(*pts)))
+        bary = [F(sum(col), q * len(pts)) for col in zip(*pts)]
+        integer_heads += any(b.denominator == 1 for b in bary[:-1])
+        _, g = canonicalize(bary)
+        want = sorted(tuple(c * q for c in apply_deck(g, [F(x, q) for x in v]))
+                      for v in pts)
+        got = _deck_image(pts, q)
+        assert got == tuple(want), (pts, q)
+        image_bary = [F(sum(col), q * len(pts)) for col in zip(*got)]
+        assert all(0 <= b < 1 for b in image_bary), (pts, q)
+    assert integer_heads >= 100
+
+
+def _assert_classes_match_references(cells):
+    seen = set()
+    for p in cells:
+        # each class list is the first thing asked of a fresh cell: both
+        # read vertex numerators that only exist once the vertices are built
+        vertex_classes = CutPolytope(project(p)).vertex_equivalences()
+        cell = CutPolytope(project(p))
+        assert cell.face_equivalences() == _reference_barycenter_classes(cell), p
+        assert vertex_classes == _reference_vertex_classes(cell), p
+        verts = cell.vertices()
+        seen |= {v.kind for v in verts}
+        seen |= {"merged"} if any(v.merged for v in verts) else set()
+        seen |= {"prism"} if cell.prism else set()
+        seen |= {"reflected"} if cell.reflected else set()
+    return seen
+
+
+def test_classes_match_fraction_barycenters_on_seeded_cells():
+    cells = _seeded_class_cells(random.Random(3131),
+                                {2: 30, 3: 30, 4: 20, 5: 8, 6: 3})
+    assert _assert_classes_match_references(cells) >= {
+        "prism", "reflected", "Middle", "TruncPlus"}
+
+
+def test_classes_match_fraction_barycenters_at_catalog_witnesses():
+    cells = [s.witness for n in range(2, 7) for s in catalog(n)]
+    assert _assert_classes_match_references(cells) >= {
+        "prism", "merged", "Middle", "TruncPlus"}
+
+
+def test_vertex_classes_match_project_n7_n8():
+    cells = _seeded_class_cells(random.Random(3132), {7: 2, 8: 1})
+    cells.append((F(1, 10), F(1, 5), F(2, 7), F(1, 3), F(2, 9), F(1, 3), F(3, 7)))
+    for p in cells:
+        cell = CutPolytope(project(p))
+        assert cell.vertex_equivalences() == _reference_vertex_classes(cell), p
+
+
 # ---------------------------------------------------------------------------
 # independent references: Fraction ranks and a pairwise deck search
 # ---------------------------------------------------------------------------
@@ -738,7 +844,8 @@ def test_face_dims_match_affine_rank():
 
 
 def test_face_classes_match_pairwise_deck_search():
-    for p in _reference_cells():
+    cells = _reference_cells() + [s.witness for n in (2, 3, 4) for s in catalog(n)]
+    for p in cells:
         cell = cut_polytope(p)
         assert cell.face_equivalences() == _reference_face_classes(cell), p
 

@@ -107,6 +107,17 @@ def test_infeasible_pattern_is_empty():
     assert stratum_dimension(sv, dom) is None
 
 
+def test_nonpositive_sign_on_non_degenerable_subset_is_empty():
+    # below |S| = 5 (or 4 with nothing outside S), K_S is bounded away
+    # from 0, so a sign 0 or -1 there is refused before any LP
+    for active, slot, sign in (((0, 1), 0, 0), ((0, 1), 3, -1),
+                               ((0, 1, 2), 1, -1), ((0, 1, 2), 7, 0)):
+        signs = [1] * 2 ** len(active)
+        signs[slot] = sign
+        dom = DomainDescriptor((INTERVAL,) * (len(active) + 1))
+        assert stratum_dimension(SignVector(active, tuple(signs)), dom) is None
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
