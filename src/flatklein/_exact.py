@@ -88,7 +88,7 @@ def integerize_row(normal: Row, offset: Fraction) -> tuple[tuple[int, ...], int]
 def gcd_reduce(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (keep orientation)."""
     g = math.gcd(*vec)
-    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
+    return tuple([v // g for v in vec]) if g > 1 else tuple(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,9 @@ def _random_rational(rng: random.Random) -> Fraction:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        # zero trials would check nothing and still print "pass"
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rng = random.Random(args.seed)
     n = args.n
     failures = []

@@ -20,21 +20,29 @@ n - 1.
 `brute_vertices` inserts the homogenised rows densest first (a stable
 sort by nonzero count): double description is very sensitive to the
 insertion order (Fukuda & Prodon, "Double description method revisited",
-1996), and dense rows cut the intermediate cones down soonest.
+1996), and dense rows cut the intermediate cones down soonest.  The
+simplicial start of the sorted cone is also its rank test (the cone has
+rank n + 1 exactly when the normals have rank n).  The vertices are
+sorted as integer numerators over the lcm of the rays' t, which orders
+them as their coordinates do, and each distinct value becomes one
+Fraction.
 
 The edge walk runs on integers, in two passes.  Each claimed point is its
 numerators over the lcm of its denominators, and its slacks
-off*den - row.num give feasibility and the active set; the basis
-elimination is the active-rank check.  The first pass checks every point,
-runs the cone enumeration at each verified one and keeps each edge
-direction's zero set, and records for every row the bitmask of the
-verified points tight on it.  The rows tight at v and flat along an edge
-direction cut out the edge [v, e], and a verified point inside that edge
-would have rank n - 1.  So in the second pass the AND of those rows'
-masks, less v, is {e}, or empty when the edge ends at no listed vertex.
-Only then is the ratio test run, with ratios slack / step compared
-crosswise, to name the unlisted endpoint or the unbounded direction; a
-Fraction is built only for a problem message.
+off*den - row.num give feasibility and the active set.  The first pass
+checks every point and records for every row the bitmask of the verified
+points tight on it.  A simple point (exactly n tight rows) gets a rank
+test alone: its rows B are then invertible, so the cone at it is
+simplicial and edge direction j is tight on every row but j.  At a
+degenerate point (more tight rows) the basis elimination is the rank
+test, and the cone enumeration gives each edge direction's zero set.  The
+rows tight at v and flat along an edge direction cut out the edge
+[v, e], and a verified point inside that edge would have rank n - 1.  So
+in the second pass the AND of those rows' masks, less v, is {e}, or empty
+when the edge ends at no listed vertex.  Only then are the edge
+directions computed and the ratio test run, with ratios slack / step
+compared crosswise, to name the unlisted endpoint or the unbounded
+direction; a Fraction is built only for a problem message.
 """
 
 from __future__ import annotations
@@ -46,8 +54,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from ._exact import (InvariantError, _eliminate, common_denominator,
-                     gcd_reduce, integerize_row, mat_rank)
+from ._exact import (InvariantError, _eliminate, _gauss_jordan,
+                     common_denominator, gcd_reduce, integerize_row)
 
 Halfspace = tuple[Sequence[Fraction], Fraction]
 
@@ -55,10 +63,6 @@ Halfspace = tuple[Sequence[Fraction], Fraction]
 def _coords(point) -> tuple[Fraction, ...]:
     rep = getattr(point, "rep", point)
     return tuple(Fraction(x) for x in rep)
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +160,23 @@ def brute_vertices(halfspaces: Sequence[Halfspace]) -> list[tuple[Fraction, ...]
     polytope need not be bounded or even nonempty.
     """
     rows, offs = _integerized(halfspaces)
-    n = len(rows[0]) if rows else 0
-    if not rows or mat_rank(rows) < n:
+    if not rows:
         return []
+    n = len(rows[0])
     cone = [row + (-off,) for row, off in zip(rows, offs)]
     cone.append((0,) * n + (-1,))
     # dense rows first: they cut the intermediate cones down soonest
     cone.sort(key=lambda row: sum(x != 0 for x in row), reverse=True)
-    return sorted(tuple(Fraction(v, ray[-1]) for v in ray[:-1])
-                  for ray in _cone_rays(cone, n + 1)[0] if ray[-1] > 0)
+    # the row -t <= 0 clears the offsets, so rank(cone) = rank(normals) + 1
+    start = _simplicial_cone(cone, n + 1)
+    if len(start[0]) <= n:
+        return []
+    rays = [ray for ray in _cone_rays(cone, n + 1, start)[0] if ray[-1] > 0]
+    # over one denominator the integer numerators sort as the vertices do
+    den = math.lcm(*(ray[-1] for ray in rays))
+    keys = sorted(tuple(v * (den // ray[-1]) for v in ray[:-1]) for ray in rays)
+    frac = {v: Fraction(v, den) for v in {v for key in keys for v in key}}
+    return [tuple(map(frac.__getitem__, key)) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -251,28 +263,33 @@ def _cone_rays(active_rows: list[tuple[int, ...]], n: int,
         if i in in_basis:
             continue
         bit = 1 << i
-        vals = [_dot(row, r) for r in rays]
+        vals = [sum(map(mul, row, r)) for r in rays]
         keep = [j for j, v in enumerate(vals) if v <= 0]
         pos = [j for j, v in enumerate(vals) if v > 0]
         neg = [j for j, v in enumerate(vals) if v < 0]
         new_rays: list[tuple[int, ...]] = []
         new_zerosets: list[int] = []
         for p in pos:
+            zp, vp, rp = zerosets[p], vals[p], rays[p]
             for q in neg:
-                meet = zerosets[p] & zerosets[q]
-                # adjacent rays of a pointed n-cone share n - 2 tight rows
+                meet = zp & zerosets[q]
+                # adjacent rays of a pointed n-cone share n - 2 tight rows,
+                # and no third ray is tight on all of them
                 if meet.bit_count() < n - 2:
                     continue
-                adjacent = all(
-                    (meet & zerosets[r]) != meet
-                    for r in range(len(rays)) if r not in (p, q))
-                if not adjacent:
+                holders = 0
+                for z in zerosets:
+                    if z & meet == meet:
+                        holders += 1
+                        if holders > 2:
+                            break
+                if holders > 2:
                     continue
-                combo = [vals[p] * rays[q][t] - vals[q] * rays[p][t]
-                         for t in range(n)]
-                new_rays.append(gcd_reduce(combo))
                 # both multipliers are positive, so the new ray is tight
                 # exactly where both parents are, and on row i
+                vq = vals[q]
+                new_rays.append(gcd_reduce(
+                    [vp * b - vq * a for a, b in zip(rp, rays[q])]))
                 new_zerosets.append(meet | bit)
         rays = [rays[j] for j in keep] + new_rays
         zerosets = [zerosets[j] | (bit if vals[j] == 0 else 0)
@@ -280,8 +297,28 @@ def _cone_rays(active_rows: list[tuple[int, ...]], n: int,
     return rays, zerosets
 
 
+def _point(scaled: tuple[tuple[int, ...], int]) -> tuple[Fraction, ...]:
+    """A point's coordinates from its integer key, for a problem message."""
+    nums, den = scaled
+    return tuple(Fraction(v, den) for v in nums)
+
+
+def _scaled_point(p) -> tuple[tuple[int, ...], int]:
+    """A claimed point as its integer numerators over the lcm of its
+    denominators, which is its lowest-terms key.
+
+    Ints and Fractions are read as they are; anything else `Fraction`
+    accepts (strings, floats, an iterator of them) goes through `_coords`.
+    """
+    rep = getattr(p, "rep", p)
+    if type(rep) is not tuple or not all(
+            type(x) is Fraction or type(x) is int for x in rep):
+        rep = _coords(rep)
+    nums, den = common_denominator(rep)
+    return tuple(nums), den
+
+
 def _edge_problem(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
-                  point: tuple[Fraction, ...],
                   scaled: tuple[tuple[int, ...], int],
                   ray: tuple[int, ...]) -> str:
     """The problem with an edge from a claimed vertex that ends on no other.
@@ -291,10 +328,11 @@ def _edge_problem(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
     ratios compared crosswise; with no such row the edge is unbounded.
     """
     vnum, vden = scaled
-    climb = [(off * vden - _dot(row, vnum), step)
-             for row, off in zip(rows, offs) if (step := _dot(row, ray)) > 0]
+    climb = [(off * vden - sum(map(mul, row, vnum)), step)
+             for row, off in zip(rows, offs)
+             if (step := sum(map(mul, row, ray))) > 0]
     if not climb:
-        return f"unbounded edge direction at vertex {point}"
+        return f"unbounded edge direction at vertex {_point(scaled)}"
     gap, step = climb[0]
     for s, st in climb:
         if s * step < gap * st:
@@ -302,7 +340,7 @@ def _edge_problem(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
     # vnum / vden + gap / (vden * step) * ray
     endpoint = tuple(Fraction(v * step + gap * d, vden * step)
                      for v, d in zip(vnum, ray))
-    return f"edge from {point} reaches unlisted vertex {endpoint}"
+    return f"edge from {_point(scaled)} reaches unlisted vertex {endpoint}"
 
 
 def certify_vertices(halfspaces: Sequence[Halfspace],
@@ -319,46 +357,49 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     rows, offs = _integerized(halfspaces)
     n = len(rows[0]) if rows else 0
     problems: list[str] = []
-    # each point as integer numerators over the lcm of its denominators,
-    # which is its lowest-terms key; Fractions are kept for messages only
-    points: list[tuple[Fraction, ...]] = []
     scaled: list[tuple[tuple[int, ...], int]] = []
     seen: set[tuple[tuple[int, ...], int]] = set()
     for p in claimed:
-        t = _coords(p)
-        nums, den = common_denominator(t)
-        key = (tuple(nums), den)
+        key = _scaled_point(p)
         if key in seen:
-            problems.append(f"duplicate vertex {t}")
+            problems.append(f"duplicate vertex {_point(key)}")
             continue
         seen.add(key)
-        points.append(t)
         scaled.append(key)
-    if not points:
+    if not scaled:
         return CertificationReport(False, 0, 0, ["no vertices supplied"])
 
     # pass 1, point checks: the verified points, each with its tight rows
     # and the zero sets of its edge directions; on_row[r] is the mask of
-    # the verified points tight on row r
+    # the verified points tight on row r.  At a simple point (n tight rows)
+    # the rank test is all: ray j is tight on every row but j
+    simple = [((1 << n) - 1) ^ (1 << j) for j in range(n)]
     on_row = [0] * len(rows)
     verified: list[tuple[int, list[int], list[int]]] = []
-    for vi, (t, (vnum, vden)) in enumerate(zip(points, scaled)):
-        slacks = [off * vden - _dot(row, vnum) for row, off in zip(rows, offs)]
-        bad = next((ri for ri, s in enumerate(slacks) if s < 0), None)
-        if bad is not None:
-            problems.append(f"vertex {t} violates constraint {bad}")
+    for vi, key in enumerate(scaled):
+        vnum, vden = key
+        slacks = [off * vden - sum(map(mul, row, vnum))
+                  for row, off in zip(rows, offs)]
+        if slacks and min(slacks) < 0:
+            bad = next(ri for ri, s in enumerate(slacks) if s < 0)
+            problems.append(f"vertex {_point(key)} violates constraint {bad}")
             continue
         tight = [ri for ri, s in enumerate(slacks) if s == 0]
         act = [rows[ri] for ri in tight]
-        start = _simplicial_cone(act, n)
-        if len(start[0]) < n:
-            problems.append(f"vertex {t} has active rank < {n}")
+        if len(tight) == n:
+            zerosets = simple if len(_gauss_jordan(act)) == n else None
+        else:
+            start = _simplicial_cone(act, n)
+            zerosets = (_cone_rays(act, n, start)[1] if len(start[0]) == n
+                        else None)
+        if zerosets is None:
+            problems.append(f"vertex {_point(key)} has active rank < {n}")
             continue
-        verified.append((vi, tight, _cone_rays(act, n, start)[1]))
+        verified.append((vi, tight, zerosets))
         for ri in tight:
             on_row[ri] |= 1 << vi
 
-    parent = list(range(len(points)))
+    parent = list(range(len(scaled)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -382,13 +423,12 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
             if not ends:
                 if rays is None:
                     rays = _cone_rays([rows[ri] for ri in tight], n)[0]
-                problems.append(_edge_problem(rows, offs, points[vi],
-                                              scaled[vi], rays[j]))
+                problems.append(_edge_problem(rows, offs, scaled[vi], rays[j]))
                 continue
             vj = ends.bit_length() - 1
             edges.add((min(vi, vj), max(vi, vj)))
             parent[find(vi)] = find(vj)
-    roots = {find(i) for i in range(len(points))}
+    roots = {find(i) for i in range(len(scaled))}
     if len(roots) > 1 and not problems:
         problems.append("claimed vertex set splits into disconnected components")
-    return CertificationReport(not problems, len(points), len(edges), problems)
+    return CertificationReport(not problems, len(scaled), len(edges), problems)

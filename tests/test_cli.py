@@ -207,6 +207,15 @@ def test_verify_reports_failure(monkeypatch, capsys):
     assert "distance mismatch" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_refuses_no_samples(capsys, samples):
+    code = cli.main(["verify", "--n", "3", "--samples", samples])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
 def test_malformed_point_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["distance", "--P", "1/4,nope", "--Q", "0,0"])

@@ -256,6 +256,31 @@ def test_certify_accepts_klein_point_inputs():
     assert not certify_vertices(box, corners[1:]).ok
 
 
+def test_certify_simple_point_needs_full_rank():
+    # x <= 1 given twice: (1, 1/2) is tight on exactly n = 2 rows, of rank 1
+    square = _cube(2) + _cube(2)[:1]
+    corners = list(itertools.product((0, 1), repeat=2))
+    report = certify_vertices(square, corners + [(1, F(1, 2))])
+    assert (report.ok, report.vertex_count, report.edge_count) == (False, 5, 4)
+    assert report.problems == [
+        "vertex (Fraction(1, 1), Fraction(1, 2)) has active rank < 2"]
+
+
+def test_certify_finds_duplicates_in_other_forms():
+    box = [(nrm, off / 2) for nrm, off in _cube(2)]
+    corners = brute_vertices(box)  # (0, 0), (0, 1/2), (1/2, 0), (1/2, 1/2)
+    for extra, text in (
+            ([(0, 0), (F(0), F(0))], "(Fraction(0, 1), Fraction(0, 1))"),
+            ([KleinPoint((F(1, 2), 0)), (F(1, 2), 0)],
+             "(Fraction(1, 2), Fraction(0, 1))"),
+            ([("0", "1/2"), (0.0, 0.5)], "(Fraction(0, 1), Fraction(1, 2))")):
+        claim = [KleinPoint(v) for v in corners] + extra
+        report = certify_vertices(box, claim)
+        assert (report.ok, report.vertex_count, report.edge_count) == (
+            False, 4, 4), extra
+        assert report.problems == [f"duplicate vertex {text}"] * 2, extra
+
+
 def _fraction_rank(rows):
     """Rank by plain Gaussian elimination over Fractions."""
     rows = [[F(x) for x in row] for row in rows]
@@ -421,12 +446,21 @@ def _same_report(pairs, claim):
     return report.problems
 
 
+def _tight_counts(halfspaces, verts):
+    return [sum(sum(a * x for a, x in zip(nrm, v)) == off
+                for nrm, off in halfspaces) for v in verts]
+
+
 def test_mask_endpoints_match_fraction_ratio_walk():
     rng = random.Random(977)
+    simple = degenerate = 0
     for n, count in ((3, 6), (4, 4), (5, 2)):
         for base in _seeded_bases(rng, n, count):
             pairs = _cell_pairs(base)
             verts = brute_vertices(pairs)
+            tight = _tight_counts(pairs, verts)
+            simple += tight.count(n)
+            degenerate += sum(t > n for t in tight)
             k = rng.randrange(len(verts))
             j = next(j for j in range(len(verts))
                      if _adjacent_pairs(pairs, [verts[k], verts[j]]))
@@ -441,7 +475,65 @@ def test_mask_endpoints_match_fraction_ratio_walk():
                 pairs, verts + [verts[k]])
             moved = _same_report(pairs, verts[:k] + [shifted] + verts[k + 1:])
             assert any(f"unlisted vertex {verts[k]}" in msg for msg in moved)
+    # the certifier takes simple points (n tight rows) by a rank test alone
+    # and runs double description at the others: both paths are held here
+    assert simple and degenerate, (simple, degenerate)
     # x, y, z >= 0 and x + y + z >= 1: every vertex has an unbounded edge
     pointed = _cube(3)[1::2] + [((F(-1), F(-1), F(-1)), F(-1))]
     problems = _same_report(pointed, brute_vertices(pointed))
     assert problems and all(msg.startswith("unbounded") for msg in problems)
+
+
+def test_mask_endpoints_match_fraction_ratio_walk_generic_n6():
+    # the certifier's own range; a generic cell mixes simple and degenerate
+    # vertices about evenly
+    rng = random.Random(985)
+    base = tuple(rng.choice([F(k, 12) for k in range(1, 12) if k != 6])
+                 for _ in range(5)) + (F(rng.randrange(0, 7), 7),)
+    cell = cut_polytope(base)
+    pairs = _cell_pairs(base)
+    verts = [v.coords for v in cell.vertices()]
+    tight = _tight_counts(pairs, verts)
+    assert 6 in tight and max(tight) > 6, base
+    assert _same_report(pairs, verts) == []
+    k = rng.randrange(len(verts))
+    missing = _same_report(pairs, verts[:k] + verts[k + 1:])
+    assert missing and all(msg.endswith(f"unlisted vertex {verts[k]}")
+                           for msg in missing)
+
+
+def _fraction_sorted_vertices(halfspaces):
+    """brute_vertices as it sorted before: each vertex a tuple of Fractions.
+
+    The rows go in as given (the oracle sorts them densest first); the
+    extreme rays, and so the sorted vertices, do not depend on that order.
+    """
+    rows = [integerize_row(nrm, off) for nrm, off in halfspaces]
+    n = len(rows[0][0]) if rows else 0
+    if not rows or _fraction_rank([row for row, _ in rows]) < n:
+        return []
+    cone = [row + (-off,) for row, off in rows] + [(0,) * n + (-1,)]
+    return sorted(tuple(F(v, ray[-1]) for v in ray[:-1])
+                  for ray in _cone_rays(cone, n + 1)[0] if ray[-1] > 0)
+
+
+def test_brute_vertices_sort_as_fractions():
+    rng = random.Random(991)
+    systems = [_cell_pairs(base) for n, count in ((2, 8), (3, 6), (4, 4), (5, 2))
+               for base in _seeded_bases(rng, n, count)]
+    # x, y, z >= 0 and x + y + z >= 1: the three recession rays are dropped
+    pointed = _cube(3)[1::2] + [((F(-1), F(-1), F(-1)), F(-1))]
+    # a triangle whose vertices need different denominators
+    triangle = [((F(-1), F(0)), F(0)), ((F(0), F(-1)), F(0)),
+                ((F(3), F(5)), F(1))]
+    low_rank = _cube(3)[:4]  # no bound on z: normals of rank 2
+    systems += [pointed, triangle, low_rank, []]
+    for hs in systems:
+        got, want = brute_vertices(hs), _fraction_sorted_vertices(hs)
+        assert got == want, hs
+        assert all(type(v) is tuple and all(type(x) is F for x in v)
+                   for v in got), hs
+    assert brute_vertices(low_rank) == brute_vertices([]) == []
+    assert brute_vertices(triangle) == [
+        (F(0), F(0)), (F(0), F(1, 5)), (F(1, 3), F(0))]
+    assert len(brute_vertices(pointed)) == 3
