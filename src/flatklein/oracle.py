@@ -142,9 +142,14 @@ def brute_geodesic_count(y, z, window: int = 3) -> int:
 # ---------------------------------------------------------------------------
 
 def _integerized(halfspaces: Sequence[Halfspace]):
+    """Integer (normals, offsets); every normal must have the first's length."""
     rows, offs = [], []
-    for normal, offset in halfspaces:
+    for i, (normal, offset) in enumerate(halfspaces):
         r, o = integerize_row(normal, offset)
+        if rows and len(r) != len(rows[0]):
+            raise ValueError(
+                f"halfspace {i} has normal {normal} with {len(r)} "
+                f"coordinates, expected {len(rows[0])}")
         rows.append(r)
         offs.append(o)
     return rows, offs
@@ -378,6 +383,10 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     verified: list[tuple[int, list[int], list[int]]] = []
     for vi, key in enumerate(scaled):
         vnum, vden = key
+        if rows and len(vnum) != n:
+            problems.append(f"vertex {_point(key)} has {len(vnum)} "
+                            f"coordinates, expected {n}")
+            continue
         slacks = [off * vden - sum(map(mul, row, vnum))
                   for row, off in zip(rows, offs)]
         if slacks and min(slacks) < 0:

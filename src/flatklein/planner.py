@@ -16,6 +16,14 @@ The representative of a class is its smallest key, so `plan` keeps the
 lift whose tight set has the smallest key and needs neither the face
 lattice nor the face classes; `representatives` lists those keys for a
 whole cell.
+
+A lone minimal lift needs no cell at all.  Every row of R(P) is the
+bisector of P and a deck image gP, so a lift q on that row is as far from
+gP as from P, and g^-1 q is a second lift of the target at the same
+minimal distance.  A lift with no rival is therefore tight on no row: it
+lies in the open cell, its key is () and its face has dimension n.  `plan`
+builds the source's cell only on the cut locus, where two or more lifts
+tie.
 """
 
 from __future__ import annotations
@@ -78,23 +86,27 @@ def plan(y, z, samples: int = 0) -> PlanResult:
     src = _as_klein(y)
     dst = _as_klein(z)
     stratum = classify(src.rep)
-    cell = cut_polytope(src)
     lifts = minimal_lifts(src.rep, dst)
-    by_key = {}
-    for q in lifts:
-        tight = cell.active_descriptors(q)
-        by_key[tuple(sorted(d.key() for d in tight))] = (q, tight)
-    if len(by_key) != len(lifts):
-        raise InvariantError(
-            "minimal lifts must lie on distinct faces: source "
-            f"({', '.join(format_rat(c) for c in src.rep)}), target "
-            f"({', '.join(format_rat(c) for c in dst.rep)}), "
-            f"{len(lifts)} lifts, keys {sorted(by_key)}")
-    k = min(by_key)
-    q, tight = by_key[k]
-    # q is relatively interior to its face, so this is the face's dimension
-    j = cell.n - mat_rank(normal for d, normal, _ in cell.integer_rows()
-                          if d in tight)
+    if len(lifts) == 1:
+        # a lone lift is tight on no row of the cell (module docstring)
+        k, q, j = (), lifts[0], len(src.rep)
+    else:
+        cell = cut_polytope(src)
+        by_key = {}
+        for q in lifts:
+            tight = cell.active_descriptors(q)
+            by_key[tuple(sorted(d.key() for d in tight))] = (q, tight)
+        if len(by_key) != len(lifts):
+            raise InvariantError(
+                "minimal lifts must lie on distinct faces: source "
+                f"({', '.join(format_rat(c) for c in src.rep)}), target "
+                f"({', '.join(format_rat(c) for c in dst.rep)}), "
+                f"{len(lifts)} lifts, keys {sorted(by_key)}")
+        k = min(by_key)
+        q, tight = by_key[k]
+        # q is relatively interior to its face, so this is its dimension
+        j = cell.n - mat_rank(normal for d, normal, _ in cell.integer_rows()
+                              if d in tight)
     pts = tuple(geodesic_path(src.rep, q, samples)) if samples else ()
     return PlanResult(stratum.dim + j, stratum.dim, j, k, q, pts)
 

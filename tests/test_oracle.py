@@ -266,6 +266,31 @@ def test_certify_simple_point_needs_full_rank():
         "vertex (Fraction(1, 1), Fraction(1, 2)) has active rank < 2"]
 
 
+def test_certify_flags_points_of_the_wrong_dimension():
+    square = _cube(2)
+    report = certify_vertices(square, [(0, 0), (0, 0, 0)])
+    assert not report.ok
+    assert report.problems[0] == (
+        "vertex (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)) has 3 "
+        "coordinates, expected 2")
+    # (0,) is not read as (0, 0), and the problem keeps its place in pass 1
+    corners = [(0, 0), (1, 0), (0,), (1, 1), (0, 1)]
+    report = certify_vertices(square, corners)
+    assert (report.ok, report.vertex_count, report.edge_count) == (False, 5, 4)
+    assert report.problems == [
+        "vertex (Fraction(0, 1),) has 1 coordinates, expected 2"]
+
+
+def test_ragged_normals_are_refused():
+    ragged = _cube(2) + [((F(1),), F(1))]
+    for oracle in (brute_vertices,
+                   lambda hs: certify_vertices(hs, [(0, 0), (1, 1)])):
+        with pytest.raises(ValueError,
+                           match=r"halfspace 4 has normal \(Fraction\(1, 1\),\) "
+                                 r"with 1 coordinates, expected 2"):
+            oracle(ragged)
+
+
 def test_certify_finds_duplicates_in_other_forms():
     box = [(nrm, off / 2) for nrm, off in _cube(2)]
     corners = brute_vertices(box)  # (0, 0), (0, 1/2), (1/2, 0), (1/2, 1/2)

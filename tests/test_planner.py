@@ -213,3 +213,36 @@ def test_plan_length_exact_n3(a, b):
     gap = sum((p - q) ** 2 for p, q in zip(y.rep, res.lift))
     assert gap == squared_distance(y, z)
     assert 0 <= res.index <= 6
+
+
+def test_lone_lift_is_tight_on_no_row():
+    # `plan` skips the cell when a target has one minimal lift: every row
+    # is a bisector of P and a deck image, so a lift on a row has a rival
+    rng = random.Random(626)
+    lone = tied = 0
+    for n, count in ((2, 300), (3, 300), (4, 200), (5, 120), (6, 80)):
+        for _ in range(count):
+            y = project(tuple(_seeded_coord(rng) for _ in range(n)))
+            z = project(tuple(_seeded_coord(rng) for _ in range(n)))
+            cell = cut_polytope(y)
+            lifts = minimal_lifts(y.rep, z)
+            if len(lifts) == 1:
+                assert cell.active_descriptors(lifts[0]) == frozenset(), (y, z)
+                lone += 1
+            else:
+                assert all(cell.active_descriptors(q) for q in lifts), (y, z)
+                tied += 1
+    assert lone and tied >= 50, (lone, tied)
+
+
+def test_plan_builds_a_cell_only_on_the_cut_locus():
+    _cached_cell.cache_clear()
+    res = plan((F(1, 10), F(1, 5), F(2, 7)), (F(3, 7), F(1, 2), F(1, 8)))
+    assert res.face_key == ()
+    assert _cached_cell.cache_info().currsize == 0
+    res = plan((F(1, 4), F(0)), (F(1, 4), F(5, 8)))
+    assert res.face_key == ("s+0", "s+1")
+    assert _cached_cell.cache_info().currsize == 1
+    # two lifts are a tie too: the pair sits on a wall of the hexagon
+    res = plan((F(1, 4), F(0)), (F(3, 4), F(0)))
+    assert (res.face_key, res.face_dim, res.index) == (("w0+",), 1, 2)
