@@ -61,6 +61,12 @@ TRUNC_MINUS = "TruncMinus"
 FACE_N_MAX = 7
 
 
+def _gain8(p: int, d: int) -> int:
+    """8 d^2 delta(p/d): 8 d^2 (a - 2a^2) up to a = 1/2, else
+    8 d^2 (1/8 - 2 (a - 3/4)^2), on the integers p and d of a = p/d."""
+    return 8 * p * (d - 2 * p) if 2 * p <= d else d * d - (4 * p - 3 * d) ** 2
+
+
 def delta(a: Rational) -> Fraction:
     """The height gain of the slant over coordinate value a.
 
@@ -68,11 +74,10 @@ def delta(a: Rational) -> Fraction:
     maximal (1/8) at a = 1/4 and a = 3/4.
     """
     a = rat(a)
-    if not 0 < a < 1:
+    p, d = a.numerator, a.denominator
+    if not 0 < p < d:
         raise ValueError("delta is defined on (0, 1)")
-    if a <= HALF:
-        return a - 2 * a * a
-    return Fraction(1, 8) - 2 * (a - Fraction(3, 4)) ** 2
+    return Fraction(_gain8(p, d), 8 * d * d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,15 +108,19 @@ def k_value(subset: Union[LabeledSet, Iterable[int]],
     underlying set, never on labels.
     """
     vals = [rat(x) for x in a]
-    if any(not 0 < v < 1 or v == HALF for v in vals):
+    # 0 < p/q < 1 and p/q != 1/2 in lowest terms: 0 < p < q and q != 2
+    if any(not 0 < v.numerator < v.denominator or v.denominator == 2
+           for v in vals):
         raise ValueError("k_value needs active coordinates in (0,1) \\ {1/2}")
     members = subset.members if isinstance(subset, LabeledSet) else tuple(subset)
     mem = set(members)
     if not mem <= set(range(len(vals))):
         raise ValueError("subset indexes outside the coordinate list")
-    gains = [delta(v) for v in vals]
-    inside = sum((gains[i] for i in mem), start=Fraction(0))
-    return HALF + sum(gains, start=Fraction(0)) - 2 * inside
+    # over 8 D^2: 8 D^2 K = 4 D^2 + sum of gains - 2 * (gains over S)
+    nums, den = common_denominator(vals)
+    gains = [_gain8(p, den) for p in nums]
+    total = 4 * den * den + sum(gains) - 2 * sum(gains[i] for i in mem)
+    return Fraction(total, 8 * den * den)
 
 
 def chamber_reduce(p: Sequence[Rational]):
@@ -201,7 +210,7 @@ class CutPolytope:
     """Immutable cell data for one canonical base point."""
 
     def __init__(self, p: Union[KleinPoint, Sequence[Rational]]):
-        point = p if isinstance(p, KleinPoint) else project(as_point(p))
+        point = p if isinstance(p, KleinPoint) else project(p)
         if not isinstance(p, KleinPoint) and point.rep != as_point(p):
             raise ValueError("base point must be canonical (in [0,1)^n)")
         self.point = point
@@ -550,5 +559,5 @@ def _cached_cell(rep: LiftPoint) -> CutPolytope:
 
 def cut_polytope(p: Union[KleinPoint, Sequence[Rational]]) -> CutPolytope:
     """Shared-cache constructor (cells are immutable)."""
-    point = p if isinstance(p, KleinPoint) else project(as_point(p))
+    point = p if isinstance(p, KleinPoint) else project(p)
     return _cached_cell(point.rep)

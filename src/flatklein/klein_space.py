@@ -52,7 +52,7 @@ def format_rat(x: Fraction) -> str:
 
 def as_point(coords: Sequence[Rational]) -> LiftPoint:
     """Coerce a coordinate sequence to an exact LiftPoint."""
-    pt = tuple(rat(c) for c in coords)
+    pt = tuple(map(rat, coords))
     if len(pt) < 2:
         raise ValueError("points must have dimension at least 2")
     return pt
@@ -128,43 +128,54 @@ class KleinPoint:
         return len(self.rep)
 
 
+def _representative(pt: LiftPoint) -> tuple[LiftPoint, int]:
+    """The representative in [0,1)^n of a cover point, and k = floor(x_n).
+
+    The fixed three-step recipe (bring the last coordinate into [0,2) with
+    an even translation, apply the inverse glide once if it still is >= 1,
+    then reduce the remaining coordinates mod 1) in closed form: the glide
+    runs iff k is odd, and each head coordinate h = x_i (1 - x_i if it ran)
+    ends at h - floor(h).  On the integers of p/d: -p mod d and p mod d are
+    prime to d, so the result stays in lowest terms.
+    """
+    last = pt[-1]
+    num, den = last.numerator, last.denominator
+    k = num // den
+    if k % 2:
+        head = [Fraction(-c.numerator % c.denominator, c.denominator)
+                for c in pt[:-1]]
+    else:
+        head = [c if 0 <= c.numerator < c.denominator
+                else Fraction(c.numerator % c.denominator, c.denominator)
+                for c in pt[:-1]]
+    head.append(Fraction(num - k * den, den) if k else last)
+    return tuple(head), k
+
+
 def canonicalize(x: Sequence[Rational]) -> tuple[KleinPoint, DeckElement]:
     """Reduce a cover point into the fundamental domain [0,1)^n.
 
-    Returns (point, g) with apply_deck(g, x) == point.rep.  g is the fixed
-    three-step recipe (bring the last coordinate into [0,2) with an even
-    translation, apply the inverse glide once if it still is >= 1, then
-    reduce the remaining coordinates mod 1) in closed form: with
-    k = floor(x_n) the glide runs iff k is odd, so g has parity k mod 2 and
-    last shift -k, and each head coordinate h = x_i (1 - x_i if odd) ends
-    at h - floor(h).  Each coordinate p/d is reduced on its own integers:
-    d - p and p mod d are prime to d, so the result stays in lowest terms.
+    Returns (point, g) with apply_deck(g, x) == point.rep: g has parity
+    k mod 2, last shift -k and head shifts parity - floor(h), with k and h
+    as in `_representative`.
     """
     pt = as_point(x)
-    num, den = pt[-1].numerator, pt[-1].denominator
-    k = num // den
+    rep, k = _representative(pt)
     parity = k % 2
-    rep = []
-    shift = []
-    for c in pt[:-1]:
-        p, d = c.numerator, c.denominator
-        if parity:
-            p = d - p
-        f = p // d
-        rep.append(Fraction(p - f * d, d) if parity or f else c)
-        shift.append(parity - f)
-    rep.append(pt[-1] if not k else Fraction(num - k * den, den))
-    return KleinPoint(tuple(rep)), DeckElement(parity, tuple(shift), -k)
+    shift = tuple(parity - (c.denominator - c.numerator if parity
+                            else c.numerator) // c.denominator
+                  for c in pt[:-1])
+    return KleinPoint(rep), DeckElement(parity, shift, -k)
 
 
 def project(x: Sequence[Rational]) -> KleinPoint:
     """The quotient map: forget which lift a cover point was."""
-    return canonicalize(x)[0]
+    return KleinPoint(_representative(as_point(x))[0])
 
 
 def equivalent(x: Sequence[Rational], y: Sequence[Rational]) -> bool:
     """True iff two cover points map to the same quotient point."""
-    return canonicalize(x)[0] == canonicalize(y)[0]
+    return project(x) == project(y)
 
 
 def squared_distance(y: KleinPoint, z: KleinPoint) -> Fraction:
@@ -195,26 +206,18 @@ def squared_distance(y: KleinPoint, z: KleinPoint) -> Fraction:
     return Fraction(min(even, odd), den * den)
 
 
-def _nearest(u: int, step: int) -> list[int]:
-    """All multiples of step at minimal distance from u (one or two)."""
-    lo = u - u % step
-    twice = 2 * (u - lo)
-    if twice < step:
-        return [lo]
-    if twice > step:
-        return [lo + step]
-    return [lo, lo + step]
-
-
 def minimal_lifts(p: Sequence[Rational], z: KleinPoint) -> list[LiftPoint]:
     """All lifts of z at minimal Euclidean distance from the cover point p.
 
     Within each parity branch the candidate set is the Cartesian product of
-    per-coordinate argmin sets (each of size 1 or 2); branches that do not
-    attain the global minimum are discarded, and coincident lifts produced by
-    both branches (possible only at half-integer coordinates) are deduplicated.
-    The result is sorted lexicographically, hence deterministic.  Both
-    points are held as integer numerators over their common denominator.
+    per-coordinate argmin sets: the multiples of the axis step (D on a head
+    axis, 2D on the last) nearest to the gap between p and the branch's
+    image of z, one or two of them.  Branches that do not attain the global
+    minimum are discarded, and coincident lifts produced by both branches
+    (possible only at half-integer coordinates) are deduplicated.  The
+    result is sorted lexicographically, hence deterministic.  Both points
+    are held as integer numerators over their common denominator D, and
+    each distinct lift coordinate becomes one `Fraction`.
     """
     pt = as_point(p)
     n = len(pt)
@@ -222,25 +225,30 @@ def minimal_lifts(p: Sequence[Rational], z: KleinPoint) -> list[LiftPoint]:
         raise ValueError("dimension mismatch")
     nums, den = common_denominator(pt + z.rep)
     a, b = nums[:n], nums[n:]
+    steps = [den] * (n - 1) + [2 * den]
     branches = []
-    for parity in (0, 1):
-        sign = -1 if parity else 1
-        axis_choices: list[list[int]] = []
+    # each parity's image of z: (-1)^parity z_i on the head, z_n + parity
+    for images in (b, [-bi for bi in b[:-1]] + [b[-1] + den]):
+        axes = []
         cost = 0
-        for ai, bi in zip(a[:-1], b[:-1]):
-            u = ai - sign * bi
-            vs = _nearest(u, den)
-            axis_choices.append([sign * bi + v for v in vs])
-            cost += (u - vs[0]) ** 2
-        u = a[-1] - b[-1] - parity * den
-        ts = _nearest(u, 2 * den)
-        axis_choices.append([b[-1] + parity * den + t for t in ts])
-        cost += (u - ts[0]) ** 2
-        branches.append((cost, axis_choices))
+        for ai, bi, step in zip(a, images, steps):
+            r = (ai - bi) % step
+            lo = ai - r
+            if 2 * r < step:
+                axes.append((lo,))
+                cost += r * r
+            elif 2 * r > step:
+                axes.append((lo + step,))
+                cost += (step - r) ** 2
+            else:
+                axes.append((lo, lo + step))
+                cost += r * r
+        branches.append((cost, axes))
     best = min(cost for cost, _ in branches)
-    lifts = {q for cost, choices in branches if cost == best
-             for q in product(*choices)}
-    return [tuple(Fraction(c, den) for c in q) for q in sorted(lifts)]
+    keys = sorted({q for cost, axes in branches if cost == best
+                   for q in product(*axes)})
+    frac = {v: Fraction(v, den) for v in {v for q in keys for v in q}}
+    return [tuple(map(frac.__getitem__, q)) for q in keys]
 
 
 def neighbor_set(p: Sequence[Rational]) -> list[LiftPoint]:

@@ -383,7 +383,11 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     verified: list[tuple[int, list[int], list[int]]] = []
     for vi, key in enumerate(scaled):
         vnum, vden = key
-        if rows and len(vnum) != n:
+        if not rows:
+            # all of R^n, which has no vertex: no row is tight anywhere
+            problems.append(f"vertex {_point(key)} has active rank < {len(vnum)}")
+            continue
+        if len(vnum) != n:
             problems.append(f"vertex {_point(key)} has {len(vnum)} "
                             f"coordinates, expected {n}")
             continue

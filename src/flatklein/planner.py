@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 from ._exact import InvariantError, mat_rank
 from .cut_polytope import cut_polytope
-from .klein_space import (KleinPoint, LiftPoint, as_point,
-                          format_rat, geodesic_path, minimal_lifts, project)
+from .klein_space import (KleinPoint, LiftPoint, format_rat, geodesic_path,
+                          minimal_lifts, project)
 from .stratification import classify
 
 __all__ = ["FaceKey", "PlanResult", "partition_index", "plan", "representatives"]
@@ -42,7 +42,7 @@ FaceKey = tuple  # sorted tuple of descriptor key strings
 
 
 def _as_klein(x) -> KleinPoint:
-    return x if isinstance(x, KleinPoint) else project(as_point(x))
+    return x if isinstance(x, KleinPoint) else project(x)
 
 
 @dataclass(frozen=True)

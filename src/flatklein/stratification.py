@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from ._exact import InvariantError, common_denominator, lp_maximize, mat_rank
-from .klein_space import HALF, LiftPoint, Rational, as_point, format_rat, rat
+from .klein_space import LiftPoint, Rational, as_point, format_rat
 
 __all__ = [
     "DomainDescriptor", "SignVector", "Stratum",
@@ -71,12 +71,20 @@ class DomainDescriptor:
 
     @classmethod
     def of_point(cls, p: Sequence[Rational]) -> "DomainDescriptor":
-        pt = as_point(p)
-        if any(not 0 <= c < 1 for c in pt):
-            raise ValueError("expected a canonical point")
-        kinds = [PRISM if c in (0, HALF) else INTERVAL for c in pt[:-1]]
-        kinds.append(POINT if pt[-1] == 0 else INTERVAL)
-        return cls(tuple(kinds))
+        return cls(_kinds(as_point(p)))
+
+
+def _kinds(pt: LiftPoint) -> tuple[str, ...]:
+    """The domain pattern of an exact canonical point, on its integers.
+
+    With 0 <= p/q < 1 in lowest terms, p/q is in {0, 1/2} iff q <= 2, and
+    the last coordinate is 0 iff p == 0.
+    """
+    if any(not 0 <= c.numerator < c.denominator for c in pt):
+        raise ValueError("expected a canonical point")
+    kinds = [PRISM if c.denominator <= 2 else INTERVAL for c in pt[:-1]]
+    kinds.append(INTERVAL if pt[-1].numerator else POINT)
+    return tuple(kinds)
 
 
 @lru_cache(maxsize=16)
@@ -233,7 +241,7 @@ def stratum_dimension(alpha: SignVector, domain: DomainDescriptor):
 def classify(p: Sequence[Rational]) -> Stratum:
     """The stratum of a canonical point (exact signs, exact dimension)."""
     pt = as_point(p)
-    domain = DomainDescriptor.of_point(pt)
+    domain = DomainDescriptor(_kinds(pt))
     active = domain.active
     n_active = len(active)
     # over the common denominator D of the active coordinates, with c_i

@@ -69,6 +69,42 @@ def test_k_value_ignores_labels():
         assert k_value(LabeledSet((0, 2), eps), a) == plain
 
 
+def _fraction_delta(a):
+    return a - 2 * a * a if a <= F(1, 2) else F(1, 8) - 2 * (a - F(3, 4)) ** 2
+
+
+def test_delta_and_k_value_match_fraction_formulas():
+    # the integer forms against the defining Fraction formulas, on seeded
+    # coordinates over mixed denominators (and one large prime)
+    rng = random.Random(5050)
+    dens = (3, 4, 5, 7, 12, 20, 97, 2**61 - 1)
+    for _ in range(2000):
+        m = rng.randint(1, 6)
+        a = []
+        while len(a) < m:
+            den = rng.choice(dens)
+            v = F(rng.randrange(1, den), den)
+            if v != F(1, 2):
+                a.append(v)
+        for v in a:
+            assert delta(v) == _fraction_delta(v), v
+        s = [i for i in range(m) if rng.random() < 0.5]
+        gains = [_fraction_delta(v) for v in a]
+        ref = F(1, 2) + sum(gains) - 2 * sum(gains[i] for i in s)
+        forms = (a, [str(v) for v in a])
+        for form in forms:
+            assert k_value(s, form) == ref, (s, a)
+    assert delta("1/2") == 0 and delta("3/4") == F(1, 8)
+    for bad in (0, 1, F(5, 4), "-1/3"):
+        with pytest.raises(ValueError, match=r"^delta is defined on \(0, 1\)$"):
+            delta(bad)
+    for bad in ((F(1, 2),), (F(1, 3), 0), (F(1, 3), F(7, 5))):
+        with pytest.raises(ValueError, match=r"active coordinates in \(0,1\)"):
+            k_value((0,), bad)
+    with pytest.raises(ValueError, match="subset indexes outside"):
+        k_value((1,), (F(1, 3),))
+
+
 @given(st.lists(chamber_coord, min_size=1, max_size=5), st.data())
 def test_k_complement_identity_and_monotonicity(a, data):
     a = tuple(a)

@@ -100,6 +100,20 @@ def test_degenerate_inputs():
     assert brute_vertices(_cube(3)[:2]) == []
 
 
+def test_certify_refuses_every_point_without_halfspaces():
+    # R^n with no halfspace has no vertex, whatever the points' dimension
+    report = certify_vertices([], [(0, 0)])
+    assert (report.ok, report.vertex_count, report.edge_count) == (False, 1, 0)
+    assert report.problems == [
+        "vertex (Fraction(0, 1), Fraction(0, 1)) has active rank < 2"]
+    report = certify_vertices([], [(0, 0, 0), (1, F(1, 2))])
+    assert not report.ok
+    assert report.problems == [
+        "vertex (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)) has active "
+        "rank < 3",
+        "vertex (Fraction(1, 1), Fraction(1, 2)) has active rank < 2"]
+
+
 def test_redundant_parallel_rows_keep_cube_corners():
     # C(60, 5) ~ 5.5e6 bases for a basis search; double description drops
     # each redundant row after one pass over the current rays

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import flatklein
 from flatklein import (
+    KleinPoint,
     PlanResult,
+    canonicalize,
     classify,
     cut_polytope,
     minimal_lifts,
@@ -23,7 +25,9 @@ from flatklein import (
     squared_distance,
 )
 from flatklein.cut_polytope import _cached_cell
-from flatklein.stratification import _dimension
+from flatklein.oracle import brute_distance, brute_minimal_images
+from flatklein.stratification import (INTERVAL, POINT, PRISM, DomainDescriptor,
+                                      _dimension)
 
 HEX_BASE = (F(1, 4), F(0))
 
@@ -246,3 +250,63 @@ def test_plan_builds_a_cell_only_on_the_cut_locus():
     # two lifts are a tie too: the pair sits on a wall of the hexagon
     res = plan((F(1, 4), F(0)), (F(3, 4), F(0)))
     assert (res.face_key, res.face_dim, res.index) == (("w0+",), 1, 2)
+
+
+def _fraction_kinds(rep):
+    """The domain pattern by Fraction comparison, as the definition reads."""
+    head = [PRISM if c in (F(0), F(1, 2)) else INTERVAL for c in rep[:-1]]
+    return tuple(head) + (POINT if rep[-1] == 0 else INTERVAL,)
+
+
+def _cover_form(rng, x):
+    """x as Fractions, ints where integral, or strings."""
+    pick = rng.random()
+    if pick < 0.2:
+        return tuple(str(c) for c in x)
+    if pick < 0.4:
+        return tuple(int(c) if c.denominator == 1 else c for c in x)
+    return x
+
+
+def test_per_pair_path_matches_references_on_seeded_pairs():
+    # generic and special coordinates, shifted off [0,1) by up to 3 either
+    # way, given as Fractions, ints, strings or (for plan) KleinPoints
+    rng = random.Random(6464)
+    forms = set()
+    for k in range(1400):
+        n = 2 + k % 7
+        x, w = (tuple(_seeded_coord(rng) + rng.choice((0, 0, -3, -1, 1, 3))
+                      for _ in range(n)) for _ in range(2))
+        xi, wi = _cover_form(rng, x), _cover_form(rng, w)
+        forms |= {type(c) for c in xi + wi}
+        y, z = project(xi), project(wi)
+        assert y == canonicalize(x)[0] and z == canonicalize(w)[0], (x, w)
+        assert brute_distance(x, y.rep, window=8) == 0, x
+        assert DomainDescriptor.of_point(y.rep).kinds == _fraction_kinds(y.rep)
+        assert classify(y.rep).domain.kinds == _fraction_kinds(y.rep)
+        d2, images = brute_minimal_images(y.rep, z)
+        assert minimal_lifts(y.rep, z) == images, (x, w)
+        assert squared_distance(y, z) == d2
+        assert minimal_lifts(xi, z) == brute_minimal_images(x, z, window=8)[1]
+        if n <= 5:
+            assert plan(xi, wi) == plan(KleinPoint(y.rep), z), (x, w)
+    assert forms == {F, int, str}
+
+
+def test_per_pair_errors_keep_type_and_message():
+    z2, z3 = project((0, 0)), project((0, 0, 0))
+    for call in (lambda: project((F(1, 2),)), lambda: canonicalize(("1/3",)),
+                 lambda: classify((0,)), lambda: minimal_lifts((0,), z2),
+                 lambda: plan((0,), (0, 0))):
+        with pytest.raises(ValueError,
+                           match=r"^points must have dimension at least 2$"):
+            call()
+    for call in (lambda: minimal_lifts((0, 0, 0), z2),
+                 lambda: squared_distance(z2, z3),
+                 lambda: plan((0, 0), (0, 0, 0))):
+        with pytest.raises(ValueError, match=r"^dimension mismatch$"):
+            call()
+    for p in ((F(5, 4), 0), ("1/2", "-1/3"), (0, 1), (F(1, 3), F(1, 2), 2)):
+        for call in (classify, DomainDescriptor.of_point):
+            with pytest.raises(ValueError, match=r"^expected a canonical point$"):
+                call(p)
