@@ -301,7 +301,8 @@ def _cmd_verify(args) -> int:
         base = tuple(_random_rational(rng) for _ in range(n))
         cell = cut_polytope(project(base))
         claimed = [v.coords for v in cell.vertices()]
-        pairs = [(nrm, off) for _, nrm, off in cell.halfspaces()]
+        # the cell's halfspaces scaled by 2D, on integers
+        pairs = [(nrm, off) for _, nrm, off in cell.integer_rows()]
         if n <= 5:
             brute = brute_vertices(pairs)
             ok = sorted(claimed) == brute

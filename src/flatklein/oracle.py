@@ -7,10 +7,10 @@ homogenised halfspace system, and certification from an exact walk of the
 edge graph.  These routines are deliberately dumb and exact; they are the
 ground truth the unit and acceptance tests compare against.
 
-`brute_vertices` and `certify_vertices` share one routine, the cone
-enumerator `_cone_rays`, which starts from the simplicial cone of a greedy
-basis found by one fraction-free elimination (`_simplicial_cone`).  They
-never check the same cell (the CLI and the benchmark send n <= 5 to the
+`brute_vertices` and `certify_vertices` share one routine, the double
+description loop `_double_description`, which grows a cone's extreme rays
+from the simplicial cone of a greedy basis of its rows.  They never check
+the same cell (the CLI and the benchmark send n <= 5 to the
 first and n >= 6 to the second), and neither shares a formula with the
 closed-form vertex families.  The tests also hold `brute_vertices` to a
 plain exhaustive basis enumeration at n <= 3, and the edge count of
@@ -27,22 +27,26 @@ sorted as integer numerators over the lcm of the rays' t, which orders
 them as their coordinates do, and each distinct value becomes one
 Fraction.
 
-The edge walk runs on integers, in two passes.  Each claimed point is its
-numerators over the lcm of its denominators, and its slacks
-off*den - row.num give feasibility and the active set.  The first pass
-checks every point and records for every row the bitmask of the verified
-points tight on it.  A simple point (exactly n tight rows) gets a rank
-test alone: its rows B are then invertible, so the cone at it is
-simplicial and edge direction j is tight on every row but j.  At a
-degenerate point (more tight rows) the basis elimination is the rank
-test, and the cone enumeration gives each edge direction's zero set.  The
-rows tight at v and flat along an edge direction cut out the edge
-[v, e], and a verified point inside that edge would have rank n - 1.  So
-in the second pass the AND of those rows' masks, less v, is {e}, or empty
-when the edge ends at no listed vertex.  Only then are the edge
-directions computed and the ratio test run, with ratios slack / step
-compared crosswise, to name the unlisted endpoint or the unbounded
-direction; a Fraction is built only for a problem message.
+The edge walk runs on integers, in two passes.  The first checks every
+point in bulk.  The claimed points go over one common denominator, and
+each row's slacks over all of them are built a column at a time; the
+rows are taken in sorted order, so that rows sharing a prefix (a cell's
+slant rows differ in a few entries) share its partial sums.  Every
+(point, row) slack has its sign tested exactly, which gives each point's
+lowest violated row and its tight rows A.  One fraction-free elimination
+of the transposed rows A^T (`_edge_zerosets`) is then the rank test,
+picks the greedy basis B that `_simplicial_cone` would, and gives each
+simplicial ray's value on every tight row; double description runs on
+those values and yields the zero sets of the point's edge directions, in
+`_cone_rays`' order.  The pass also records for every row the bitmask of
+the verified points tight on it.  The rows tight at v and flat along an
+edge direction cut out the edge [v, e], and a verified point inside that
+edge would have rank n - 1.  So in the second pass the AND of those rows'
+masks, less v, is {e}, or empty when the edge ends at no listed vertex.
+Only then are the edge directions computed (`_cone_rays`) and the ratio
+test run, with ratios slack / step compared crosswise, to name the
+unlisted endpoint or the unbounded direction; a Fraction is built only
+for a problem message.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Sequence
+from operator import add, mul
+from typing import Callable, Iterable, Sequence
 
 from ._exact import (InvariantError, _eliminate, _gauss_jordan,
                      common_denominator, gcd_reduce, integerize_row)
@@ -243,32 +247,23 @@ def _simplicial_cone(rows: Sequence[Sequence[int]],
     return basis, rays
 
 
-def _cone_rays(active_rows: list[tuple[int, ...]], n: int,
-               start: tuple[list[int], list[tuple[int, ...]]] | None = None,
-               ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Extreme rays of the pointed cone {d : row.d <= 0} (rows rank n).
+def _double_description(rays: list[tuple[int, ...]], zerosets: list[int],
+                         inserts: Iterable[int], n: int,
+                         values: Callable[[int, list[tuple[int, ...]]],
+                                          list[int]],
+                         ) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Insert rows into a pointed rank-n cone, one at a time.
 
-    Double description: start from a rank-n subset (a simplicial cone that
-    contains the target) and insert the remaining rows one at a time, with
-    the usual combinatorial adjacency test on zero sets.  `start` is the
-    `_simplicial_cone` of the rows when the caller has it already.  Returns
-    the rays and their zero sets: bit i of a ray's mask is set when
-    active_rows[i].ray == 0.
+    Double description with the usual combinatorial adjacency test on zero
+    sets.  `values(i, rays)` gives row i's value on every current ray; a
+    new ray is a positive combination of two old ones, so the loop works
+    alike on ray coordinates (values are dot products) and on rays' values
+    over a fixed row list (values are entries).  Returns the rays and
+    their zero sets: bit i of a zero set is set when row i is 0 on the ray.
     """
-    basis, rays = start or _simplicial_cone(active_rows, n)
-    if len(basis) != n:
-        raise InvariantError(
-            f"cone is not pointed: active rows {list(active_rows)} have rank "
-            f"{len(basis)} < {n}; basis rows {[active_rows[i] for i in basis]}")
-    zerosets = [sum(1 << basis[i] for i in range(n) if i != j)
-                for j in range(n)]
-    in_basis = set(basis)
-
-    for i, row in enumerate(active_rows):
-        if i in in_basis:
-            continue
+    for i in inserts:
         bit = 1 << i
-        vals = [sum(map(mul, row, r)) for r in rays]
+        vals = values(i, rays)
         keep = [j for j, v in enumerate(vals) if v <= 0]
         pos = [j for j, v in enumerate(vals) if v > 0]
         neg = [j for j, v in enumerate(vals) if v < 0]
@@ -302,6 +297,64 @@ def _cone_rays(active_rows: list[tuple[int, ...]], n: int,
     return rays, zerosets
 
 
+def _cone_rays(active_rows: list[tuple[int, ...]], n: int,
+               start: tuple[list[int], list[tuple[int, ...]]] | None = None,
+               ) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Extreme rays of the pointed cone {d : row.d <= 0} (rows rank n).
+
+    Double description: start from a rank-n subset (a simplicial cone that
+    contains the target) and insert the remaining rows in order.  `start`
+    is the `_simplicial_cone` of the rows when the caller has it already.
+    Returns the rays and their zero sets: bit i of a ray's mask is set
+    when active_rows[i].ray == 0.
+    """
+    basis, rays = start or _simplicial_cone(active_rows, n)
+    if len(basis) != n:
+        raise InvariantError(
+            f"cone is not pointed: active rows {list(active_rows)} have rank "
+            f"{len(basis)} < {n}; basis rows {[active_rows[i] for i in basis]}")
+    zerosets = [sum(1 << basis[i] for i in range(n) if i != j)
+                for j in range(n)]
+    in_basis = set(basis)
+
+    def dots(i: int, rays: list[tuple[int, ...]]) -> list[int]:
+        row = active_rows[i]
+        return [sum(map(mul, row, r)) for r in rays]
+
+    return _double_description(
+        rays, zerosets,
+        [i for i in range(len(active_rows)) if i not in in_basis], n, dots)
+
+
+def _edge_zerosets(active_rows: Sequence[tuple[int, ...]],
+                   n: int) -> list[int] | None:
+    """`_cone_rays(active_rows, n)[1]`, or None when the rows have rank < n.
+
+    One fraction-free Gauss-Jordan elimination of the transposed rows A^T
+    (n x m) does the work.  Its pivot columns are the greedy basis B of
+    `_simplicial_cone`, and there are n of them exactly when A has rank n.
+    Row k of the reduced matrix is E A^T for an invertible E, so its entry
+    i is c_ik p_k, where A_i = sum_k c_ik B_k and p_k is its pivot entry.
+    Simplicial ray k satisfies B_l.d = 0 for l != k and B_k.d < 0, so
+    A_i.d is -c_ik times a positive number: minus the row, times the sign
+    of p_k, is the ray's value on every tight row.  Double description
+    then runs on these value vectors, reading entries instead of taking
+    dot products, and gives the zero sets in `_cone_rays`' order.
+    """
+    reduced: list[Sequence[int]] = list(zip(*active_rows))
+    pivots = _gauss_jordan(reduced)
+    if len(pivots) < n:
+        return None
+    rays = [gcd_reduce([-x for x in row] if row[c] > 0 else row)
+            for row, c in zip(reduced, pivots)]
+    basis = sum(1 << c for c in pivots)
+    zerosets = [basis ^ (1 << c) for c in pivots]
+    others = [i for i in range(len(active_rows)) if not basis >> i & 1]
+    return _double_description(
+        rays, zerosets, others, n,
+        lambda i, rays: [y[i] for y in rays])[1]
+
+
 def _point(scaled: tuple[tuple[int, ...], int]) -> tuple[Fraction, ...]:
     """A point's coordinates from its integer key, for a problem message."""
     nums, den = scaled
@@ -321,6 +374,56 @@ def _scaled_point(p) -> tuple[tuple[int, ...], int]:
         rep = _coords(rep)
     nums, den = common_denominator(rep)
     return tuple(nums), den
+
+
+def _slack_scan(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
+                points: Sequence[tuple[tuple[int, ...], int]],
+                ) -> list[tuple[int | None, list[int]]]:
+    """Each point's lowest violated row (None if it is feasible) and its
+    tight rows in index order.
+
+    The points go over one common denominator Q, as columns X_c of
+    numerators, and row r's slacks over all of them are off_r Q less the
+    sum of row_r[c] X_c, built one column at a time.  The rows are taken
+    in sorted order, so that a row reuses the partial sums of the longest
+    prefix it shares with the row before it (a cell's slant rows differ
+    only in a few entries).  The sign of every (point, row) slack is
+    tested exactly.
+    """
+    if not points:
+        return []
+    q = math.lcm(*(den for _, den in points))
+    cols = list(zip(*(tuple(v * (q // den) for v in nums)
+                      for nums, den in points)))
+    sums: list[list[int]] = [[0] * len(points)]
+    prev: tuple[int, ...] = ()
+    bad: list[int | None] = [None] * len(points)
+    tight_on: list[list[int]] = [[]] * len(rows)
+    for ri in sorted(range(len(rows)), key=rows.__getitem__):
+        row = rows[ri]
+        # sums[c] holds the partial sums over columns < c of this row
+        shared = next((c for c, (x, y) in enumerate(zip(prev, row)) if x != y),
+                      len(prev))
+        del sums[shared + 1:]
+        for c in range(shared, len(row)):
+            entry = row[c]
+            if entry:
+                sums.append(list(map(add, sums[c],
+                                     map(entry.__mul__, cols[c]))))
+            else:
+                sums.append(sums[c])
+        prev = row
+        dots, limit = sums[-1], offs[ri] * q
+        tight_on[ri] = [p for p, dot in enumerate(dots) if dot == limit]
+        if max(dots) > limit:
+            for p, dot in enumerate(dots):
+                if dot > limit and (bad[p] is None or ri < bad[p]):
+                    bad[p] = ri
+    tight: list[list[int]] = [[] for _ in points]
+    for ri, on in enumerate(tight_on):
+        for p in on:
+            tight[p].append(ri)
+    return list(zip(bad, tight))
 
 
 def _edge_problem(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
@@ -376,13 +479,13 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
 
     # pass 1, point checks: the verified points, each with its tight rows
     # and the zero sets of its edge directions; on_row[r] is the mask of
-    # the verified points tight on row r.  At a simple point (n tight rows)
-    # the rank test is all: ray j is tight on every row but j
-    simple = [((1 << n) - 1) ^ (1 << j) for j in range(n)]
+    # the verified points tight on row r
     on_row = [0] * len(rows)
     verified: list[tuple[int, list[int], list[int]]] = []
+    scan = iter(_slack_scan(rows, offs,
+                            [key for key in scaled if len(key[0]) == n]))
     for vi, key in enumerate(scaled):
-        vnum, vden = key
+        vnum = key[0]
         if not rows:
             # all of R^n, which has no vertex: no row is tight anywhere
             problems.append(f"vertex {_point(key)} has active rank < {len(vnum)}")
@@ -391,20 +494,11 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
             problems.append(f"vertex {_point(key)} has {len(vnum)} "
                             f"coordinates, expected {n}")
             continue
-        slacks = [off * vden - sum(map(mul, row, vnum))
-                  for row, off in zip(rows, offs)]
-        if slacks and min(slacks) < 0:
-            bad = next(ri for ri, s in enumerate(slacks) if s < 0)
+        bad, tight = next(scan)
+        if bad is not None:
             problems.append(f"vertex {_point(key)} violates constraint {bad}")
             continue
-        tight = [ri for ri, s in enumerate(slacks) if s == 0]
-        act = [rows[ri] for ri in tight]
-        if len(tight) == n:
-            zerosets = simple if len(_gauss_jordan(act)) == n else None
-        else:
-            start = _simplicial_cone(act, n)
-            zerosets = (_cone_rays(act, n, start)[1] if len(start[0]) == n
-                        else None)
+        zerosets = _edge_zerosets([rows[ri] for ri in tight], n)
         if zerosets is None:
             problems.append(f"vertex {_point(key)} has active rank < {n}")
             continue

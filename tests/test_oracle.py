@@ -12,9 +12,10 @@ import pytest
 
 import flatklein
 from flatklein import KleinPoint, cut_polytope, project
-from flatklein._exact import integerize_row
+from flatklein._exact import common_denominator, integerize_row
 from flatklein.oracle import (
     _cone_rays,
+    _edge_zerosets,
     _simplicial_cone,
     brute_distance,
     brute_geodesic_count,
@@ -152,6 +153,14 @@ def _seeded_bases(rng, n, count):
     def coord():
         return rng.choice((F(0), F(1, 2), F(rng.randrange(1, 12), 12)))
     return [tuple(coord() for _ in range(n - 1)) + (F(rng.randrange(0, 7), 7),)
+            for _ in range(count)]
+
+
+def _generic_bases(rng, n, count):
+    # no horizontal coordinate at 0 or 1/2: simple and degenerate vertices
+    # come about evenly
+    return [tuple(F(rng.choice((1, 2, 3, 4, 5, 7, 8, 9, 10, 11)), 12)
+                  for _ in range(n - 1)) + (F(rng.randrange(0, 7), 7),)
             for _ in range(count)]
 
 
@@ -398,6 +407,119 @@ def test_simplicial_cone_rays_are_negated_inverse_columns():
     assert squares >= 100
 
 
+def _tight_sets(cell):
+    """Every vertex's tight rows of the cell's integer rows, in row order."""
+    rows = cell.integer_rows()
+    out = []
+    for v in cell.vertices():
+        nums, den = common_denominator(v.coords)
+        out.append([nrm for _, nrm, off in rows
+                    if sum(a * x for a, x in zip(nrm, nums)) == off * den])
+    return out
+
+
+def _check_zerosets(act, n):
+    got = _edge_zerosets(act, n)
+    if _fraction_rank(act) < n:
+        assert got is None, act
+    else:
+        assert got == _cone_rays(act, n)[1], act
+
+
+def test_edge_zerosets_match_cone_rays_on_cell_tight_sets():
+    # prism coordinates (0, 1/2) and a last coordinate of 0 are drawn too
+    rng = random.Random(1601)
+    sizes = set()
+    for n, count in ((3, 12), (4, 8), (5, 3), (6, 1)):
+        bases = _seeded_bases(rng, n, count)
+        generic = tuple(F(k, 12) for k in (1, 5, 7, 2, 11)[:n - 1])
+        bases.append(generic + (F(0),))
+        for base in bases:
+            for act in _tight_sets(cut_polytope(base)):
+                sizes.add(len(act) - n)
+                _check_zerosets(act, n)
+                # one row fewer: rank n or below, both must come out right
+                k = rng.randrange(len(act))
+                _check_zerosets(act[:k] + act[k + 1:], n)
+    assert 0 in sizes and max(sizes) >= 4, sizes
+
+
+def test_edge_zerosets_on_hand_made_cones():
+    cones = [
+        [(1, 0), (1, 0), (0, 1)],                 # a duplicate row
+        [(1, 0), (2, 0), (0, 1), (0, 3)],         # positively parallel rows
+        [(0, 0), (1, 0), (0, 0), (0, 1)],         # zero rows
+        [(1, 0), (0, 0)],                         # rank 1 < 2
+        [(1, 0), (-1, 0), (0, 1), (0, -1)],       # the cone {0}: no ray
+        [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 0)],
+        [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (-2, 0, 0), (1, 1, 1), (0, 0, 0)],
+    ]
+    for act in cones:
+        _check_zerosets(act, len(act[0]))
+    assert _edge_zerosets([(1, 0), (0, 0)], 2) is None
+    assert _edge_zerosets([(1, 0), (-1, 0), (0, 1), (0, -1)], 2) == []
+    rng = random.Random(1602)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        act = [tuple(rng.randint(-4, 4) for _ in range(n))
+               for _ in range(rng.randint(1, n + 4))]
+        for _ in range(rng.randint(0, 2)):
+            row = rng.choice(act)
+            k = rng.choice((0, 1, 2, 3))  # a zero, duplicate or parallel row
+            act.insert(rng.randrange(len(act) + 1), tuple(k * x for x in row))
+        _check_zerosets(act, n)
+
+
+def _dependency(act):
+    """The one linear dependency of n + 1 rows of rank n, over Fractions."""
+    m = len(act)
+    cols = [[F(row[c]) for row in act] for c in range(len(act[0]))]
+    pivots = []
+    for j in range(m):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(cols)) if cols[i][j]), None)
+        if piv is None:
+            continue
+        cols[r], cols[piv] = cols[piv], cols[r]
+        cols[r] = [x / cols[r][j] for x in cols[r]]
+        for i in range(len(cols)):
+            if i != r and cols[i][j]:
+                f = cols[i][j]
+                cols[i] = [x - f * y for x, y in zip(cols[i], cols[r])]
+        pivots.append(j)
+    free = next(j for j in range(m) if j not in pivots)
+    lam = [F(0)] * m
+    lam[free] = F(1)
+    for r, j in enumerate(pivots):
+        lam[j] = -cols[r][free]
+    return lam
+
+
+def test_corank_one_zerosets_from_the_dependency():
+    # n + 1 tight rows of rank n with dependency lam: the edges are tight on
+    # every row but i where lam_i = 0, and on every row but i, j where
+    # lam_i > 0 > lam_j; no double description in this reference
+    rng = random.Random(1603)
+    points = 0
+    for n, count in ((4, 3), (5, 2), (6, 1)):
+        for base in _generic_bases(rng, n, count):
+            for act in _tight_sets(cut_polytope(base)):
+                if len(act) != n + 1 or _fraction_rank(act) < n:
+                    continue
+                lam = _dependency(act)
+                assert any(lam) and not any(
+                    sum(l * row[c] for l, row in zip(lam, act))
+                    for c in range(n)), act
+                full = (1 << (n + 1)) - 1
+                want = [full ^ (1 << i) for i in range(n + 1) if lam[i] == 0]
+                want += [full ^ (1 << i) ^ (1 << j)
+                         for i, j in itertools.combinations(range(n + 1), 2)
+                         if lam[i] * lam[j] < 0]
+                assert sorted(_edge_zerosets(act, n)) == sorted(want), act
+                points += 1
+    assert points >= 100, points
+
+
 def test_certify_large_chamber_with_dominant_coordinate():
     # n=7 chamber where one (a_k - 1/4)^2 exceeds half the total: the cell
     # carries middle and truncating vertices for two nested subsets at once.
@@ -514,8 +636,8 @@ def test_mask_endpoints_match_fraction_ratio_walk():
                 pairs, verts + [verts[k]])
             moved = _same_report(pairs, verts[:k] + [shifted] + verts[k + 1:])
             assert any(f"unlisted vertex {verts[k]}" in msg for msg in moved)
-    # the certifier takes simple points (n tight rows) by a rank test alone
-    # and runs double description at the others: both paths are held here
+    # simple points (n tight rows) and degenerate ones (more) are both held
+    # here
     assert simple and degenerate, (simple, degenerate)
     # x, y, z >= 0 and x + y + z >= 1: every vertex has an unbounded edge
     pointed = _cube(3)[1::2] + [((F(-1), F(-1), F(-1)), F(-1))]
@@ -539,6 +661,76 @@ def test_mask_endpoints_match_fraction_ratio_walk_generic_n6():
     missing = _same_report(pairs, verts[:k] + verts[k + 1:])
     assert missing and all(msg.endswith(f"unlisted vertex {verts[k]}")
                            for msg in missing)
+
+
+def _violated(halfspaces, point):
+    return [i for i, (nrm, off) in enumerate(halfspaces)
+            if sum(a * x for a, x in zip(nrm, point)) > off]
+
+
+def test_bulk_pass_edge_cases_match_ratio_walk():
+    rng = random.Random(1604)
+    for base in _generic_bases(rng, 3, 2) + _generic_bases(rng, 4, 1):
+        pairs = _cell_pairs(base)
+        verts = brute_vertices(pairs)
+        n = len(base)
+        # outside several rows at once: the lowest of them is named
+        far = tuple(x + 2 for x in verts[-1])
+        bad = _violated(pairs, far)
+        assert len(bad) >= 2, base
+        problems = _same_report(pairs, verts + [far])
+        assert problems == [f"vertex {far} violates constraint {bad[0]}"]
+        # the most degenerate vertex alone: all its edges reach unlisted
+        # vertices, in the order of its edge directions
+        tight = _tight_counts(pairs, verts)
+        lone = verts[tight.index(max(tight))]
+        assert len(_same_report(pairs, [lone])) > n, base
+        # ints and Fractions of several denominators in one claim
+        mixed = [tuple(int(x) if x.denominator == 1 and i % 2 else x
+                       for x in v) for i, v in enumerate(verts)]
+        odd = [tuple(x + F(1, 97) for x in verts[0]), (0,) * n,
+               tuple(F(k, 5) if k % 2 else k // 4 for k in range(n))]
+        _same_report(pairs, mixed[:3] + odd + mixed[3:])
+        # a point of the wrong length among good ones keeps its place in
+        # pass 1, between the points before and after it
+        mid = tuple((x + y) / 2 for x, y in zip(verts[0], verts[-1]))
+        claim = verts[:2] + [far] + verts[2:5] + verts[5:] + [mid]
+        want = list(_ratio_walk_report(pairs, claim))
+        report = certify_vertices(pairs, verts[:2] + [far] + verts[2:5]
+                                  + [verts[0][:-1]] + verts[5:] + [mid])
+        want[0], want[1] = False, want[1] + 1
+        want[3] = want[3][:1] + [
+            f"vertex {verts[0][:-1]} has {n - 1} coordinates, expected {n}"
+        ] + want[3][1:]
+        assert (report.ok, report.vertex_count, report.edge_count,
+                report.problems) == tuple(want), base
+    # ints and Fractions on a cube and a box of half-integer corners
+    cube = list(itertools.product((0, F(1)), (F(0), 1), (0, 1)))
+    _same_report(_cube(3), cube)
+    box = [(nrm, off / 2) for nrm, off in _cube(2)]
+    _same_report(box, [(0, 0), (F(1, 2), 0), (0, F(2, 4)), (F(1, 2), F(1, 2)),
+                       (F(1, 3), 0), (F(1, 4), F(1, 6))])
+
+
+def test_bulk_pass_mid_edge_point_n6():
+    # a point in the middle of an edge has rank n - 1 = 5, and a point far
+    # outside violates many rows at once; one prism coordinate keeps the
+    # cell at 324 vertices, a fifth of them degenerate
+    rng = random.Random(1605)
+    base = (F(1, 2), F(5, 12), F(1, 12), F(7, 12), F(1, 3), F(2, 7))
+    cell = cut_polytope(base)
+    pairs = _cell_pairs(base)
+    verts = [v.coords for v in cell.vertices()]
+    k = rng.randrange(len(verts))
+    j = next(j for j in range(len(verts))
+             if _adjacent_pairs(pairs, [verts[k], verts[j]]))
+    mid = tuple((x + y) / 2 for x, y in zip(verts[k], verts[j]))
+    far = tuple(x - 3 for x in verts[j])
+    assert len(_violated(pairs, far)) >= 2
+    problems = _same_report(pairs, verts[:k] + [mid] + verts[k:] + [far])
+    assert problems == [f"vertex {mid} has active rank < 6",
+                        f"vertex {far} violates constraint "
+                        f"{_violated(pairs, far)[0]}"]
 
 
 def _fraction_sorted_vertices(halfspaces):
