@@ -59,7 +59,7 @@ from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from ._exact import (InvariantError, _eliminate, _gauss_jordan,
-                     common_denominator, gcd_reduce, integerize_row)
+                     common_denominator, gcd_reduce)
 
 Halfspace = tuple[Sequence[Fraction], Fraction]
 
@@ -146,17 +146,28 @@ def brute_geodesic_count(y, z, window: int = 3) -> int:
 # ---------------------------------------------------------------------------
 
 def _integerized(halfspaces: Sequence[Halfspace]):
-    """Integer (normals, offsets); every normal must have the first's length."""
-    rows, offs = [], []
+    """Integer (normals, offsets), every row over one common denominator;
+    every normal must have the first's length.
+
+    One scale for all rows keeps the entries that two rows share equal
+    (the two slants of one bit pattern differ only in the last), so
+    `_slack_scan` shares their partial sums.  Rays and ratio-test
+    endpoints do not depend on the scale of a row.
+    """
+    width = None
+    flat = []
     for i, (normal, offset) in enumerate(halfspaces):
-        r, o = integerize_row(normal, offset)
-        if rows and len(r) != len(rows[0]):
+        if width is None:
+            width = len(normal)
+        elif len(normal) != width:
             raise ValueError(
-                f"halfspace {i} has normal {normal} with {len(r)} "
-                f"coordinates, expected {len(rows[0])}")
-        rows.append(r)
-        offs.append(o)
-    return rows, offs
+                f"halfspace {i} has normal {normal} with {len(normal)} "
+                f"coordinates, expected {width}")
+        flat += [*normal, offset]
+    nums = common_denominator(flat)[0]
+    step = (width or 0) + 1
+    rows = [tuple(nums[k:k + step - 1]) for k in range(0, len(nums), step)]
+    return rows, nums[step - 1::step]
 
 
 def brute_vertices(halfspaces: Sequence[Halfspace]) -> list[tuple[Fraction, ...]]:

@@ -12,14 +12,22 @@ Points with the same domain pattern and the same full sign vector form a
 stratum; the cell combinatorics (which vertices exist, how faces match up)
 is constant on each stratum.
 
-Stratum dimension is a real-variety dimension computed in the squared
-coordinates u_i = b_i^2 by exact linear programming: nonnegativity can
-force coordinates to vanish, so naive rank counting over the zero-set
-equations is wrong (a two-equation pattern at N = 6 pins four further
-coordinates at 0 and the true dimension is 2, not 5).  The LPs see only
-the active count and the sign pattern, so `_dimension` is cached per
-pattern and returns the u-space dimension; a stratum whose last
-coordinate is an interval adds 1 to it.
+Stratum dimension is a real-variety dimension, counted in the squared
+coordinates u_i = b_i^2.  There every constraint is linear and the box is
+0 <= u_i < 1/16, so a stratum's u-region is convex and has the dimension
+of its cone of feasible directions at any of its points.  At a point u*
+of the stratum every nonzero K_S and every u_i < 1/16 is strict, so near
+u* the region is {E u = e, u_Z >= 0}: E holds the rows with K_S(u*) = 0
+and Z = {i : u*_i = 0}.  With no zero K_S the dimension is N; otherwise
+it is N - rank(E with e_i for each i in Z that the cone {E d = 0,
+d_Z >= 0} forces to d_i = 0), all the forced i found by one small LP.
+Rank counting over E alone is wrong: a two-equation pattern at N = 6
+forces four further coordinates to 0, and the true dimension is 2, not 5.
+`classify` and `catalog` read the dimension at a point this way, cached
+per set of zero signs and zero set.  A sign vector with no point goes to
+`_dimension`, a tau-LP for feasibility plus one box LP per coordinate,
+cached per pattern.  Both count u-space; a stratum whose last coordinate
+is an interval adds 1.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ PRISM = "prism"
 POINT = "point"
 
 _SIXTEENTH = Fraction(1, 16)
-_PATTERN_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -99,11 +106,17 @@ def _subsets(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=16)
+def _subset_masks(k: int) -> tuple[tuple[int, int], ...]:
+    """The bitmask and the size of each subset in `_subsets(k)`."""
+    return tuple((sum(1 << j for j in sub), len(sub)) for sub in _subsets(k))
+
+
+@lru_cache(maxsize=16)
 def _subset_slots(k: int) -> tuple[int, ...]:
     """The index in `_subsets(k)` of each subset, looked up by its bitmask."""
     slots = [0] * (1 << k)
-    for index, sub in enumerate(_subsets(k)):
-        slots[sum(1 << j for j in sub)] = index
+    for index, (mask, _) in enumerate(_subset_masks(k)):
+        slots[mask] = index
     return tuple(slots)
 
 
@@ -230,6 +243,72 @@ def _dimension(n_active: int, signs: tuple[int, ...]):
     return dim_u
 
 
+def _k_signs(n_active: int, u: Sequence[int], sq: int) -> tuple[int, ...]:
+    """The sign of K_S for every subset S, in `_subsets` order, from
+    integers u_i = 16 D^2 b_i^2 and sq = D^2:
+    16 D^2 K_S = (N + 4 - 2|S|) D^2 + 2 sum_{i in S} u_i - sum_i u_i."""
+    sums = [0]  # sums[mask] = 2 sum_{i in mask} u_i
+    for x in u:
+        sums += [t + 2 * x for t in sums]
+    total = sum(u)
+    base = [(n_active + 4 - 2 * r) * sq - total for r in range(n_active + 1)]
+    signs = []
+    for mask, size in _subset_masks(n_active):
+        val = base[size] + sums[mask]
+        signs.append((val > 0) - (val < 0))
+    return tuple(signs)
+
+
+def _point_dimension(n_active: int, signs: tuple[int, ...], u: Sequence[int]) -> int:
+    """u-space dimension of the pattern's region, read at a point of it
+    (integers u_i proportional to b_i^2); no LP when no K_S vanishes."""
+    if 0 not in signs:
+        return n_active
+    return _cone_dimension(n_active,
+                           tuple(i for i, sign in enumerate(signs) if sign == 0),
+                           sum(1 << i for i, x in enumerate(u) if x == 0))
+
+
+@lru_cache(maxsize=4096)
+def _cone_dimension(n_active: int, eq_slots: tuple[int, ...], zeros: int) -> int:
+    """Dimension of the cone {E d = 0, d_Z >= 0}: E holds the K_S rows at
+    the `_subsets` indices `eq_slots` (the zero signs) and Z the bits of
+    `zeros` (the vanishing coordinates); see the module docstring."""
+    subsets = _subsets(n_active)
+    eq = [[1 if j in subsets[i] else -1 for j in range(n_active)] for i in eq_slots]
+    rank = mat_rank(eq)
+    zero = [i for i in range(n_active) if zeros >> i & 1]
+    if rank == n_active or not zero:
+        return n_active - rank
+    # the LP's columns: d_Z, then each free d_j as the difference of two
+    free = [j for j in range(n_active) if not zeros >> j & 1]
+    unforced = _unforced(tuple(
+        tuple([row[j] for j in zero] + [s * row[j] for j in free for s in (1, -1)])
+        for row in eq), len(zero))
+    forced = [[int(i == j) for j in range(n_active)]
+              for k, i in enumerate(zero) if not unforced >> k & 1]
+    return n_active - mat_rank(eq + forced)
+
+
+@lru_cache(maxsize=1024)
+def _unforced(a_eq: tuple[tuple[int, ...], ...], m: int) -> int:
+    """The bits k < m for which some x >= 0 with a_eq x = 0 has x_k > 0,
+    from one LP (after Freund, Roundy & Todd, 1985).
+
+    Maximize sum_k 2^k t_k over 0 <= t_k <= 1, t_k <= x_k.  The solutions
+    are closed under addition, so one x reaches x_k >= 1 at every such k
+    at once, while t_k = 0 wherever x_k is forced to 0: the optimum is
+    exactly the bitmask.  Cached per LP, since permuted patterns repeat it.
+    """
+    width = len(a_eq[0])
+    a_ub = [[-(j == k) for j in range(width)] + [int(j == k) for j in range(m)]
+            for k in range(m)]
+    a_ub += [[0] * width + [int(j == k) for j in range(m)] for k in range(m)]
+    cost = [0] * width + [1 << k for k in range(m)]
+    return int(lp_maximize(cost, a_ub, [0] * m + [1] * m,
+                           [[*row, *[0] * m] for row in a_eq], [0] * len(a_eq)))
+
+
 def stratum_dimension(alpha: SignVector, domain: DomainDescriptor):
     """Dimension of the stratum, or None when the sign vector is infeasible."""
     if alpha.active != domain.active:
@@ -245,24 +324,13 @@ def classify(p: Sequence[Rational]) -> Stratum:
     active = domain.active
     n_active = len(active)
     # over the common denominator D of the active coordinates, with c_i
-    # folded into (0, 1/2) and U_i = (4c_i - D)^2 = (16 D^2) b_i^2,
-    # 16 D^2 K_S = (N + 4 - 2|S|) D^2 + 2 sum_{i in S} U_i - sum_i U_i
+    # folded into (0, 1/2), U_i = (4c_i - D)^2 = (16 D^2) b_i^2
     nums, den = common_denominator([pt[i] for i in active])
     u = [(4 * min(c, den - c) - den) ** 2 for c in nums]
-    total = sum(u)
-    sq = den * den
-    signs = []
-    for sub in _subsets(n_active):
-        val = (n_active + 4 - 2 * len(sub)) * sq + 2 * sum(u[j] for j in sub) - total
-        signs.append((val > 0) - (val < 0))
-    alpha = SignVector(active, tuple(signs))
-    dim = stratum_dimension(alpha, domain)
-    if dim is None:
-        raise InvariantError(
-            "sign vector of a real point cannot be infeasible: point "
-            f"({', '.join(format_rat(c) for c in pt)}), signs {tuple(signs)}")
-    return Stratum(domain, alpha, dim, pt,
-                   _is_coincidence(n_active, alpha.signs))
+    signs = _k_signs(n_active, u, den * den)
+    dim = _point_dimension(n_active, signs, u) + (domain.kinds[-1] == INTERVAL)
+    return Stratum(domain, SignVector(active, signs), dim, pt,
+                   _is_coincidence(n_active, signs))
 
 
 def same_stratum(p: Sequence[Rational], q: Sequence[Rational]) -> bool:
@@ -344,14 +412,19 @@ def _plausible_six(choice: dict, deg: list) -> bool:
 
 @lru_cache(maxsize=16)
 def _strata_for_size(n_active: int):
-    """All feasible sign patterns over subsets of range(n_active), with
-    witnesses (as b-vectors) and coincidence flags."""
+    """All feasible sign patterns over subsets of range(n_active), each with
+    its u-space dimension, witness b-vector and coincidence flag.
+
+    A candidate whose witness realizes its signs is nonempty, and its
+    dimension is read at the witness.  Every other candidate must be empty:
+    the tau-LP of `_dimension` checks that the witness table misses none.
+    """
     subsets = _subsets(n_active)
     deg = [sub for sub in subsets if _degenerable(n_active, len(sub))]
     # index pairs (small, big) into deg with small a proper subset of big
     nested = [(i, j) for i, small in enumerate(deg) for j, big in enumerate(deg)
               if len(small) < len(big) and set(small) <= set(big)]
-    found = []
+    out = []
     for assignment in itertools.product((1, 0, -1), repeat=len(deg)):
         # monotone filter: S subset S' forces sign(S') <= sign(S), not both 0
         if any(assignment[big] > assignment[small]
@@ -362,16 +435,16 @@ def _strata_for_size(n_active: int):
         if n_active == 6 and not _plausible_six(choice, deg):
             continue
         signs = tuple(choice.get(sub, 1) for sub in subsets)
-        if _dimension(n_active, signs) is not None:
-            found.append(signs)
-        if len(found) > _PATTERN_LIMIT:  # defensive: unsupported sizes
-            raise InvariantError(
-                f"sign-pattern search exploded: {len(found)} feasible patterns "
-                f"over {n_active} active coordinates, limit {_PATTERN_LIMIT}")
-    out = []
-    for signs in found:
         b = _witness_b(n_active, signs)
-        out.append((signs, b, _is_coincidence(n_active, signs)))
+        nums, den = common_denominator(b)
+        u = [(4 * x) ** 2 for x in nums]
+        if _k_signs(n_active, u, den * den) == signs:
+            out.append((signs, _point_dimension(n_active, signs, u), b,
+                        _is_coincidence(n_active, signs)))
+        elif _dimension(n_active, signs) is not None:
+            raise InvariantError(
+                f"witness table misses a feasible pattern: signs {signs} "
+                f"over {n_active} active coordinates")
     return out
 
 
@@ -384,8 +457,8 @@ def catalog(n: int) -> list[Stratum]:
         for last in (INTERVAL, POINT):
             domain = DomainDescriptor(horiz + (last,))
             active = domain.active
-            for signs, b_vals, coin in _strata_for_size(len(active)):
-                dim = _dimension(len(active), signs) + (last == INTERVAL)
+            for signs, dim_u, b_vals, coin in _strata_for_size(len(active)):
+                dim = dim_u + (last == INTERVAL)
                 witness = [Fraction(0)] * n
                 for i, b in zip(active, b_vals):
                     witness[i] = Fraction(1, 4) + b

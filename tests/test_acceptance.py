@@ -30,7 +30,7 @@ from flatklein.oracle import (
     brute_vertices,
     certify_vertices,
 )
-from flatklein.stratification import _dimension
+from flatklein.stratification import _cone_dimension, _dimension, _unforced
 
 DENS = (7, 9, 11, 12, 13, 20)
 
@@ -399,6 +399,8 @@ def test_criterion_11_planner_partition():
     # seed-independence: replay in shuffled order on a fresh cache
     _cached_cell.cache_clear()
     _dimension.cache_clear()
+    _cone_dimension.cache_clear()
+    _unforced.cache_clear()
     replay = random.Random(2222)
     shuffled = kept[:]
     replay.shuffle(shuffled)
@@ -527,6 +529,8 @@ def test_criterion_13_planner_n4_to_n6():
     # the same choices on fresh caches, in shuffled order
     _cached_cell.cache_clear()
     _dimension.cache_clear()
+    _cone_dimension.cache_clear()
+    _unforced.cache_clear()
     random.Random(3131).shuffle(kept)
     for y, z, res in kept:
         assert plan(y, z) == res
@@ -538,7 +542,7 @@ def test_criterion_14_planner_n7_n8():
     start = time.perf_counter()
     rng = random.Random(1414)
     kept = []
-    for n, count in ((7, 60), (8, 20)):
+    for n, count in ((7, 60), (8, 20), (9, 20), (10, 20)):
         for _ in range(count):
             y = project(tuple(_rat(rng) for _ in range(n)))
             z = project(tuple(_rat(rng) for _ in range(n)))
@@ -552,14 +556,18 @@ def test_criterion_14_planner_n7_n8():
     # a generic source planned to itself reaches the top index 2n
     for y in ((F(1, 10), F(1, 5), F(2, 7), F(1, 3), F(2, 9), F(3, 11), F(1, 3)),
               (F(1, 10), F(1, 5), F(2, 7), F(1, 3), F(2, 9), F(3, 11), F(1, 7),
-               F(1, 3))):
+               F(1, 3)),
+              (F(1, 10), F(1, 5), F(2, 7), F(1, 3), F(2, 9), F(3, 11), F(1, 7),
+               F(2, 13), F(3, 7), F(1, 3))):
         assert plan(project(y), project(y)).index == 2 * len(y)
 
     # the same choices on fresh caches, in shuffled order
     _cached_cell.cache_clear()
     _dimension.cache_clear()
+    _cone_dimension.cache_clear()
+    _unforced.cache_clear()
     random.Random(4141).shuffle(kept)
     for y, z, res in kept:
         assert plan(y, z) == res
-    _report(14, "planner at n=7/8: indices, exact lengths, oracle lifts, "
+    _report(14, "planner at n=7..10: indices, exact lengths, oracle lifts, "
                 "determinism", start, cap=60.0)

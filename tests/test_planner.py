@@ -27,7 +27,7 @@ from flatklein import (
 from flatklein.cut_polytope import _cached_cell
 from flatklein.oracle import brute_distance, brute_minimal_images
 from flatklein.stratification import (INTERVAL, POINT, PRISM, DomainDescriptor,
-                                      _dimension)
+                                      _cone_dimension, _dimension, _unforced)
 
 HEX_BASE = (F(1, 4), F(0))
 
@@ -99,6 +99,8 @@ def test_plan_is_deterministic_and_cache_independent():
     first = plan(y, z)
     _cached_cell.cache_clear()
     _dimension.cache_clear()
+    _cone_dimension.cache_clear()
+    _unforced.cache_clear()
     assert plan(y, z) == first
 
 

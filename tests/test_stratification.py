@@ -26,8 +26,10 @@ from flatklein.stratification import (
     INTERVAL,
     POINT,
     PRISM,
+    _cone_dimension,
     _dimension,
     _strata_for_size,
+    _unforced,
 )
 
 canon_coord = st.fractions(min_value=0, max_value=F(39, 40), max_denominator=40)
@@ -150,20 +152,6 @@ def test_classify_prism_coordinates_excluded():
     s = classify((F(1, 2), F(3, 10), F(0), F(1, 5)))
     assert s.domain.kinds == (PRISM, INTERVAL, PRISM, INTERVAL)
     assert s.alpha.active == (1,)
-
-
-def test_classify_check_survives_optimisation():
-    # an infeasible dimension for a real point is a bug; -O strips asserts
-    src = str(Path(flatklein.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c",
-         "import sys; sys.path.insert(0, sys.argv[1])\n"
-         "from flatklein import stratification\n"
-         "stratification._dimension = lambda *args: None\n"
-         "try:\n    stratification.classify(('1/4', '3/10', '1/3'))\n"
-         "except AssertionError as exc:\n    print(exc)", src],
-        capture_output=True, text=True, check=True)
-    assert "point (1/4, 3/10, 1/3)" in out.stdout
 
 
 def test_same_stratum_examples():
@@ -334,15 +322,21 @@ def test_classify_signs_match_fraction_slacks():
     assert {(7, 0), (8, -1), (9, -1), (9, 0)} <= seen
 
 
-def test_pattern_search_limit_names_its_inputs(monkeypatch):
-    # every monotone size-6 candidate "feasible": far more than the limit
-    monkeypatch.setattr(stratification, "_dimension", lambda n_active, signs: 0)
-    monkeypatch.setattr(stratification, "_plausible_six", lambda choice, deg: True)
-    with pytest.raises(flatklein.InvariantError) as info:
-        _strata_for_size.__wrapped__(6)
-    assert str(info.value) == (
-        "sign-pattern search exploded: 257 feasible patterns over 6 active "
-        "coordinates, limit 256")
+def test_catalog_witness_check_survives_optimisation():
+    # a candidate pattern the witness table misses must be empty; the tau-LP
+    # checks that, and -O strips asserts
+    src = str(Path(flatklein.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1])\n"
+         "from fractions import Fraction\n"
+         "from flatklein import stratification\n"
+         "stratification._witness_b = lambda n, signs: (Fraction(0),) * n\n"
+         "try:\n    stratification.catalog(5)\n"
+         "except AssertionError as exc:\n    print(exc)", src],
+        capture_output=True, text=True, check=True)
+    assert out.stdout == ("witness table misses a feasible pattern: signs "
+                          f"{(1,) * 16} over 4 active coordinates\n")
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +414,70 @@ def test_dimension_matches_vertex_enumeration():
             nonempty += dim is not None
     assert (empty, nonempty) == (701, 36)
     for n in range(7):
-        for signs, _, _ in _strata_for_size(n):
+        for signs, *_ in _strata_for_size(n):
             assert _dimension(n, signs) == _vertex_dimension(n, signs), (n, signs)
+
+
+_SPECIAL = (F(0), F(1, 2), F(1, 4), F(3, 4), F(1, 8), F(3, 8))
+
+
+def _seeded_points(count, seed):
+    """Points at n = 2..9 that mix 0, 1/2, b = 0 (1/4, 3/4), b = +-1/8,
+    values near 1/4 or 3/4 and generic values; every third point takes
+    only the special values, which is where K_S and b_i vanish together."""
+    rng = random.Random(seed)
+
+    def coord(special_only):
+        if special_only or rng.random() < 0.5:
+            return rng.choice(_SPECIAL)
+        if rng.random() < 0.5:
+            return rng.choice((F(1, 4), F(3, 4))) + F(rng.randrange(-3, 4), 40)
+        return F(rng.randrange(1, 13), 13)
+
+    return [tuple(coord(k % 3 == 0) for _ in range(1 + k % 8))
+            + (rng.choice((F(0), F(1, 3), F(4, 7))),) for k in range(count)]
+
+
+def test_point_dimension_matches_both_oracles():
+    # the local cone at a real point (classify) against the LP `_dimension`
+    # and the LP-free vertex count, per distinct (active count, signs)
+    points = [s.witness for n in range(2, 8) for s in catalog(n)]
+    points += _seeded_points(3000, 1717)
+    dims, both = {}, 0
+    for p in points:
+        s = classify(p)
+        n_active = len(s.alpha.active)
+        dim_u = s.dim - (s.domain.kinds[-1] == INTERVAL)
+        assert dims.setdefault((n_active, s.alpha.signs), dim_u) == dim_u, p
+        both += 0 in s.alpha.signs and F(1, 4) in (
+            min(p[i], 1 - p[i]) for i in s.alpha.active)
+    # K_S = 0 and b_i = 0 together: the n = 7 catalog witnesses with zeros
+    # and seeded points up to n = 9
+    assert both >= 50, both
+    assert {n for n, signs in dims if 0 in signs} >= {4, 5, 6, 7, 8}
+    for (n_active, signs), dim_u in dims.items():
+        assert _dimension(n_active, signs) == dim_u, (n_active, signs)
+        assert _vertex_dimension(n_active, signs) == dim_u, (n_active, signs)
+
+
+def test_classify_solves_no_lp_without_a_zero_slack(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classify solved an LP")
+
+    monkeypatch.setattr(stratification, "lp_maximize", refuse)
+    _cone_dimension.cache_clear()
+    _unforced.cache_clear()
+    rng = random.Random(1919)
+    for n in range(2, 13):
+        p = tuple(F(rng.randrange(1, 13), 13) for _ in range(n - 1)) + (F(1, 3),)
+        s = classify(p)
+        assert 0 not in s.alpha.signs and s.dim == n, p
+    # b = 0 with no zero K_S; K(full) = 0 with no b = 0 (rank 1); the
+    # center at N = 6, where the six zero rows have full rank
+    for p, dim in (((F(1, 4),) * 3 + (F(1, 3),), 4),
+                   ((F(7, 20),) * 4 + (F(2, 5), F(1, 3)), 5),
+                   ((F(1, 4),) * 6 + (F(0),), 0)):
+        assert classify(p).dim == dim, p
 
 
 def test_catalog_solves_each_lp_once(monkeypatch):
@@ -435,6 +491,8 @@ def test_catalog_solves_each_lp_once(monkeypatch):
 
     monkeypatch.setattr(stratification, "lp_maximize", recorder)
     _dimension.cache_clear()
+    _cone_dimension.cache_clear()
+    _unforced.cache_clear()
     _strata_for_size.cache_clear()
     try:
         center = next(s for s in catalog(7) if s.coincidence)
@@ -451,6 +509,8 @@ def test_catalog_solves_each_lp_once(monkeypatch):
         assert len(seen) == solved
     finally:
         _dimension.cache_clear()
+        _cone_dimension.cache_clear()
+        _unforced.cache_clear()
         _strata_for_size.cache_clear()
 
 
