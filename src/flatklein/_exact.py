@@ -1,12 +1,13 @@
 """Exact linear algebra over rationals, plus a small exact simplex solver.
 
 Everything in this module is tolerance-free, and it has one elimination:
-`_eliminate`, a fraction-free row step on integer rows.  Rank, the vertex
-oracle's simplicial cones and every simplex pivot run through it.  The LP
-solver is a dense two-phase simplex with Bland's rule.  It starts from the
-slack basis wherever it can: only equality rows and rows negated for a
-negative rhs get an artificial variable, and phase 1 runs only when some
-row has one.  Problem sizes in this package are tiny (fewer than ~30
+`_eliminate`, a fraction-free row step on integer rows.  Every simplex
+pivot runs through it, and so does `_gauss_jordan`, which gives the rank
+and, in the vertex oracles, the edge zero sets and the simplicial cones.
+The LP solver is a dense two-phase simplex with Bland's rule.  It starts
+from the slack basis wherever it can: only equality rows and rows negated
+for a negative rhs get an artificial variable, and phase 1 runs only when
+some row has one.  Problem sizes in this package are tiny (fewer than ~30
 variables and ~60 rows), so clarity beats sparsity.
 """
 
@@ -77,12 +78,6 @@ def _gauss_jordan(m: list[Sequence[int]]) -> list[int]:
 def mat_rank(rows: Iterable[Row]) -> int:
     """Rank of a rational matrix by fraction-free integer elimination."""
     return len(_gauss_jordan([_scaled(row) for row in rows]))
-
-
-def integerize_row(normal: Row, offset: Fraction) -> tuple[tuple[int, ...], int]:
-    """Scale (normal, offset) by the lcm of denominators to integer data."""
-    ints = _scaled([*normal, offset])
-    return tuple(ints[:-1]), ints[-1]
 
 
 def gcd_reduce(vec: Sequence[int]) -> tuple[int, ...]:

@@ -227,7 +227,7 @@ def _cmd_strata(args) -> int:
               + ("neither" if args.P is None else "both"), file=sys.stderr)
         raise SystemExit(2)
     if args.P is not None:
-        s = classify(args.P)
+        s = classify(project(args.P).rep)
         if args.format == "json":
             _emit(json.dumps(s.to_json(), indent=2) + "\n", args.out)
         else:

@@ -119,6 +119,8 @@ class KleinPoint:
     rep: LiftPoint
 
     def __post_init__(self) -> None:
+        if len(self.rep) < 2:
+            raise ValueError("points must have dimension at least 2")
         # 0 <= p/q < 1 on the integers of each rational (q > 0)
         if any(not 0 <= c.numerator < c.denominator for c in self.rep):
             raise ValueError("representative must lie in [0,1)^n")
@@ -178,56 +180,15 @@ def equivalent(x: Sequence[Rational], y: Sequence[Rational]) -> bool:
     return project(x) == project(y)
 
 
-def squared_distance(y: KleinPoint, z: KleinPoint) -> Fraction:
-    """Exact squared quotient distance between two points.
-
-    Minimizing |q - g.p|^2 over the deck group splits, for each parity, into
-    independent one-dimensional problems: distance of z_i - y_i (parity 0) or
-    z_i + y_i (parity 1) to the integers in the first n-1 coordinates, and
-    distance of z_n - y_n to the even (parity 0) or odd (parity 1) integers.
-    Over the common denominator D each distance is min(r, D - r) for a
-    residue r mod D (mod 2D on the last axis, shifted by D for parity 1).
-    """
-    if y.n != z.n:
-        raise ValueError("dimension mismatch")
-    nums, den = common_denominator(y.rep + z.rep)
-    a, b = nums[:y.n], nums[y.n:]
-    even = odd = 0
-    for ai, bi in zip(a[:-1], b[:-1]):
-        r = (bi - ai) % den
-        even += min(r, den - r) ** 2
-        r = (bi + ai) % den
-        odd += min(r, den - r) ** 2
-    two = 2 * den
-    r = (b[-1] - a[-1]) % two
-    even += min(r, two - r) ** 2
-    r = (b[-1] - a[-1] - den) % two
-    odd += min(r, two - r) ** 2
-    return Fraction(min(even, odd), den * den)
-
-
-def minimal_lifts(p: Sequence[Rational], z: KleinPoint) -> list[LiftPoint]:
-    """All lifts of z at minimal Euclidean distance from the cover point p.
-
-    Within each parity branch the candidate set is the Cartesian product of
-    per-coordinate argmin sets: the multiples of the axis step (D on a head
-    axis, 2D on the last) nearest to the gap between p and the branch's
-    image of z, one or two of them.  Branches that do not attain the global
-    minimum are discarded, and coincident lifts produced by both branches
-    (possible only at half-integer coordinates) are deduplicated.  The
-    result is sorted lexicographically, hence deterministic.  Both points
-    are held as integer numerators over their common denominator D, and
-    each distinct lift coordinate becomes one `Fraction`.
-    """
-    pt = as_point(p)
-    n = len(pt)
-    if n != z.n:
-        raise ValueError("dimension mismatch")
-    nums, den = common_denominator(pt + z.rep)
-    a, b = nums[:n], nums[n:]
-    steps = [den] * (n - 1) + [2 * den]
+def _branches(a: Sequence[int], b: Sequence[int],
+              den: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Per parity, (cost, axes) for the lifts of b nearest to a, all
+    numerators over den.  The parity's image of b is (-1)^parity b_i on the
+    head and b_n + parity*den last; axis i keeps the one or two multiples of
+    its step (den, or 2*den last) nearest to the gap, as axes[i], and cost
+    is den^2 times the squared distance."""
+    steps = [den] * (len(a) - 1) + [2 * den]
     branches = []
-    # each parity's image of z: (-1)^parity z_i on the head, z_n + parity
     for images in (b, [-bi for bi in b[:-1]] + [b[-1] + den]):
         axes = []
         cost = 0
@@ -244,6 +205,35 @@ def minimal_lifts(p: Sequence[Rational], z: KleinPoint) -> list[LiftPoint]:
                 axes.append((lo, lo + step))
                 cost += r * r
         branches.append((cost, axes))
+    return branches
+
+
+def squared_distance(y: KleinPoint, z: KleinPoint) -> Fraction:
+    """Exact squared quotient distance between two points: the cheaper
+    parity branch of `_branches` (per axis, z_i - y_i or z_i + y_i to the
+    integers, and z_n - y_n to the even or odd integers)."""
+    if y.n != z.n:
+        raise ValueError("dimension mismatch")
+    nums, den = common_denominator(y.rep + z.rep)
+    best = min(cost for cost, _ in _branches(nums[:y.n], nums[y.n:], den))
+    return Fraction(best, den * den)
+
+
+def minimal_lifts(p: Sequence[Rational], z: KleinPoint) -> list[LiftPoint]:
+    """All lifts of z at minimal Euclidean distance from the cover point p.
+
+    Each parity branch of `_branches` that attains the minimum gives the
+    Cartesian product of its per-axis argmin sets; a lift both branches
+    give (only at half-integer coordinates) appears once.  The lifts are
+    sorted lexicographically, and each distinct coordinate becomes one
+    `Fraction`.
+    """
+    pt = as_point(p)
+    n = len(pt)
+    if n != z.n:
+        raise ValueError("dimension mismatch")
+    nums, den = common_denominator(pt + z.rep)
+    branches = _branches(nums[:n], nums[n:], den)
     best = min(cost for cost, _ in branches)
     keys = sorted({q for cost, axes in branches if cost == best
                    for q in product(*axes)})

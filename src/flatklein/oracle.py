@@ -9,13 +9,14 @@ ground truth the unit and acceptance tests compare against.
 
 `brute_vertices` and `certify_vertices` share one routine, the double
 description loop `_double_description`, which grows a cone's extreme rays
-from the simplicial cone of a greedy basis of its rows.  They never check
-the same cell (the CLI and the benchmark send n <= 5 to the
-first and n >= 6 to the second), and neither shares a formula with the
-closed-form vertex families.  The tests also hold `brute_vertices` to a
-plain exhaustive basis enumeration at n <= 3, and the edge count of
-`certify_vertices` to the vertex pairs whose shared tight rows have rank
-n - 1.
+from the simplicial cone of a greedy basis of its rows; one
+`_exact._gauss_jordan` of the transposed rows finds that start
+(`_simplicial_cone`, `_edge_zerosets`).  They never check the same cell
+(the CLI and the benchmark send n <= 5 to the first and n >= 6 to the
+second), and neither shares a formula with the closed-form vertex
+families.  The tests also hold `brute_vertices` to a plain exhaustive
+basis enumeration at n <= 3, and the edge count of `certify_vertices` to
+the vertex pairs whose shared tight rows have rank n - 1.
 
 `brute_vertices` inserts the homogenised rows densest first (a stable
 sort by nonzero count): double description is very sensitive to the
@@ -35,7 +36,7 @@ slant rows differ in a few entries) share its partial sums.  Every
 (point, row) slack has its sign tested exactly, which gives each point's
 lowest violated row and its tight rows A.  One fraction-free elimination
 of the transposed rows A^T (`_edge_zerosets`) is then the rank test,
-picks the greedy basis B that `_simplicial_cone` would, and gives each
+picks the greedy basis B of `_simplicial_cone`, and gives each
 simplicial ray's value on every tight row; double description runs on
 those values and yields the zero sets of the point's edge directions, in
 `_cone_rays`' order.  The pass also records for every row the bitmask of
@@ -58,8 +59,8 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
-from ._exact import (InvariantError, _eliminate, _gauss_jordan,
-                     common_denominator, gcd_reduce)
+from ._exact import (InvariantError, _gauss_jordan, common_denominator,
+                     gcd_reduce)
 
 Halfspace = tuple[Sequence[Fraction], Fraction]
 
@@ -220,41 +221,24 @@ def _simplicial_cone(rows: Sequence[Sequence[int]],
                      n: int) -> tuple[list[int], list[tuple[int, ...]]]:
     """Greedy rank-n basis of integer rows and the extreme rays of its cone.
 
-    A row joins the basis when it raises the rank of the rows chosen so
-    far.  One incremental fraction-free Gauss-Jordan elimination of
-    [B | I] decides this: a row, with the unit vector of its basis
-    position appended, joins when it is still nonzero on the left after
-    reduction by the rows already in, and then clears its pivot column
-    from them.  With n rows the left block is a scaled permutation, so
-    the row with pivot c holds row c of B^-1 on the right, and ray j
-    (tight on every basis row but j) is the primitive multiple of minus
-    column j.  Returns (basis, rays); rays is empty when the rows have
-    rank below n.
+    A row joins the basis when it raises the rank of the rows before it.
+    One fraction-free Gauss-Jordan elimination of [A^T | I_n] decides this:
+    its pivot columns below m = len(rows) are the greedy basis B.  With n
+    of them, row k of the reduced matrix is [E A^T | E] with E B^T
+    diagonal, so its right block is column k of B^-1 times its pivot entry.
+    Ray k (tight on every basis row but k) is that block, made primitive
+    and negated when the pivot entry is positive.  Returns (basis, rays);
+    rays is empty when the rows have rank below n.
     """
-    basis: list[int] = []
-    pivots: list[int] = []
-    reduced: list[Sequence[int]] = []
-    for i, row in enumerate(rows):
-        k = len(basis)
-        if k == n:
-            break
-        reduced.append([*row, *(int(j == k) for j in range(n))])
-        for r, col in enumerate(pivots):
-            _eliminate(reduced, r, col)
-        col = next((c for c in range(n) if reduced[k][c]), None)
-        if col is None:
-            reduced.pop()
-            continue
-        _eliminate(reduced, k, col)
-        basis.append(i)
-        pivots.append(col)
+    m = len(rows)
+    reduced: list[Sequence[int]] = [
+        [row[k] for row in rows] + [int(j == k) for j in range(n)]
+        for k in range(n)]
+    basis = [c for c in _gauss_jordan(reduced) if c < m]
     if len(basis) < n:
         return basis, []
-    by_col = [row for _, row in sorted(zip(pivots, reduced))]
-    scale = math.lcm(*(row[c] for c, row in enumerate(by_col)))
-    factors = [scale // row[c] for c, row in enumerate(by_col)]
-    rays = [gcd_reduce([-row[n + j] * f for row, f in zip(by_col, factors)])
-            for j in range(n)]
+    rays = [gcd_reduce([-x for x in row[m:]] if row[c] > 0 else row[m:])
+            for row, c in zip(reduced, basis)]
     return basis, rays
 
 

@@ -23,11 +23,11 @@ it is N - rank(E with e_i for each i in Z that the cone {E d = 0,
 d_Z >= 0} forces to d_i = 0), all the forced i found by one small LP.
 Rank counting over E alone is wrong: a two-equation pattern at N = 6
 forces four further coordinates to 0, and the true dimension is 2, not 5.
-`classify` and `catalog` read the dimension at a point this way, cached
-per set of zero signs and zero set.  A sign vector with no point goes to
-`_dimension`, a tau-LP for feasibility plus one box LP per coordinate,
-cached per pattern.  Both count u-space; a stratum whose last coordinate
-is an interval adds 1.
+`classify` reads the dimension at its point this way, cached per set of
+zero signs and zero set, and `catalog` classifies one witness per
+stratum.  A sign vector with no point goes to `_dimension`, a tau-LP for
+feasibility plus one box LP per coordinate, cached per pattern.  Both
+count u-space; a stratum whose last coordinate is an interval adds 1.
 """
 
 from __future__ import annotations
@@ -412,12 +412,11 @@ def _plausible_six(choice: dict, deg: list) -> bool:
 
 @lru_cache(maxsize=16)
 def _strata_for_size(n_active: int):
-    """All feasible sign patterns over subsets of range(n_active), each with
-    its u-space dimension, witness b-vector and coincidence flag.
+    """All feasible sign patterns over subsets of range(n_active), each as
+    (signs, b) with b a witness b-vector that realizes it.
 
-    A candidate whose witness realizes its signs is nonempty, and its
-    dimension is read at the witness.  Every other candidate must be empty:
-    the tau-LP of `_dimension` checks that the witness table misses none.
+    Every candidate whose witness fails must be empty: the tau-LP of
+    `_dimension` checks that the witness table misses none.
     """
     subsets = _subsets(n_active)
     deg = [sub for sub in subsets if _degenerable(n_active, len(sub))]
@@ -437,10 +436,8 @@ def _strata_for_size(n_active: int):
         signs = tuple(choice.get(sub, 1) for sub in subsets)
         b = _witness_b(n_active, signs)
         nums, den = common_denominator(b)
-        u = [(4 * x) ** 2 for x in nums]
-        if _k_signs(n_active, u, den * den) == signs:
-            out.append((signs, _point_dimension(n_active, signs, u), b,
-                        _is_coincidence(n_active, signs)))
+        if _k_signs(n_active, [(4 * x) ** 2 for x in nums], den * den) == signs:
+            out.append((signs, b))
         elif _dimension(n_active, signs) is not None:
             raise InvariantError(
                 f"witness table misses a feasible pattern: signs {signs} "
@@ -449,26 +446,23 @@ def _strata_for_size(n_active: int):
 
 
 def catalog(n: int) -> list[Stratum]:
-    """All nonempty strata for dimension n (2 <= n <= 7), with witnesses."""
+    """All nonempty strata for dimension n (2 <= n <= 7): `classify` at one
+    witness per domain and sign pattern (a_i = 1/4 + b_i, prisms 0)."""
     if not 2 <= n <= 7:
         raise ValueError("catalog supports 2 <= n <= 7")
     out: list[Stratum] = []
     for horiz in itertools.product((INTERVAL, PRISM), repeat=n - 1):
+        active = [i for i, kind in enumerate(horiz) if kind == INTERVAL]
         for last in (INTERVAL, POINT):
-            domain = DomainDescriptor(horiz + (last,))
-            active = domain.active
-            for signs, dim_u, b_vals, coin in _strata_for_size(len(active)):
-                dim = dim_u + (last == INTERVAL)
+            for signs, b_vals in _strata_for_size(len(active)):
                 witness = [Fraction(0)] * n
                 for i, b in zip(active, b_vals):
                     witness[i] = Fraction(1, 4) + b
-                for j in domain.prism:
-                    witness[j] = Fraction(0)
-                witness[n - 1] = Fraction(1, 3) if last == INTERVAL else Fraction(0)
-                stratum = Stratum(domain, SignVector(active, signs), dim,
-                                  tuple(witness), coin)
-                check = classify(stratum.witness)
-                if (check.domain, check.alpha) != (domain, stratum.alpha):
+                if last == INTERVAL:
+                    witness[-1] = Fraction(1, 3)
+                stratum = classify(witness)
+                got = stratum.domain.kinds, stratum.alpha.signs
+                if got != (horiz + (last,), signs):
                     raise InvariantError(
                         f"witness fails to realize its sign pattern: {signs}")
                 out.append(stratum)

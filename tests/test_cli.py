@@ -111,6 +111,15 @@ def test_strata_json_matches_library(capsys):
     assert len(json.loads(out)) == 8
 
 
+def test_strata_projects_its_point(capsys):
+    for fmt in ("text", "json"):
+        code, canonical = run(capsys, "strata", "--P", "1/4,0", "--format", fmt)
+        assert code == 0
+        code, out = run(capsys, "strata", "--P", "5/4,0", "--format", fmt)
+        assert code == 0
+        assert out == canonical
+
+
 def test_strata_catalog_table(capsys):
     code, out = run(capsys, "strata", "--catalog", "2", "--format", "text")
     assert code == 0

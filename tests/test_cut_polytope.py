@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from flatklein import (CutPolytope, InvariantError, catalog, cut_polytope, delta,
                        equivalent, k_value, minimal_lifts, project, representatives)
-from flatklein._exact import gcd_reduce, integerize_row, mat_rank
+from flatklein._exact import _scaled, gcd_reduce, mat_rank
 from flatklein.cut_polytope import Cap, LabeledSet, Wall, _deck_image, chamber_reduce
 from flatklein.klein_space import DeckElement, apply_deck, canonicalize, neighbor_set
 from flatklein.oracle import brute_vertices
@@ -157,8 +157,7 @@ def test_base_point_strictly_interior(coords):
 
 
 def _integer_halfspace(normal, offset):
-    ints, off = integerize_row(normal, offset)
-    return gcd_reduce((*ints, off))
+    return gcd_reduce(_scaled([*normal, offset]))
 
 
 def test_halfspaces_are_bisectors_with_neighbor_set():

@@ -129,6 +129,10 @@ def test_klein_point_validation():
     for rep in ((F(1), F(0)), (F(-1, 3), F(1, 2)), (F(1, 2), F(7, 7)), (F(0), 1)):
         with pytest.raises(ValueError, match=r"\[0,1\)"):
             KleinPoint(rep)
+    for rep in ((F(1, 4),), ()):
+        with pytest.raises(ValueError,
+                           match=r"^points must have dimension at least 2$"):
+            KleinPoint(rep)
 
 
 def test_equivalent_examples():

@@ -12,7 +12,7 @@ import pytest
 
 import flatklein
 from flatklein import KleinPoint, cut_polytope, project
-from flatklein._exact import common_denominator, integerize_row
+from flatklein._exact import _scaled, common_denominator
 from flatklein.oracle import (
     _cone_rays,
     _edge_zerosets,
@@ -567,7 +567,7 @@ def _ratio_walk_report(halfspaces, claimed):
         if bad is not None:
             problems.append(f"vertex {t} violates constraint {bad}")
             continue
-        act = [integerize_row(nrm, off)[0]
+        act = [tuple(_scaled([*nrm, off])[:-1])
                for (nrm, off), s in zip(rows, slack) if s == 0]
         if _fraction_rank(act) < n:
             problems.append(f"vertex {t} has active rank < {n}")
@@ -739,7 +739,8 @@ def _fraction_sorted_vertices(halfspaces):
     The rows go in as given (the oracle sorts them densest first); the
     extreme rays, and so the sorted vertices, do not depend on that order.
     """
-    rows = [integerize_row(nrm, off) for nrm, off in halfspaces]
+    rows = [(tuple(ints[:-1]), ints[-1])
+            for ints in (_scaled([*nrm, off]) for nrm, off in halfspaces)]
     n = len(rows[0][0]) if rows else 0
     if not rows or _fraction_rank([row for row, _ in rows]) < n:
         return []
