@@ -11,7 +11,10 @@ from the vertex-facet incidences, and computes which vertices and faces
 are identified with each other in the quotient.
 
 Inside, the half-spaces and the vertex families run on the integer
-numerators of the reduced point over their common denominator D.  Every
+numerators of the reduced point over their common denominator D.  The
+chamber fold `_chamber` and the all-subsets K(S) table `_k_table` also
+serve `stratification`: the signs of K(S) fix both a point's stratum and
+its cell's type.  Every
 vertex coordinate is an integer over one denominator per cell, so the
 vertices are sorted and checked for collisions as integer tuples, and a
 Fraction is built once per distinct coordinate value.
@@ -34,7 +37,6 @@ from typing import Iterable, Sequence, Union
 
 from ._exact import InvariantError, common_denominator
 from .klein_space import (
-    HALF,
     KleinPoint,
     LiftPoint,
     Rational,
@@ -88,8 +90,8 @@ class LabeledSet:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        if tuple(sorted(self.members)) != self.members:
-            raise ValueError("members must be sorted")
+        if any(i >= j for i, j in zip(self.members, self.members[1:])):
+            raise ValueError("members must be strictly increasing")
         if len(self.labels) != len(self.members):
             raise ValueError("labels must align with members")
         if any(e not in (0, 1) for e in self.labels):
@@ -116,11 +118,41 @@ def k_value(subset: Union[LabeledSet, Iterable[int]],
     mem = set(members)
     if not mem <= set(range(len(vals))):
         raise ValueError("subset indexes outside the coordinate list")
+    if len(mem) != len(members):
+        raise ValueError(f"repeated index in {members}")
     # over 8 D^2: 8 D^2 K = 4 D^2 + sum of gains - 2 * (gains over S)
     nums, den = common_denominator(vals)
     gains = [_gain8(p, den) for p in nums]
     total = 4 * den * den + sum(gains) - 2 * sum(gains[i] for i in mem)
     return Fraction(total, 8 * den * den)
+
+
+def _chamber(pt: LiftPoint) -> tuple[list[int], int, tuple[int, ...], tuple[int, ...]]:
+    """(reduced numerators over their common denominator D, D, reflected
+    indices, prism indices) of an exact point.  A head numerator A must
+    have 0 <= A < D; it is a prism (0 or 1/2) iff A = 0 or 2A = D, and
+    reflected iff 2A > D, when it becomes D - A."""
+    nums, den = common_denominator(pt)
+    reflected, prism = [], []
+    for i, x in enumerate(nums[:-1]):
+        if not 0 <= x < den:
+            raise ValueError("expected a canonical point")
+        if not x or 2 * x == den:
+            prism.append(i)
+        elif 2 * x > den:
+            reflected.append(i)
+            nums[i] = den - x
+    return nums, den, tuple(reflected), tuple(prism)
+
+
+def _k_table(gains: Sequence[int], sq: int) -> list[int]:
+    """8 D^2 K(S) for every subset S of the coordinates with slant gains
+    `gains` (`_gain8` over D, sq = D^2), indexed by bitmask, built by
+    doubling: 8 D^2 K(S) = 4 D^2 + sum of gains - 2 * (gains over S)."""
+    table = [4 * sq + sum(gains)]
+    for g in gains:
+        table += [t - 2 * g for t in table]
+    return table
 
 
 def chamber_reduce(p: Sequence[Rational]):
@@ -130,21 +162,10 @@ def chamber_reduce(p: Sequence[Rational]):
     Reflected coordinates (a_i in (1/2,1)) are replaced by 1 - a_i; the
     reflection x_i -> 1 - x_i conjugates the deck group to itself, so every
     equivalence statement transports.  Prism coordinates are those with
-    a_i in {0, 1/2}.
+    a_i in {0, 1/2}.  A Fraction view of `_chamber`.
     """
-    pt = as_point(p)
-    reduced = list(pt)
-    reflected = []
-    prism = []
-    for i, c in enumerate(pt[:-1]):
-        if not 0 <= c < 1:
-            raise ValueError("expected a canonical point")
-        if c in (0, HALF):
-            prism.append(i)
-        elif c > HALF:
-            reflected.append(i)
-            reduced[i] = 1 - c
-    return tuple(reduced), tuple(reflected), tuple(prism)
+    nums, den, reflected, prism = _chamber(as_point(p))
+    return tuple(Fraction(x, den) for x in nums), reflected, prism
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +236,10 @@ class CutPolytope:
             raise ValueError("base point must be canonical (in [0,1)^n)")
         self.point = point
         self.n = point.n
-        self.reduced, self.reflected, self.prism = chamber_reduce(point.rep)
-        self.active = tuple(i for i in range(self.n - 1) if i not in self.prism)
         # the reduced point as integer numerators over one denominator
-        self._nums, self._den = common_denominator(self.reduced)
+        self._nums, self._den, self.reflected, self.prism = _chamber(point.rep)
+        self.reduced = tuple(Fraction(x, self._den) for x in self._nums)
+        self.active = tuple(i for i in range(self.n - 1) if i not in self.prism)
         self._rows: list[tuple[Descriptor, tuple[int, ...], int]] | None = None
         self._halfspaces: list[tuple[Descriptor, LiftPoint, Fraction]] | None = None
         self._vertices: list[Vertex] | None = None
@@ -313,9 +334,9 @@ class CutPolytope:
         """All vertices, classified; sorted by coordinates.
 
         The closed-form families run on the numerators A_i of the reduced
-        point over D, as `integer_rows` does: delta_i D^2 = A_i D - 2A_i^2
-        and 2D^2 K(S) = D^2 + 2 sum_i delta_i D^2 - 4 sum_S delta_i D^2.
-        For a set S (labels e_i on it) the reduced coordinates are
+        point over D, as `integer_rows` does, with 2D^2 K(S) a quarter of
+        `_k_table` (every gain is a multiple of 8).  For a set S (labels
+        e_i on it) the reduced coordinates are
         a_i - 1/2 + e_i on S and 1/2 - a_i off it; the vertical one is
         a_n +- K(S) (merged when K(S) = 0) when 0 <= K(S) <= 1.  A pivot k
         of S with K(S) < 0 < K(S - k) moves x_k by -K(S) / (2a_k - e_k)
@@ -330,7 +351,7 @@ class CutPolytope:
             return self._vertices
         n, den, a = self.n, self._den, self._nums
         act, last, sq = self.active, n - 1, den * den
-        dl = {i: a[i] * den - 2 * a[i] * a[i] for i in act}  # delta_i D^2
+        k2 = [t >> 2 for t in _k_table([_gain8(a[i], den) for i in act], sq)]
         q = math.lcm(2 * sq, *(2 * den * abs(2 * a[k] - e * den)
                                for k in act for e in (0, 1)))
         # Q over 2D and over 2D^2 (one unit of 2D^2 K), and the pivot's
@@ -349,39 +370,38 @@ class CutPolytope:
         height = 2 * den * a[last] * per_k
         # (kind, support, pivot, merged, numerators over Q)
         raw: list[tuple[str, LabeledSet, int | None, bool, list[int]]] = []
-        k_empty = sq + 2 * sum(dl.values())
-        for r in range(len(act) + 1):
-            for mem in itertools.combinations(act, r):
-                ks = k_empty - 4 * sum(dl[i] for i in mem)  # 2D^2 K(S)
-                # (kind, pivot, the pivot's shift in units of K, height)
-                families = []
-                if 0 <= ks <= 2 * sq:  # one merged StandardPlus when K(S) = 0
-                    families.append((STANDARD_PLUS, None, 0, height + ks * per_k))
-                    if ks:
-                        families.append((STANDARD_MINUS, None, 0, height - ks * per_k))
-                for k in mem:
-                    ck = ks + 4 * dl[k]
-                    if ks < 0 < ck:
-                        families.append((MIDDLE, k, -ks, height))
-                    if ks < 2 * sq < ck:
-                        families.append((TRUNC_PLUS, k, 2 * sq - ks, height + q))
-                        families.append((TRUNC_MINUS, k, 2 * sq - ks, height - q))
-                if not families:
-                    continue
-                for labels in itertools.product((0, 1), repeat=r):
-                    support = LabeledSet(mem, labels)
-                    base = [0] * n
-                    for i in act:
-                        base[i] = real(i, off[i])
-                    for i, e in zip(mem, labels):
-                        base[i] = real(i, on[i, e])
-                    for kind, k, shift, z in families:
-                        co = base[:]
-                        if k is not None:
-                            e_k = labels[mem.index(k)]
-                            co[k] = real(k, on[k, e_k] + shift * step[k, e_k])
-                        co[last] = z
-                        raw.append((kind, support, k, k is None and not ks, co))
+        for mask, ks in enumerate(k2):
+            pos = _bits(mask)
+            mem = tuple(act[j] for j in pos)
+            # (kind, pivot, the pivot's shift in units of K, height)
+            families = []
+            if 0 <= ks <= 2 * sq:  # one merged StandardPlus when K(S) = 0
+                families.append((STANDARD_PLUS, None, 0, height + ks * per_k))
+                if ks:
+                    families.append((STANDARD_MINUS, None, 0, height - ks * per_k))
+            for j in pos:
+                k, ck = act[j], k2[mask ^ 1 << j]  # ck = 2D^2 K(S - k)
+                if ks < 0 < ck:
+                    families.append((MIDDLE, k, -ks, height))
+                if ks < 2 * sq < ck:
+                    families.append((TRUNC_PLUS, k, 2 * sq - ks, height + q))
+                    families.append((TRUNC_MINUS, k, 2 * sq - ks, height - q))
+            if not families:
+                continue
+            for labels in itertools.product((0, 1), repeat=len(mem)):
+                support = LabeledSet(mem, labels)
+                base = [0] * n
+                for i in act:
+                    base[i] = real(i, off[i])
+                for i, e in zip(mem, labels):
+                    base[i] = real(i, on[i, e])
+                for kind, k, shift, z in families:
+                    co = base[:]
+                    if k is not None:
+                        e_k = labels[mem.index(k)]
+                        co[k] = real(k, on[k, e_k] + shift * step[k, e_k])
+                    co[last] = z
+                    raw.append((kind, support, k, k is None and not ks, co))
         # prism coordinates take a_j - 1/2 + b for both bits b
         prism = [(j, a[j] * (q // den) - q // 2) for j in self.prism]
         keyed: list[tuple[tuple[int, ...], int]] = []

@@ -47,7 +47,8 @@ masks, less v, is {e}, or empty when the edge ends at no listed vertex.
 Only then are the edge directions computed (`_cone_rays`) and the ratio
 test run, with ratios slack / step compared crosswise, to name the
 unlisted endpoint or the unbounded direction; a Fraction is built only
-for a problem message.
+for a problem message.  A clean walk is complete without a connectivity
+pass: see `certify_vertices`.
 """
 
 from __future__ import annotations
@@ -451,11 +452,13 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     """Certify that `claimed` is exactly the vertex set of the polytope.
 
     Checks, all in exact arithmetic: every claimed point is feasible and has
-    a rank-n active set; every edge leaving a claimed vertex (extreme ray of
-    its supporting cone, followed to the ratio-test boundary) lands on
-    another claimed vertex; and the resulting edge graph is connected.
-    Since the true edge graph of a bounded polytope is connected, a clean
-    report implies the claimed set is the complete vertex set.
+    a rank-n active set, so it is a vertex and the polyhedron is pointed;
+    and every edge leaving a claimed vertex (extreme ray of its supporting
+    cone, followed to the ratio-test boundary) lands on another claimed
+    vertex, an unbounded edge being a problem too.  A clean report thus
+    lists a nonempty set of vertices closed under the edge graph, and the
+    graph of a pointed polyhedron is connected, so the set is the complete
+    vertex set: no separate connectivity pass is needed.
     """
     rows, offs = _integerized(halfspaces)
     n = len(rows[0]) if rows else 0
@@ -501,14 +504,6 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
         for ri in tight:
             on_row[ri] |= 1 << vi
 
-    parent = list(range(len(scaled)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     # pass 2, the edge walk: the AND of the masks of the rows tight at v
     # and flat along an edge direction, less v, holds the edge's other end
     # alone (see the module docstring); the ratio test runs only when the
@@ -529,8 +524,4 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
                 continue
             vj = ends.bit_length() - 1
             edges.add((min(vi, vj), max(vi, vj)))
-            parent[find(vi)] = find(vj)
-    roots = {find(i) for i in range(len(scaled))}
-    if len(roots) > 1 and not problems:
-        problems.append("claimed vertex set splits into disconnected components")
     return CertificationReport(not problems, len(scaled), len(edges), problems)

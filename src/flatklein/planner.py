@@ -82,7 +82,10 @@ def representatives(p) -> dict[int, set[FaceKey]]:
 
 
 def plan(y, z, samples: int = 0) -> PlanResult:
-    """Deterministic selection of one minimal geodesic from y to z."""
+    """Deterministic selection of one minimal geodesic from y to z.
+
+    Refused with a ValueError above n = CLASSIFY_N_MAX, by `classify`.
+    """
     src = _as_klein(y)
     dst = _as_klein(z)
     stratum = classify(src.rep)

@@ -7,7 +7,9 @@ subset S of interval coordinates is
 
     K_S = (N + 4 - 2|S|)/16 + sum_{i in S} b_i^2 - sum_{i not in S} b_i^2,
 
-whose sign agrees with the cell slack K(S) used by the vertex formulas.
+which is K(S)/2 for the cell slack K(S): its signs come from the cells'
+table `_k_table`, on the point folded by `_chamber`.  The u-space
+dimension theory below is unchanged.
 Points with the same domain pattern and the same full sign vector form a
 stratum; the cell combinatorics (which vertices exist, how faces match up)
 is constant on each stratum.
@@ -38,13 +40,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from ._exact import InvariantError, common_denominator, lp_maximize, mat_rank
+from ._exact import InvariantError, lp_maximize, mat_rank
+from .cut_polytope import _chamber, _gain8, _k_table
 from .klein_space import LiftPoint, Rational, as_point, format_rat
 
 __all__ = [
     "DomainDescriptor", "SignVector", "Stratum",
     "catalog", "classify", "same_stratum", "stratum_dimension",
 ]
+
+#: Largest dimension that `classify` (and so `plan`) accepts: the sign
+#: vector has up to 2^(n-1) entries, and each two more coordinates cost
+#: about 4x in time and memory.
+CLASSIFY_N_MAX = 18
 
 INTERVAL = "interval"
 PRISM = "prism"
@@ -78,20 +86,19 @@ class DomainDescriptor:
 
     @classmethod
     def of_point(cls, p: Sequence[Rational]) -> "DomainDescriptor":
-        return cls(_kinds(as_point(p)))
+        return cls(_fold(as_point(p))[0])
 
 
-def _kinds(pt: LiftPoint) -> tuple[str, ...]:
-    """The domain pattern of an exact canonical point, on its integers.
-
-    With 0 <= p/q < 1 in lowest terms, p/q is in {0, 1/2} iff q <= 2, and
-    the last coordinate is 0 iff p == 0.
-    """
-    if any(not 0 <= c.numerator < c.denominator for c in pt):
+def _fold(pt: LiftPoint) -> tuple[tuple[str, ...], list[int], int]:
+    """The domain pattern of an exact canonical point, the gains
+    8 D^2 delta_i of its interval coordinates and D^2, from `_chamber`; the
+    last coordinate must be in [0, 1) too, and is a point iff it is 0."""
+    nums, den, _, prism = _chamber(pt)
+    if not 0 <= nums[-1] < den:
         raise ValueError("expected a canonical point")
-    kinds = [PRISM if c.denominator <= 2 else INTERVAL for c in pt[:-1]]
-    kinds.append(INTERVAL if pt[-1].numerator else POINT)
-    return tuple(kinds)
+    head = [PRISM if i in prism else INTERVAL for i in range(len(nums) - 1)]
+    gains = [_gain8(x, den) for x, kind in zip(nums, head) if kind == INTERVAL]
+    return (*head, INTERVAL if nums[-1] else POINT), gains, den * den
 
 
 @lru_cache(maxsize=16)
@@ -106,18 +113,9 @@ def _subsets(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=16)
-def _subset_masks(k: int) -> tuple[tuple[int, int], ...]:
-    """The bitmask and the size of each subset in `_subsets(k)`."""
-    return tuple((sum(1 << j for j in sub), len(sub)) for sub in _subsets(k))
-
-
-@lru_cache(maxsize=16)
-def _subset_slots(k: int) -> tuple[int, ...]:
-    """The index in `_subsets(k)` of each subset, looked up by its bitmask."""
-    slots = [0] * (1 << k)
-    for index, (mask, _) in enumerate(_subset_masks(k)):
-        slots[mask] = index
-    return tuple(slots)
+def _subset_masks(k: int) -> tuple[int, ...]:
+    """The bitmask of each subset in `_subsets(k)`."""
+    return tuple(sum(1 << j for j in sub) for sub in _subsets(k))
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ class SignVector:
         bits = [1 << self.active.index(i) for i in subset]
         if len(set(bits)) != len(bits):
             raise ValueError(f"repeated index in {tuple(subset)}")
-        return self.signs[_subset_slots(len(self.active))[sum(bits)]]
+        return self.signs[_subset_masks(len(self.active)).index(sum(bits))]
 
     def items(self):
         act = self.active
@@ -243,30 +241,22 @@ def _dimension(n_active: int, signs: tuple[int, ...]):
     return dim_u
 
 
-def _k_signs(n_active: int, u: Sequence[int], sq: int) -> tuple[int, ...]:
-    """The sign of K_S for every subset S, in `_subsets` order, from
-    integers u_i = 16 D^2 b_i^2 and sq = D^2:
-    16 D^2 K_S = (N + 4 - 2|S|) D^2 + 2 sum_{i in S} u_i - sum_i u_i."""
-    sums = [0]  # sums[mask] = 2 sum_{i in mask} u_i
-    for x in u:
-        sums += [t + 2 * x for t in sums]
-    total = sum(u)
-    base = [(n_active + 4 - 2 * r) * sq - total for r in range(n_active + 1)]
-    signs = []
-    for mask, size in _subset_masks(n_active):
-        val = base[size] + sums[mask]
-        signs.append((val > 0) - (val < 0))
-    return tuple(signs)
+def _k_signs(gains: Sequence[int], sq: int) -> tuple[int, ...]:
+    """The sign of K_S = K(S)/2 for every subset S, in `_subsets` order,
+    from `_k_table` of the slant gains over sq = D^2."""
+    table = _k_table(gains, sq)
+    return tuple((t > 0) - (t < 0)
+                 for t in map(table.__getitem__, _subset_masks(len(gains))))
 
 
-def _point_dimension(n_active: int, signs: tuple[int, ...], u: Sequence[int]) -> int:
+def _point_dimension(signs: tuple[int, ...], gains: Sequence[int], sq: int) -> int:
     """u-space dimension of the pattern's region, read at a point of it
-    (integers u_i proportional to b_i^2); no LP when no K_S vanishes."""
+    (gains D^2 - 16 D^2 b_i^2 over sq = D^2); no LP when no K_S vanishes."""
     if 0 not in signs:
-        return n_active
-    return _cone_dimension(n_active,
+        return len(gains)
+    return _cone_dimension(len(gains),
                            tuple(i for i, sign in enumerate(signs) if sign == 0),
-                           sum(1 << i for i, x in enumerate(u) if x == 0))
+                           sum(1 << i for i, g in enumerate(gains) if g == sq))
 
 
 @lru_cache(maxsize=4096)
@@ -318,19 +308,22 @@ def stratum_dimension(alpha: SignVector, domain: DomainDescriptor):
 
 
 def classify(p: Sequence[Rational]) -> Stratum:
-    """The stratum of a canonical point (exact signs, exact dimension)."""
+    """The stratum of a canonical point (exact signs, exact dimension).
+
+    Refused with a ValueError above n = CLASSIFY_N_MAX.
+    """
     pt = as_point(p)
-    domain = DomainDescriptor(_kinds(pt))
-    active = domain.active
-    n_active = len(active)
-    # over the common denominator D of the active coordinates, with c_i
-    # folded into (0, 1/2), U_i = (4c_i - D)^2 = (16 D^2) b_i^2
-    nums, den = common_denominator([pt[i] for i in active])
-    u = [(4 * min(c, den - c) - den) ** 2 for c in nums]
-    signs = _k_signs(n_active, u, den * den)
-    dim = _point_dimension(n_active, signs, u) + (domain.kinds[-1] == INTERVAL)
-    return Stratum(domain, SignVector(active, signs), dim, pt,
-                   _is_coincidence(n_active, signs))
+    if len(pt) > CLASSIFY_N_MAX:
+        raise ValueError(
+            f"classify and plan are limited to n <= {CLASSIFY_N_MAX}: the "
+            f"point at n = {len(pt)} has up to 2^{len(pt) - 1} = "
+            f"{2 ** (len(pt) - 1)} sign subsets")
+    kinds, gains, sq = _fold(pt)
+    domain = DomainDescriptor(kinds)
+    signs = _k_signs(gains, sq)
+    dim = _point_dimension(signs, gains, sq) + (kinds[-1] == INTERVAL)
+    return Stratum(domain, SignVector(domain.active, signs), dim, pt,
+                   _is_coincidence(len(gains), signs))
 
 
 def same_stratum(p: Sequence[Rational], q: Sequence[Rational]) -> bool:
@@ -413,7 +406,7 @@ def _plausible_six(choice: dict, deg: list) -> bool:
 @lru_cache(maxsize=16)
 def _strata_for_size(n_active: int):
     """All feasible sign patterns over subsets of range(n_active), each as
-    (signs, b) with b a witness b-vector that realizes it.
+    (signs, a) with a_i = 1/4 + b_i for a witness b-vector that realizes it.
 
     Every candidate whose witness fails must be empty: the tau-LP of
     `_dimension` checks that the witness table misses none.
@@ -434,10 +427,10 @@ def _strata_for_size(n_active: int):
         if n_active == 6 and not _plausible_six(choice, deg):
             continue
         signs = tuple(choice.get(sub, 1) for sub in subsets)
-        b = _witness_b(n_active, signs)
-        nums, den = common_denominator(b)
-        if _k_signs(n_active, [(4 * x) ** 2 for x in nums], den * den) == signs:
-            out.append((signs, b))
+        a = tuple(Fraction(1, 4) + b for b in _witness_b(n_active, signs))
+        _, gains, sq = _fold(a + (Fraction(0),))
+        if _k_signs(gains, sq) == signs:
+            out.append((signs, a))
         elif _dimension(n_active, signs) is not None:
             raise InvariantError(
                 f"witness table misses a feasible pattern: signs {signs} "
@@ -454,10 +447,10 @@ def catalog(n: int) -> list[Stratum]:
     for horiz in itertools.product((INTERVAL, PRISM), repeat=n - 1):
         active = [i for i, kind in enumerate(horiz) if kind == INTERVAL]
         for last in (INTERVAL, POINT):
-            for signs, b_vals in _strata_for_size(len(active)):
+            for signs, a in _strata_for_size(len(active)):
                 witness = [Fraction(0)] * n
-                for i, b in zip(active, b_vals):
-                    witness[i] = Fraction(1, 4) + b
+                for i, x in zip(active, a):
+                    witness[i] = x
                 if last == INTERVAL:
                     witness[-1] = Fraction(1, 3)
                 stratum = classify(witness)

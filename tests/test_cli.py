@@ -216,6 +216,34 @@ def test_verify_reports_failure(monkeypatch, capsys):
     assert "distance mismatch" in out
 
 
+class _CellMissingAVertex:
+    """A cell whose claimed vertex list lacks its first vertex."""
+
+    def __init__(self, cell):
+        self.cell = cell
+
+    def vertices(self):
+        return self.cell.vertices()[1:]
+
+    def integer_rows(self):
+        return self.cell.integer_rows()
+
+
+@pytest.mark.parametrize("n, detail", [(3, "exhaustive"), (6, "edges")])
+def test_verify_reports_vertex_mismatch(monkeypatch, capsys, n, detail):
+    # n <= 5 goes to brute_vertices, n >= 6 to the certifier
+    real = cli.cut_polytope
+    monkeypatch.setattr(cli, "cut_polytope", lambda p: _CellMissingAVertex(real(p)))
+    code, out = run(capsys, "verify", "--n", str(n), "--samples", "1", "--seed", "1")
+    assert code == 1
+    trial, verdict, failure = out.splitlines()
+    assert trial.startswith("trial   0: P = (")
+    assert trial.endswith(f" {detail}: FAIL")
+    assert verdict == "FAIL"
+    base = trial[len("trial   0: P = "):].split(":")[0]
+    assert failure == f"vertex mismatch at P = {base}"
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_refuses_no_samples(capsys, samples):
     code = cli.main(["verify", "--n", "3", "--samples", samples])
@@ -280,3 +308,15 @@ def test_strata_requires_exactly_one_mode(capsys):
         assert out == ""
         assert err == ("error: strata takes exactly one of --P and --catalog, "
                        f"got {got}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["strata", "--P", ",".join(["1/3"] * 19)],
+    ["plan", "--P", ",".join(["1/3"] * 19), "--Q", ",".join(["1/5"] * 19)]])
+def test_classify_and_plan_limit_exits_2(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == ("error: classify and plan are limited to n <= 18: the point "
+                   "at n = 19 has up to 2^18 = 262144 sign subsets\n")

@@ -1,6 +1,7 @@
 """Cells of closest lifts: half-spaces, vertex families, faces, pairings."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from flatklein import (CutPolytope, InvariantError, catalog, cut_polytope, delta,
                        equivalent, k_value, minimal_lifts, project, representatives)
 from flatklein._exact import _scaled, gcd_reduce, mat_rank
-from flatklein.cut_polytope import Cap, LabeledSet, Wall, _deck_image, chamber_reduce
+from flatklein.cut_polytope import (Cap, LabeledSet, Wall, _deck_image, _gain8,
+                                    _k_table, chamber_reduce)
 from flatklein.klein_space import DeckElement, apply_deck, canonicalize, neighbor_set
 from flatklein.oracle import brute_vertices
 
@@ -69,8 +71,38 @@ def test_k_value_ignores_labels():
         assert k_value(LabeledSet((0, 2), eps), a) == plain
 
 
+def test_labeled_set_checks():
+    assert LabeledSet((0, 2), (1, 0)).label_of(2) == 0
+    for members, labels, match in (
+            ((0, 0), (0, 1), "strictly increasing"),
+            ((2, 0), (0, 1), "strictly increasing"),
+            ((0, 1), (0,), "align"),
+            ((0, 1), (0, 2), "0/1")):
+        with pytest.raises(ValueError, match=match):
+            LabeledSet(members, labels)
+
+
 def _fraction_delta(a):
     return a - 2 * a * a if a <= F(1, 2) else F(1, 8) - 2 * (a - F(3, 4)) ** 2
+
+
+def test_k_table_matches_fraction_k():
+    # every entry of the shared table, by bitmask, against
+    # K(S) = 1/2 + sum of deltas - 2 * (deltas over S) on Fractions
+    rng = random.Random(6060)
+    for k in range(60):
+        a = [F(rng.randrange(1, d), d) for d in
+             (rng.choice((5, 7, 9, 12, 13, 20)) for _ in range(k % 7))]
+        a = [x for x in a if x != F(1, 2)]
+        den = math.lcm(*(x.denominator for x in a))
+        table = _k_table([_gain8(x.numerator * (den // x.denominator), den)
+                          for x in a], den * den)
+        assert len(table) == 2 ** len(a)
+        total = sum(map(_fraction_delta, a))
+        for mask, value in enumerate(table):
+            ref = F(1, 2) + total - 2 * sum(
+                _fraction_delta(x) for j, x in enumerate(a) if mask >> j & 1)
+            assert F(value, 8 * den * den) == ref, (a, mask)
 
 
 def test_delta_and_k_value_match_fraction_formulas():
@@ -103,6 +135,9 @@ def test_delta_and_k_value_match_fraction_formulas():
             k_value((0,), bad)
     with pytest.raises(ValueError, match="subset indexes outside"):
         k_value((1,), (F(1, 3),))
+    for subset in ((0, 0), [1, 0, 1]):
+        with pytest.raises(ValueError, match=r"^repeated index in \(\d(, \d)+\)$"):
+            k_value(subset, (F(1, 5), F(3, 10)))
 
 
 @given(st.lists(chamber_coord, min_size=1, max_size=5), st.data())
@@ -247,6 +282,16 @@ def test_chamber_reduce():
     red, refl, prism = chamber_reduce((F(3, 4), F(1, 2), F(0)))
     assert red == (F(1, 4), F(1, 2), F(0))
     assert refl == (0,) and prism == (1,)
+
+    for p in ((F(1), F(0)), (F(-1, 3), F(1, 3)), (F(1, 4), F(5, 4), F(0))):
+        with pytest.raises(ValueError, match=r"^expected a canonical point$"):
+            chamber_reduce(p)
+    # only the head is folded; the last coordinate is passed through
+    assert chamber_reduce((F(3, 4), F(5, 4))) == ((F(1, 4), F(5, 4)), (0,), ())
+    for p in ((F(5, 4), F(0)), (F(1, 4), F(3, 2))):
+        with pytest.raises(ValueError,
+                           match=r"^base point must be canonical \(in \[0,1\)\^n\)$"):
+            CutPolytope(p)
 
 
 def test_reflected_chamber_matches_oracle():

@@ -61,6 +61,10 @@ def test_deck_parity_constraint():
         DeckElement(1, (0,), 0)
     with pytest.raises(ValueError):
         DeckElement(0, (1,), 3)
+    with pytest.raises(ValueError, match="^parity must be 0 or 1$"):
+        DeckElement(2, (0,), 0)
+    with pytest.raises(ValueError, match="^shift must be a tuple of ints$"):
+        DeckElement(0, (F(1, 2),), 0)
 
 
 @given(small_deck, small_deck, pts(3))
@@ -259,6 +263,10 @@ def test_neighbor_set_counts():
     assert len(neighbor_set((F(1, 4), F(1, 3)))) == 8
     assert len(neighbor_set((F(1, 2), F(1, 3)))) == 6
     assert len(neighbor_set((F(1, 4), F(1, 4), F(0)))) == 14
+    assert len(neighbor_set((F(1), F(7, 2)))) == 6  # 1 and any last value
+    for p in ((F(-1, 4), F(1, 3)), (F(1, 4), F(5, 4), F(0))):
+        with pytest.raises(ValueError, match=r"must lie in \[0,1\]$"):
+            neighbor_set(p)
 
 
 def test_neighbor_set_contents_n2():

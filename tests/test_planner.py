@@ -12,15 +12,19 @@ from hypothesis import strategies as st
 
 import flatklein
 from flatklein import (
+    DeckElement,
     KleinPoint,
     PlanResult,
+    apply_deck,
     canonicalize,
     classify,
     cut_polytope,
+    geodesic_path,
     minimal_lifts,
     partition_index,
     plan,
     project,
+    rat,
     representatives,
     squared_distance,
 )
@@ -303,11 +307,16 @@ def test_per_pair_errors_keep_type_and_message():
         with pytest.raises(ValueError,
                            match=r"^points must have dimension at least 2$"):
             call()
+    g2, g3 = DeckElement.identity(2), DeckElement.identity(3)
     for call in (lambda: minimal_lifts((0, 0, 0), z2),
                  lambda: squared_distance(z2, z3),
-                 lambda: plan((0, 0), (0, 0, 0))):
+                 lambda: plan((0, 0), (0, 0, 0)),
+                 lambda: g2.compose(g3), lambda: apply_deck(g3, (0, 0)),
+                 lambda: geodesic_path((0, 0), (0, 0, 0), 2)):
         with pytest.raises(ValueError, match=r"^dimension mismatch$"):
             call()
+    with pytest.raises(TypeError, match=r"^not an exact rational: 1\.5$"):
+        rat(1.5)
     for p in ((F(5, 4), 0), ("1/2", "-1/3"), (0, 1), (F(1, 3), F(1, 2), 2)):
         for call in (classify, DomainDescriptor.of_point):
             with pytest.raises(ValueError, match=r"^expected a canonical point$"):

@@ -518,6 +518,23 @@ def test_catalog_solves_each_lp_once(monkeypatch):
 # serialization
 # ---------------------------------------------------------------------------
 
+def test_classify_refuses_n_above_the_limit(monkeypatch):
+    assert stratification.CLASSIFY_N_MAX == 18
+    # at the limit a point is classified; with every head a prism it is cheap
+    s = classify((F(0),) * 17 + (F(1, 3),))
+    assert s.alpha.signs == (1,) and s.dim == 1
+
+    def refuse(*args):
+        raise AssertionError("the sign table was built")
+
+    monkeypatch.setattr(stratification, "_k_table", refuse)
+    for p in ((F(1, 3),) * 19, (F(0),) * 19, (F(5, 4),) * 19):
+        with pytest.raises(ValueError, match=(
+                r"^classify and plan are limited to n <= 18: the point at "
+                r"n = 19 has up to 2\^18 = 262144 sign subsets$")):
+            classify(p)
+
+
 def test_stratum_json():
     s = classify((F(1, 4),) * 6 + (F(1, 3),))
     data = s.to_json()
