@@ -161,6 +161,8 @@ def _off_cell(cell: CutPolytope) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_distance(args) -> int:
+    if args.digits < 0:
+        raise ValueError(f"--digits must be at least 0, got {args.digits}")
     y, z = project(args.P), project(args.Q)
     d2 = squared_distance(y, z)
     dec = _decimal_sqrt(d2, args.digits)

@@ -231,8 +231,8 @@ class CutPolytope:
     """Immutable cell data for one canonical base point."""
 
     def __init__(self, p: Union[KleinPoint, Sequence[Rational]]):
-        point = p if isinstance(p, KleinPoint) else project(p)
-        if not isinstance(p, KleinPoint) and point.rep != as_point(p):
+        point = project(p)  # a KleinPoint comes back as itself
+        if point is not p and point.rep != as_point(p):
             raise ValueError("base point must be canonical (in [0,1)^n)")
         self.point = point
         self.n = point.n
@@ -478,29 +478,27 @@ class CutPolytope:
     def vertex_equivalences(self) -> list[list[int]]:
         """Partition of vertex ids by their image in the quotient."""
         if self._vertex_classes is None:
-            self.vertices()
-            q = self._vertex_den
-            groups: dict[tuple, list[int]] = {}
-            for i, v in enumerate(self._vertex_nums):
-                groups.setdefault(_deck_image([v], q), []).append(i)
-            self._vertex_classes = sorted(groups.values())
+            self._vertex_classes = self._classes(
+                [(i,) for i in range(len(self.vertices()))])
         return self._vertex_classes
 
     def face_equivalences(self) -> list[list[int]]:
-        """Partition of face ids under the deck action (dimension-preserving).
-
-        The deck group acts freely, so two faces have the same
-        `_deck_image` exactly when one is a deck image of the other.
-        """
+        """Partition of face ids under the deck action (dimension-preserving)."""
         if self._face_classes is None:
-            faces = self.face_lattice()
-            nums, q = self._vertex_nums, self._vertex_den
-            groups: dict[tuple, list[int]] = {}
-            for fid, f in enumerate(faces):
-                key = (f.dim, _deck_image([nums[i] for i in f.vertex_ids], q))
-                groups.setdefault(key, []).append(fid)
-            self._face_classes = sorted(groups.values())
+            self._face_classes = self._classes(
+                [f.vertex_ids for f in self.face_lattice()])
         return self._face_classes
+
+    def _classes(self, id_sets: list[tuple[int, ...]]) -> list[list[int]]:
+        """Partition of the positions of `id_sets` (sets of vertex ids) by
+        `_deck_image`.  The deck group acts freely, so two sets have the
+        same image exactly when one is a deck image of the other; a deck
+        map carries a face onto a face of the same dimension."""
+        nums, q = self._vertex_nums, self._vertex_den
+        groups: dict[tuple, list[int]] = {}
+        for pos, ids in enumerate(id_sets):
+            groups.setdefault(_deck_image([nums[i] for i in ids], q), []).append(pos)
+        return sorted(groups.values())
 
     # -- serialization ------------------------------------------------------
 
@@ -579,5 +577,4 @@ def _cached_cell(rep: LiftPoint) -> CutPolytope:
 
 def cut_polytope(p: Union[KleinPoint, Sequence[Rational]]) -> CutPolytope:
     """Shared-cache constructor (cells are immutable)."""
-    point = p if isinstance(p, KleinPoint) else project(p)
-    return _cached_cell(point.rep)
+    return _cached_cell(project(p).rep)

@@ -170,8 +170,11 @@ def canonicalize(x: Sequence[Rational]) -> tuple[KleinPoint, DeckElement]:
     return KleinPoint(rep), DeckElement(parity, shift, -k)
 
 
-def project(x: Sequence[Rational]) -> KleinPoint:
-    """The quotient map: forget which lift a cover point was."""
+def project(x: Union[KleinPoint, Sequence[Rational]]) -> KleinPoint:
+    """The quotient map: forget which lift a cover point was.  A
+    KleinPoint is a quotient point already and comes back unchanged."""
+    if isinstance(x, KleinPoint):
+        return x
     return KleinPoint(_representative(as_point(x))[0])
 
 

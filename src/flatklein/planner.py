@@ -41,10 +41,6 @@ __all__ = ["FaceKey", "PlanResult", "partition_index", "plan", "representatives"
 FaceKey = tuple  # sorted tuple of descriptor key strings
 
 
-def _as_klein(x) -> KleinPoint:
-    return x if isinstance(x, KleinPoint) else project(x)
-
-
 @dataclass(frozen=True)
 class PlanResult:
     """Chosen minimal geodesic for one ordered pair."""
@@ -86,8 +82,8 @@ def plan(y, z, samples: int = 0) -> PlanResult:
 
     Refused with a ValueError above n = CLASSIFY_N_MAX, by `classify`.
     """
-    src = _as_klein(y)
-    dst = _as_klein(z)
+    src = project(y)
+    dst = project(z)
     stratum = classify(src.rep)
     lifts = minimal_lifts(src.rep, dst)
     if len(lifts) == 1:

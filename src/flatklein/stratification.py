@@ -8,8 +8,8 @@ subset S of interval coordinates is
     K_S = (N + 4 - 2|S|)/16 + sum_{i in S} b_i^2 - sum_{i not in S} b_i^2,
 
 which is K(S)/2 for the cell slack K(S): its signs come from the cells'
-table `_k_table`, on the point folded by `_chamber`.  The u-space
-dimension theory below is unchanged.
+table `_k_table`, on the point folded by `_chamber`.
+
 Points with the same domain pattern and the same full sign vector form a
 stratum; the cell combinatorics (which vertices exist, how faces match up)
 is constant on each stratum.
@@ -335,72 +335,57 @@ def same_stratum(p: Sequence[Rational], q: Sequence[Rational]) -> bool:
 # Catalog
 # ---------------------------------------------------------------------------
 
-def _witness_b(n_active: int, signs: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """A rational b-vector realizing a feasible sign pattern (N <= 6)."""
+def _witness_b(n_active: int, choice: dict) -> tuple[Fraction, ...] | None:
+    """A rational b-vector realizing a sign pattern (N <= 6), or None for a
+    size-6 pattern that no point has.  `choice` holds the signs of the
+    degenerable subsets; every other K_S is positive.
+
+    At N = 6, with Z = sum u_i, the top level is Z - 1/8 and the
+    co-singleton levels are Z - 2 u_m.  A zero at level 5 pins u_m = Z/2,
+    so two zeros exhaust the budget (all other u vanish), three or more
+    force Z = 0, and a negative level (u_m > Z/2) cannot coexist with any
+    zero or another negative.  tau >= 0 needs Z >= 1/8, while u_m < 1/16
+    keeps every co-singleton level strictly positive there, which the
+    monotone rule already demands.
+    """
     F = Fraction
-    by_size = {}
-    for sub, s in zip(_subsets(n_active), signs):
-        by_size.setdefault(len(sub), {})[sub] = s
     if n_active <= 3:
         return (F(0),) * n_active
+    if n_active > 6:
+        raise ValueError("witness table covers active sizes up to 6")
+    tau = choice[tuple(range(n_active))]
     if n_active == 4:
-        tau = by_size[4][(0, 1, 2, 3)]
         return (F(1, 5), F(0), F(0), F(0)) if tau == 1 else (F(0),) * 4
     if n_active == 5:
-        tau = by_size[5][(0, 1, 2, 3, 4)]
         if tau == 1:
             return (F(1, 5), F(1, 5), F(0), F(0), F(0))
         if tau == 0:
             return (F(1, 5), F(3, 20), F(0), F(0), F(0))
         return (F(1, 10),) * 5
-    if n_active == 6:
-        tau = by_size[6][tuple(range(6))]
-        sigma = {}
-        for sub, s in by_size[5].items():
-            (m,) = set(range(6)) - set(sub)
-            sigma[m] = s
-        zeros = sorted(m for m, s in sigma.items() if s == 0)
-        negs = sorted(m for m, s in sigma.items() if s == -1)
-        if tau == 1:
-            return (F(1, 5),) * 6
-        if tau == 0:
-            return (F(1, 5), F(1, 5), F(1, 5), F(1, 20), F(1, 20), F(0))
-        if len(zeros) == 6:
-            return (F(0),) * 6  # fully degenerate center
-        if negs:
-            (k,) = negs
-            return tuple(F(1, 5) if m == k else F(1, 20) for m in range(6))
-        if len(zeros) == 1:
-            (k,) = zeros
-            rest = [m for m in range(6) if m != k]
-            vals = {k: F(1, 5), rest[0]: F(3, 25), rest[1]: F(4, 25)}
-            return tuple(vals.get(m, F(0)) for m in range(6))
-        if len(zeros) == 2:
-            return tuple(F(1, 10) if m in zeros else F(0) for m in range(6))
-        return (F(1, 10),) * 6  # plain tau < 0, all sigma positive
-    raise ValueError("witness table covers active sizes up to 6")
-
-
-def _plausible_six(choice: dict, deg: list) -> bool:
-    """Necessary conditions for a size-6 pattern, from sum(u) = Z.
-
-    With Z = sum u_i, the top level is Z - 1/8 and the co-singleton levels
-    are Z - 2 u_m.  A zero at level 5 pins u_m = Z/2, so two zeros exhaust
-    the budget (all other u vanish), three or more force Z = 0, and a
-    negative level (u_m > Z/2) cannot coexist with any zero or another
-    negative.  tau >= 0 needs Z >= 1/8, while u_m < 1/16 keeps every
-    co-singleton level strictly positive in that regime.
-    """
-    top = tuple(range(6))
-    tau = choice[top]
-    sigma = [choice[s] for s in deg if len(s) == 5]
-    zeros = sigma.count(0)
-    negs = sigma.count(-1)
-    if tau >= 0:
-        return zeros == 0 and negs == 0
-    if negs > 1 or (negs and zeros):
-        return False
-    return zeros in (0, 1, 2) or zeros == 6
+    if tau == 1:
+        return (F(1, 5),) * 6
+    if tau == 0:
+        return (F(1, 5), F(1, 5), F(1, 5), F(1, 20), F(1, 20), F(0))
+    sigma = [s for sub, s in choice.items() if len(sub) == 5]
+    zeros, negs = sigma.count(0), sigma.count(-1)
+    if negs > 1 or (negs and zeros) or 3 <= zeros <= 5:
+        return None
+    if zeros == 6:
+        return (F(0),) * 6  # fully degenerate center
+    # the m of each level Z - 2 u_m that is not positive: its subset
+    # leaves out m = 15 - sum(subset)
+    low = [15 - sum(sub) for sub, s in choice.items() if len(sub) == 5 and s != 1]
+    if negs:
+        (k,) = low
+        return tuple(F(1, 5) if m == k else F(1, 20) for m in range(6))
+    if zeros == 1:
+        (k,) = low
+        rest = [m for m in range(6) if m != k]
+        vals = {k: F(1, 5), rest[0]: F(3, 25), rest[1]: F(4, 25)}
+        return tuple(vals.get(m, F(0)) for m in range(6))
+    if zeros == 2:
+        return tuple(F(1, 10) if m in low else F(0) for m in range(6))
+    return (F(1, 10),) * 6  # plain tau < 0, all sigma positive
 
 
 @lru_cache(maxsize=16)
@@ -408,7 +393,8 @@ def _strata_for_size(n_active: int):
     """All feasible sign patterns over subsets of range(n_active), each as
     (signs, a) with a_i = 1/4 + b_i for a witness b-vector that realizes it.
 
-    Every candidate whose witness fails must be empty: the tau-LP of
+    A candidate that `_witness_b` rules out (None) is skipped; every other
+    candidate whose witness fails must be empty: the tau-LP of
     `_dimension` checks that the witness table misses none.
     """
     subsets = _subsets(n_active)
@@ -424,10 +410,11 @@ def _strata_for_size(n_active: int):
                for small, big in nested):
             continue
         choice = dict(zip(deg, assignment))
-        if n_active == 6 and not _plausible_six(choice, deg):
+        b = _witness_b(n_active, choice)
+        if b is None:
             continue
         signs = tuple(choice.get(sub, 1) for sub in subsets)
-        a = tuple(Fraction(1, 4) + b for b in _witness_b(n_active, signs))
+        a = tuple(Fraction(1, 4) + x for x in b)
         _, gains, sq = _fold(a + (Fraction(0),))
         if _k_signs(gains, sq) == signs:
             out.append((signs, a))

@@ -253,6 +253,17 @@ def test_verify_refuses_no_samples(capsys, samples):
     assert err == f"error: --samples must be at least 1, got {samples}\n"
 
 
+def test_distance_refuses_negative_digits(capsys):
+    code = cli.main(["distance", "--P", "1/4,0", "--Q", "3/4,1/2", "--digits", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: --digits must be at least 0, got -1\n"
+    code, out = run(capsys, "distance", "--P", "1/4,0", "--Q", "3/4,1/2",
+                    "--digits", "0", "--format", "text")
+    assert (code, out) == (0, "d^2 = 1/4\nd   = 0\n")
+
+
 def test_malformed_point_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["distance", "--P", "1/4,nope", "--Q", "0,0"])

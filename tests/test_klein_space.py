@@ -139,6 +139,12 @@ def test_klein_point_validation():
             KleinPoint(rep)
 
 
+def test_project_returns_a_klein_point_unchanged():
+    y = KleinPoint((F(1, 4), F(0)))
+    assert project(y) is y
+    assert project((F(5, 4), F(2))) == y
+
+
 def test_equivalent_examples():
     assert equivalent((F(1, 4), F(0)), (F(3, 4), F(1)))
     assert not equivalent((F(1, 4), F(0)), (F(3, 4), F(0)))

@@ -28,6 +28,7 @@ from flatklein import (
     representatives,
     squared_distance,
 )
+from flatklein._exact import InvariantError
 from flatklein.cut_polytope import _cached_cell
 from flatklein.oracle import brute_distance, brute_minimal_images
 from flatklein.stratification import (INTERVAL, POINT, PRISM, DomainDescriptor,
@@ -180,6 +181,18 @@ def test_shared_face_key_check_survives_optimisation():
          "except AssertionError as exc:\n    print(exc)", src],
         capture_output=True, text=True, check=True)
     assert "source (1/4, 0), target (1/4, 5/8)" in out.stdout
+
+
+def test_lifts_sharing_a_face_key_are_refused(monkeypatch):
+    # (1/4, 0) -> (1/4, 5/8) has three minimal lifts; with every lift
+    # reported tight on nothing they share the key ()
+    assert len(minimal_lifts(HEX_BASE, project((F(1, 4), F(5, 8))))) == 3
+    monkeypatch.setattr(flatklein.CutPolytope, "active_descriptors",
+                        lambda self, q: frozenset())
+    with pytest.raises(InvariantError, match=(
+            r"^minimal lifts must lie on distinct faces: source \(1/4, 0\), "
+            r"target \(1/4, 5/8\), 3 lifts, keys \[\(\)\]$")):
+        plan(HEX_BASE, (F(1, 4), F(5, 8)))
 
 
 def test_plan_samples():

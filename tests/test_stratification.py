@@ -21,6 +21,7 @@ from flatklein import (
     stratum_dimension,
 )
 from flatklein import stratification
+from flatklein._exact import InvariantError
 from flatklein.oracle import brute_vertices
 from flatklein.stratification import (
     INTERVAL,
@@ -339,6 +340,21 @@ def test_catalog_witness_check_survives_optimisation():
                           f"{(1,) * 16} over 4 active coordinates\n")
 
 
+def test_catalog_refuses_a_witness_of_another_stratum(monkeypatch):
+    # one interval coordinate comes first at n = 2: its signs are (1, 1)
+    monkeypatch.setattr(stratification, "_strata_for_size",
+                        lambda k: [((1, 0), (F(1, 4),))])
+    with pytest.raises(InvariantError, match=(
+            r"^witness fails to realize its sign pattern: \(1, 0\)$")):
+        catalog(2)
+
+
+def test_witness_table_stops_at_six_active_coordinates():
+    with pytest.raises(ValueError,
+                       match=r"^witness table covers active sizes up to 6$"):
+        stratification._witness_b(7, {})
+
+
 # ---------------------------------------------------------------------------
 # dimension: a second way, and the LP count
 # ---------------------------------------------------------------------------
@@ -397,11 +413,12 @@ def _vertex_dimension(n, signs):
 
 def test_dimension_matches_vertex_enumeration():
     # every sign choice on the subsets that can reach K_S = 0 on the box
-    # that passes the monotone rule, including those `_plausible_six` drops
+    # that passes the monotone rule, including those `_witness_b` rules out
     empty = nonempty = 0
     for n in (4, 5, 6):
         subs = _subsets(n)
         deg = [s for s in subs if len(s) >= 5 or len(s) == 4 == n]
+        feasible = set()
         for assignment in itertools.product((1, 0, -1), repeat=len(deg)):
             sign = dict(zip(deg, assignment))
             if any(set(a) < set(b) and (sign[b] > sign[a] or sign[a] == sign[b] == 0)
@@ -412,6 +429,10 @@ def test_dimension_matches_vertex_enumeration():
             assert _dimension(n, signs) == dim, (n, signs)
             empty += dim is None
             nonempty += dim is not None
+            if dim is not None:
+                feasible.add(signs)
+        # the catalog's case analysis keeps exactly the nonempty patterns
+        assert {signs for signs, _ in _strata_for_size(n)} == feasible, n
     assert (empty, nonempty) == (701, 36)
     for n in range(7):
         for signs, *_ in _strata_for_size(n):
