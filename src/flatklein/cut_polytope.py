@@ -7,8 +7,10 @@ coordinate, and a family of slanted bisectors indexed by 0/1 vectors over
 the "active" coordinates (those with a_i not in {0, 1/2}).  This module
 builds that description symbolically, enumerates the vertices in closed
 form (standard / middle / truncating families), grades the face lattice
-from the vertex-facet incidences, and computes which vertices and faces
-are identified with each other in the quotient.
+from the vertex-row incidences, and computes which vertices and faces are
+identified with each other in the quotient: two faces are exactly when
+their barycenters are, as a face is the smallest one that holds its
+barycenter.
 
 Inside, the half-spaces and the vertex families run on the integer
 numerators of the reduced point over their common denominator D.  The
@@ -433,11 +435,13 @@ class CutPolytope:
     def face_lattice(self) -> list[Face]:
         """All faces (dimension 0..n), graded top-down from the incidences.
 
-        Vertex-row incidences are int bitmasks (Kaibel & Pfetsch, 2002).
-        The facets are the maximal vertex sets of single rows; the faces a
-        face G covers are the maximal meets of G with the facets, so the
-        cell is level n and a face's dimension is its level.  Refused with
-        a ValueError above n = FACE_N_MAX.
+        Vertex-row incidences are int bitmasks (Kaibel & Pfetsch, 2002),
+        with the rows in key order, so that the rows tight on all of a face
+        come off their mask already sorted.  The faces a face G covers are
+        the maximal meets of G with the rows tight at some vertex of G but
+        not at all of them: any other row meets G in nothing or in all of
+        G.  So the cell is level n and a face's dimension is its level.
+        Refused with a ValueError above n = FACE_N_MAX.
         """
         if self._faces is not None:
             return self._faces
@@ -447,27 +451,30 @@ class CutPolytope:
                 f"the cell at n = {self.n} has about {2 * 3 ** (self.n - 1)} vertices")
         self.vertices()
         nums, q = self._vertex_nums, self._vertex_den
-        rows = self.integer_rows()
-        keys = [d.key() for d, _, _ in rows]
-        # at[i]: mask of the rows tight at vertex i
+        rows = sorted((d.key(), normal, off) for d, normal, off in self.integer_rows())
+        keys = [key for key, _, _ in rows]
+        # at[i]: mask of the rows tight at vertex i; tight[j]: mask of the
+        # vertices at which row j is tight
         at = [sum(1 << j for j, (_, normal, off) in enumerate(rows)
                   if sum(map(operator.mul, normal, v)) == off * q)
               for v in nums]
-        top = (1 << len(nums)) - 1
-        tight = {sum(1 << i for i, on in enumerate(at) if on >> j & 1)
-                 for j in range(len(rows))}
-        facets = _maximal(tight - {0, top})
+        tight = [0] * len(rows)
+        for i, on in enumerate(at):
+            for j in _bits(on):
+                tight[j] |= 1 << i
         faces = []
-        level = {top}
+        level = {(1 << len(nums)) - 1}
         for dim in range(self.n, -1, -1):
             below: set[int] = set()
             for g in level:
-                ids, on = tuple(_bits(g)), -1
+                ids, on, touch = tuple(_bits(g)), -1, 0
                 for i in ids:
                     on &= at[i]
-                active = tuple(sorted(keys[j] for j in _bits(on)))
-                faces.append(Face(dim, active, ids))
-                below.update(_maximal({g & f for f in facets} - {0, g}))
+                    touch |= at[i]
+                faces.append(Face(dim, tuple(keys[j] for j in _bits(on)), ids))
+                # a row tight at some vertex of g but not at all of them
+                # meets g in a nonempty proper face
+                below.update(_maximal({g & tight[j] for j in _bits(touch & ~on)}))
             level = below
         faces.sort(key=lambda f: (f.dim, f.vertex_ids))
         self._faces = faces
@@ -490,14 +497,23 @@ class CutPolytope:
         return self._face_classes
 
     def _classes(self, id_sets: list[tuple[int, ...]]) -> list[list[int]]:
-        """Partition of the positions of `id_sets` (sets of vertex ids) by
-        `_deck_image`.  The deck group acts freely, so two sets have the
-        same image exactly when one is a deck image of the other; a deck
-        map carries a face onto a face of the same dimension."""
+        """Partition of the positions of `id_sets` (vertex sets of faces,
+        single vertices included) by `_barycenter_key`, the canonical image
+        of each set's barycenter b.
+
+        Faces G and G' are in one class iff G' = gG for a deck map g, and
+        that holds iff g b(G) = b(G').  A deck map is affine, so the first
+        gives the second.  Conversely, let N(x) be the orbit points of P
+        nearest to x; for y in R(P), the smallest face of R(P) that holds y
+        is {z : N(z) contains N(y)}.  If g b(G) = b(G'), then P and gP both
+        lie in N(b(G')), so that set is the same for R(P) and for
+        R(gP) = gR(P): it is G' and it is gG.
+        """
         nums, q = self._vertex_nums, self._vertex_den
-        groups: dict[tuple, list[int]] = {}
+        groups: dict[tuple[int, ...], list[int]] = {}
         for pos, ids in enumerate(id_sets):
-            groups.setdefault(_deck_image([nums[i] for i in ids], q), []).append(pos)
+            groups.setdefault(_barycenter_key([nums[i] for i in ids], q),
+                              []).append(pos)
         return sorted(groups.values())
 
     # -- serialization ------------------------------------------------------
@@ -534,7 +550,10 @@ def _maximal(masks: set[int]) -> list[int]:
     """The inclusion-maximal masks among `masks`."""
     out: list[int] = []
     for m in sorted(masks, key=int.bit_count, reverse=True):
-        if all(m & k != m for k in out):
+        for k in out:
+            if m & k == m:
+                break
+        else:
             out.append(m)
     return out
 
@@ -549,22 +568,19 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _deck_image(pts: list[tuple[int, ...]], q: int) -> tuple[tuple[int, ...], ...]:
-    """The sorted image of integer points over q under the deck map that
-    takes their barycenter into [0,1)^n.
+def _barycenter_key(pts: list[tuple[int, ...]], q: int) -> tuple[int, ...]:
+    """The canonical image of the barycenter of integer points over q, as
+    its numerators over mq (m points) after mq itself.
 
-    The map is `canonicalize`'s closed form at the barycenter b: with
-    k = floor(b_n) the glide runs iff k is odd (sign -1), the last
-    coordinate moves by -k and each head coordinate by -floor(sign b_i).
+    `canonicalize`'s closed form on the column totals t, with b = t / mq:
+    with k = t_n // mq the glide runs iff k is odd (sign -1), each head
+    numerator becomes sign t_i mod mq and the last t_n - k mq.
     """
-    m = len(pts)
+    mq = len(pts) * q
     total = [sum(col) for col in zip(*pts)]
-    k = total[-1] // (m * q)
+    k = total[-1] // mq
     sign = -1 if k % 2 else 1
-    shift = [-(sign * t // (m * q)) * q for t in total[:-1]]
-    return tuple(sorted(
-        tuple(sign * c + s for c, s in zip(v, shift)) + (v[-1] - k * q,)
-        for v in pts))
+    return (mq, *(sign * t % mq for t in total[:-1]), total[-1] - k * mq)
 
 
 # a cell's memory grows like its 2*3^(n-1) vertices (about 0.4 MB at n = 6

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from flatklein import (CutPolytope, InvariantError, catalog, cut_polytope, delta,
                        equivalent, k_value, minimal_lifts, project, representatives)
 from flatklein._exact import _scaled, gcd_reduce, mat_rank
-from flatklein.cut_polytope import (Cap, LabeledSet, Wall, _deck_image, _gain8,
+from flatklein.cut_polytope import (Cap, LabeledSet, Wall, _barycenter_key, _gain8,
                                     _k_table, chamber_reduce)
 from flatklein.klein_space import DeckElement, apply_deck, canonicalize, neighbor_set
-from flatklein.oracle import brute_vertices
+from flatklein.oracle import brute_geodesic_count, brute_vertices
 
 HEX_BASE = (F(1, 4), F(0))
 
@@ -726,8 +726,8 @@ def _seeded_class_cells(rng, counts):
 
 
 def test_deck_image_is_the_canonical_deck_map():
-    # the image under canonicalize's deck map at the Fraction barycenter;
-    # a third of the barycenters get an integer head coordinate
+    # the key is the canonical image of the Fraction barycenter, written
+    # over mq; a third of the barycenters get an integer head coordinate
     rng = random.Random(3130)
     integer_heads = 0
     for _ in range(600):
@@ -736,15 +736,13 @@ def test_deck_image_is_the_canonical_deck_map():
         if rng.random() < 0.3:
             pts.append(tuple(-sum(col) + m * q * rng.randint(-2, 2)
                              for col in zip(*pts)))
-        bary = [F(sum(col), q * len(pts)) for col in zip(*pts)]
+        mq = q * len(pts)
+        bary = [F(sum(col), mq) for col in zip(*pts)]
         integer_heads += any(b.denominator == 1 for b in bary[:-1])
-        _, g = canonicalize(bary)
-        want = sorted(tuple(c * q for c in apply_deck(g, [F(x, q) for x in v]))
-                      for v in pts)
-        got = _deck_image(pts, q)
-        assert got == tuple(want), (pts, q)
-        image_bary = [F(sum(col), q * len(pts)) for col in zip(*got)]
-        assert all(0 <= b < 1 for b in image_bary), (pts, q)
+        point, _ = canonicalize(bary)
+        want = (mq, *(c * mq for c in point.rep))
+        assert all(x.denominator == 1 for x in want), (pts, q)
+        assert _barycenter_key(pts, q) == want, (pts, q)
     assert integer_heads >= 100
 
 
@@ -928,6 +926,33 @@ def test_face_classes_match_pairwise_deck_search():
     for p in cells:
         cell = cut_polytope(p)
         assert cell.face_equivalences() == _reference_face_classes(cell), p
+
+
+def test_face_class_size_is_geodesic_multiplicity():
+    # the members of a face class are the faces of R(P) that hold a minimal
+    # lift of one quotient point: from P, the barycenter of the class's
+    # first face has one minimal lift per member
+    cells = _reference_cells() + [s.witness for n in range(2, 6) for s in catalog(n)]
+    sizes = set()
+    for p in cells:
+        cell = cut_polytope(p)
+        verts, faces = cell.vertices(), cell.face_lattice()
+        for cls in cell.face_equivalences():
+            ids = faces[cls[0]].vertex_ids
+            b = tuple(sum(col) / len(ids) for col in zip(*(verts[i].coords for i in ids)))
+            lifts = minimal_lifts(cell.point.rep, project(b))
+            assert len(lifts) == brute_geodesic_count(cell.point.rep, b) == len(cls), (p, cls)
+            sizes.add(len(cls))
+    assert {1, 2, 3, 4, 32} <= sizes
+
+
+def test_euler_relation_on_face_lattices():
+    # sum of (-1)^dim over the faces, the cell included, is 1
+    cells = [s.witness for n in range(2, 6) for s in catalog(n)]
+    cells += random.Random(3133).sample([s.witness for s in catalog(6)], 8)
+    for p in cells:
+        faces = cut_polytope(p).face_lattice()
+        assert sum((-1) ** f.dim for f in faces) == 1, p
 
 
 def test_face_census_n5():
