@@ -14,7 +14,6 @@ from .klein_space import (
     apply_deck,
     as_point,
     canonicalize,
-    equivalent,
     format_rat,
     geodesic_path,
     minimal_lifts,
@@ -34,20 +33,17 @@ from .cut_polytope import (
 from .oracle import (
     CertificationReport,
     brute_distance,
-    brute_geodesic_count,
     brute_minimal_images,
     brute_vertices,
     certify_vertices,
 )
-from .planner import FaceKey, PlanResult, partition_index, plan, representatives
+from .planner import FaceKey, PlanResult, plan, representatives
 from .stratification import (
     DomainDescriptor,
     SignVector,
     Stratum,
     catalog,
     classify,
-    same_stratum,
-    stratum_dimension,
 )
 
 __all__ = [
@@ -58,7 +54,6 @@ __all__ = [
     "apply_deck",
     "as_point",
     "canonicalize",
-    "equivalent",
     "format_rat",
     "geodesic_path",
     "minimal_lifts",
@@ -74,13 +69,11 @@ __all__ = [
     "k_value",
     "CertificationReport",
     "brute_distance",
-    "brute_geodesic_count",
     "brute_minimal_images",
     "brute_vertices",
     "certify_vertices",
     "FaceKey",
     "PlanResult",
-    "partition_index",
     "plan",
     "representatives",
     "DomainDescriptor",
@@ -88,8 +81,6 @@ __all__ = [
     "Stratum",
     "catalog",
     "classify",
-    "same_stratum",
-    "stratum_dimension",
 ]
 
 __version__ = "0.1.0"

@@ -132,7 +132,7 @@ def _off_cell(cell: CutPolytope) -> str:
     faces = cell.face_lattice()
     edges = [f for f in faces if f.dim == 1]
     facets = [f for f in faces if f.dim == 2]
-    normals = {d.key(): nrm for d, nrm, _ in cell.integer_rows()}
+    normals = {key: nrm for key, nrm, _ in cell.integer_rows()}
     lines = ["OFF", f"{len(verts)} {len(facets)} {len(edges)}"]
     for v in verts:
         lines.append(" ".join(f"{float(c):.12g}" for c in v.coords))

@@ -22,9 +22,10 @@ vertices are sorted and checked for collisions as integer tuples, and a
 Fraction is built once per distinct coordinate value.
 
 Coordinate indices are 0-based everywhere, including emitted JSON.
-Half-space descriptors are expressed in the reduced chamber (every active
-a_i folded into (0, 1/2)); realized inequalities are transported back
-through the reflections, which conjugate the deck group to itself.
+Each half-space is named by its row key (`w3+`, `c-`, `s+0101`), which is
+read in the reduced chamber (every active a_i folded into (0, 1/2));
+realized inequalities are transported back through the reflections, which
+conjugate the deck group to itself.
 """
 
 from __future__ import annotations
@@ -48,10 +49,7 @@ from .klein_space import (
     rat,
 )
 
-__all__ = [
-    "Cap", "CutPolytope", "LabeledSet", "Slant", "Vertex", "Wall",
-    "chamber_reduce", "cut_polytope", "delta", "k_value",
-]
+__all__ = ["CutPolytope", "LabeledSet", "Vertex", "cut_polytope", "delta", "k_value"]
 
 STANDARD_PLUS = "StandardPlus"
 STANDARD_MINUS = "StandardMinus"
@@ -157,62 +155,6 @@ def _k_table(gains: Sequence[int], sq: int) -> list[int]:
     return table
 
 
-def chamber_reduce(p: Sequence[Rational]):
-    """Fold all horizontal coordinates into [0, 1/2].
-
-    Returns (reduced point, reflected index tuple, prism index tuple).
-    Reflected coordinates (a_i in (1/2,1)) are replaced by 1 - a_i; the
-    reflection x_i -> 1 - x_i conjugates the deck group to itself, so every
-    equivalence statement transports.  Prism coordinates are those with
-    a_i in {0, 1/2}.  A Fraction view of `_chamber`.
-    """
-    nums, den, reflected, prism = _chamber(as_point(p))
-    return tuple(Fraction(x, den) for x in nums), reflected, prism
-
-
-# ---------------------------------------------------------------------------
-# Half-space descriptors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Wall:
-    """x_i <= a_i + 1/2 (sign +1) or x_i >= a_i - 1/2 (-1), reduced chamber."""
-
-    index: int
-    sign: int
-
-    def key(self) -> str:
-        return f"w{self.index}{'+' if self.sign > 0 else '-'}"
-
-
-@dataclass(frozen=True)
-class Slant:
-    """Bisector with a glide image one level up (+1) or down (-1).
-
-    `delta_bits` has one entry per horizontal coordinate; entries at prism
-    coordinates are fixed to 0 and contribute no term.
-    """
-
-    sign: int
-    delta_bits: tuple[int, ...]
-
-    def key(self) -> str:
-        return f"s{'+' if self.sign > 0 else '-'}{''.join(map(str, self.delta_bits))}"
-
-
-@dataclass(frozen=True)
-class Cap:
-    """x_n <= a_n + 1 (sign +1) or x_n >= a_n - 1 (-1)."""
-
-    sign: int
-
-    def key(self) -> str:
-        return f"c{'+' if self.sign > 0 else '-'}"
-
-
-Descriptor = Union[Wall, Slant, Cap]
-
-
 @dataclass(frozen=True, slots=True)
 class Vertex:
     kind: str
@@ -240,10 +182,9 @@ class CutPolytope:
         self.n = point.n
         # the reduced point as integer numerators over one denominator
         self._nums, self._den, self.reflected, self.prism = _chamber(point.rep)
-        self.reduced = tuple(Fraction(x, self._den) for x in self._nums)
         self.active = tuple(i for i in range(self.n - 1) if i not in self.prism)
-        self._rows: list[tuple[Descriptor, tuple[int, ...], int]] | None = None
-        self._halfspaces: list[tuple[Descriptor, LiftPoint, Fraction]] | None = None
+        self._rows: list[tuple[str, tuple[int, ...], int]] | None = None
+        self._halfspaces: list[tuple[str, LiftPoint, Fraction]] | None = None
         self._vertices: list[Vertex] | None = None
         self._vertex_nums: list[tuple[int, ...]] = []  # over _vertex_den
         self._vertex_den = 1
@@ -253,11 +194,8 @@ class CutPolytope:
 
     # -- half-spaces --------------------------------------------------------
 
-    def descriptors(self) -> list[Descriptor]:
-        return [d for d, _, _ in self.integer_rows()]
-
-    def integer_rows(self) -> list[tuple[Descriptor, tuple[int, ...], int]]:
-        """Every half-space as integer data (descriptor, normal, offset).
+    def integer_rows(self) -> list[tuple[str, tuple[int, ...], int]]:
+        """Every half-space as integer data (row key, normal, offset).
 
         Built once per cell in closed form from the numerators A_i of the
         reduced point over their common denominator D, with the inequality
@@ -267,67 +205,73 @@ class CutPolytope:
         with offset +-2A_n + D less 2A_i - D for every set bit.  A
         reflected coordinate then flips its normal entry, moving the old
         entry into the offset (x_i -> 1 - x_i).  Rows come walls first,
-        then caps, then slants.
+        then caps, then slants.  The row key names the row in the reduced
+        chamber: `w<i>+` / `w<i>-` for x_i <= a_i + 1/2 / x_i >= a_i - 1/2,
+        `c+` / `c-` for x_n <= a_n + 1 / x_n >= a_n - 1, and `s+` / `s-`
+        (the glide image one level up or down) followed by one bit per
+        horizontal coordinate, 0 at a prism.
         """
         if self._rows is None:
             n, a, den = self.n, self._nums, self._den
+            signs = ((1, "+"), (-1, "-"))
             rows = []
             for i in range(n - 1):
-                for sign in (1, -1):
+                for sign, mark in signs:
                     normal = [0] * n
                     normal[i] = 2 * sign * den
-                    rows.append((Wall(i, sign), normal, 2 * sign * a[i] + den))
-            for sign in (1, -1):
+                    rows.append((f"w{i}{mark}", normal, 2 * sign * a[i] + den))
+            for sign, mark in signs:
                 normal = [0] * n
                 normal[-1] = 2 * sign * den
-                rows.append((Cap(sign), normal, 2 * sign * a[-1] + 2 * den))
-            for sign in (1, -1):
+                rows.append((f"c{mark}", normal, 2 * sign * a[-1] + 2 * den))
+            for sign, mark in signs:
                 for bits in itertools.product((0, 1), repeat=len(self.active)):
                     normal = [0] * n
                     normal[-1] = 2 * sign * den
                     offset = 2 * sign * a[-1] + den
-                    full = [0] * (n - 1)
+                    label = ["0"] * (n - 1)
                     for i, bit in zip(self.active, bits):
-                        full[i] = bit
                         normal[i] = 2 * (bit * den - 2 * a[i])
                         if bit:
+                            label[i] = "1"
                             offset -= 2 * a[i] - den
-                    rows.append((Slant(sign, tuple(full)), normal, offset))
-            for r, (d, normal, offset) in enumerate(rows):
+                    rows.append((f"s{mark}{''.join(label)}", normal, offset))
+            for r, (key, normal, offset) in enumerate(rows):
                 for i in self.reflected:
                     offset -= normal[i]
                     normal[i] = -normal[i]
-                rows[r] = (d, tuple(normal), offset)
+                rows[r] = (key, tuple(normal), offset)
             self._rows = rows
         return self._rows
 
-    def halfspaces(self) -> list[tuple[Descriptor, LiftPoint, Fraction]]:
+    def halfspaces(self) -> list[tuple[str, LiftPoint, Fraction]]:
         """`integer_rows` as exact rationals: normal.x <= offset."""
         if self._halfspaces is None:
             rows = self.integer_rows()
             # one Fraction per distinct entry: rows share most of them
             values = {v for _, normal, off in rows for v in (*normal, off)}
             frac = {v: Fraction(v, 2 * self._den) for v in values}
-            self._halfspaces = [(d, tuple(frac[v] for v in normal), frac[off])
-                                for d, normal, off in rows]
+            self._halfspaces = [(key, tuple(frac[v] for v in normal), frac[off])
+                                for key, normal, off in rows]
         return self._halfspaces
 
-    def _slacks(self, x: Sequence[Rational]) -> list[tuple[Descriptor, int]]:
-        """(descriptor, offset - normal.x) per half-space, scaled to ints."""
+    def _slacks(self, x: Sequence[Rational]) -> list[tuple[str, int]]:
+        """(row key, offset - normal.x) per half-space, scaled to ints."""
         pt, den = common_denominator(as_point(x))
-        return [(d, off * den - sum(map(operator.mul, normal, pt)))
-                for d, normal, off in self.integer_rows()]
+        return [(key, off * den - sum(map(operator.mul, normal, pt)))
+                for key, normal, off in self.integer_rows()]
 
     def contains(self, x: Sequence[Rational]) -> bool:
         return all(slack >= 0 for _, slack in self._slacks(x))
 
-    def active_descriptors(self, x: Sequence[Rational]) -> frozenset[Descriptor]:
+    def active_descriptors(self, x: Sequence[Rational]) -> frozenset[str]:
+        """The keys of the rows tight at a point of the cell."""
         tight = []
-        for d, slack in self._slacks(x):
+        for key, slack in self._slacks(x):
             if slack < 0:
                 raise ValueError("point is outside the cell")
             if slack == 0:
-                tight.append(d)
+                tight.append(key)
         return frozenset(tight)
 
     # -- vertices -----------------------------------------------------------
@@ -451,7 +395,7 @@ class CutPolytope:
                 f"the cell at n = {self.n} has about {2 * 3 ** (self.n - 1)} vertices")
         self.vertices()
         nums, q = self._vertex_nums, self._vertex_den
-        rows = sorted((d.key(), normal, off) for d, normal, off in self.integer_rows())
+        rows = sorted(self.integer_rows())
         keys = [key for key, _, _ in rows]
         # at[i]: mask of the rows tight at vertex i; tight[j]: mask of the
         # vertices at which row j is tight

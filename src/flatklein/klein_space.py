@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from ._exact import common_denominator
 
@@ -176,11 +176,6 @@ def project(x: Union[KleinPoint, Sequence[Rational]]) -> KleinPoint:
     if isinstance(x, KleinPoint):
         return x
     return KleinPoint(_representative(as_point(x))[0])
-
-
-def equivalent(x: Sequence[Rational], y: Sequence[Rational]) -> bool:
-    """True iff two cover points map to the same quotient point."""
-    return project(x) == project(y)
 
 
 def _branches(a: Sequence[int], b: Sequence[int],

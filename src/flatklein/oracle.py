@@ -138,11 +138,6 @@ def brute_distance(y, z, window: int = 3) -> Fraction:
     return brute_minimal_images(y, z, window)[0]
 
 
-def brute_geodesic_count(y, z, window: int = 3) -> int:
-    """Number of distinct minimizing deck images (= shortest geodesics)."""
-    return len(brute_minimal_images(y, z, window)[1])
-
-
 # ---------------------------------------------------------------------------
 # Vertex enumeration by homogenised double description
 # ---------------------------------------------------------------------------

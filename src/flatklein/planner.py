@@ -10,8 +10,8 @@ continuously while the pair stays in one partition cell; the cell index is
 the stratum dimension of the source plus the dimension of the face that
 was hit.
 
-Face identity is symbolic: a face is named by the sorted key strings of
-its tight boundary descriptors, which are stable across an entire stratum.
+Face identity is symbolic: a face is named by the sorted row keys of the
+cell rows tight on it, which are stable across an entire stratum.
 The representative of a class is its smallest key, so `plan` keeps the
 lift whose tight set has the smallest key and needs neither the face
 lattice nor the face classes; `representatives` lists those keys for a
@@ -36,9 +36,9 @@ from .klein_space import (KleinPoint, LiftPoint, format_rat, geodesic_path,
                           minimal_lifts, project)
 from .stratification import classify
 
-__all__ = ["FaceKey", "PlanResult", "partition_index", "plan", "representatives"]
+__all__ = ["FaceKey", "PlanResult", "plan", "representatives"]
 
-FaceKey = tuple  # sorted tuple of descriptor key strings
+FaceKey = tuple  # sorted tuple of row keys
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def plan(y, z, samples: int = 0) -> PlanResult:
         by_key = {}
         for q in lifts:
             tight = cell.active_descriptors(q)
-            by_key[tuple(sorted(d.key() for d in tight))] = (q, tight)
+            by_key[tuple(sorted(tight))] = (q, tight)
         if len(by_key) != len(lifts):
             raise InvariantError(
                 "minimal lifts must lie on distinct faces: source "
@@ -104,12 +104,7 @@ def plan(y, z, samples: int = 0) -> PlanResult:
         k = min(by_key)
         q, tight = by_key[k]
         # q is relatively interior to its face, so this is its dimension
-        j = cell.n - mat_rank(normal for d, normal, _ in cell.integer_rows()
-                              if d in tight)
+        j = cell.n - mat_rank(normal for key, normal, _ in cell.integer_rows()
+                              if key in tight)
     pts = tuple(geodesic_path(src.rep, q, samples)) if samples else ()
     return PlanResult(stratum.dim + j, stratum.dim, j, k, q, pts)
-
-
-def partition_index(y, z) -> int:
-    """Index of the partition cell containing the ordered pair (y, z)."""
-    return plan(y, z).index

@@ -44,10 +44,7 @@ from ._exact import InvariantError, lp_maximize, mat_rank
 from .cut_polytope import _chamber, _gain8, _k_table
 from .klein_space import LiftPoint, Rational, as_point, format_rat
 
-__all__ = [
-    "DomainDescriptor", "SignVector", "Stratum",
-    "catalog", "classify", "same_stratum", "stratum_dimension",
-]
+__all__ = ["DomainDescriptor", "SignVector", "Stratum", "catalog", "classify"]
 
 #: Largest dimension that `classify` (and so `plan`) accepts: the sign
 #: vector has up to 2^(n-1) entries, and each two more coordinates cost
@@ -299,14 +296,6 @@ def _unforced(a_eq: tuple[tuple[int, ...], ...], m: int) -> int:
                            [[*row, *[0] * m] for row in a_eq], [0] * len(a_eq)))
 
 
-def stratum_dimension(alpha: SignVector, domain: DomainDescriptor):
-    """Dimension of the stratum, or None when the sign vector is infeasible."""
-    if alpha.active != domain.active:
-        raise ValueError("sign vector does not match the domain")
-    dim = _dimension(len(alpha.active), alpha.signs)
-    return None if dim is None else dim + (domain.kinds[-1] == INTERVAL)
-
-
 def classify(p: Sequence[Rational]) -> Stratum:
     """The stratum of a canonical point (exact signs, exact dimension).
 
@@ -324,11 +313,6 @@ def classify(p: Sequence[Rational]) -> Stratum:
     dim = _point_dimension(signs, gains, sq) + (kinds[-1] == INTERVAL)
     return Stratum(domain, SignVector(domain.active, signs), dim, pt,
                    _is_coincidence(len(gains), signs))
-
-
-def same_stratum(p: Sequence[Rational], q: Sequence[Rational]) -> bool:
-    a, b = classify(p), classify(q)
-    return a.domain == b.domain and a.alpha == b.alpha
 
 
 # ---------------------------------------------------------------------------

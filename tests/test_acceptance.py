@@ -15,7 +15,6 @@ from flatklein import (
     classify,
     cut_polytope,
     delta,
-    equivalent,
     k_value,
     minimal_lifts,
     plan,
@@ -25,7 +24,6 @@ from flatklein import (
 from flatklein.cut_polytope import _cached_cell
 from flatklein.oracle import (
     brute_distance,
-    brute_geodesic_count,
     brute_minimal_images,
     brute_vertices,
     certify_vertices,
@@ -202,7 +200,7 @@ def test_criterion_07_cut_locus():
             cell = cut_polytope(project(y))
             lift = minimal_lifts(y, project(z))[0]
             on_boundary = bool(cell.active_descriptors(lift))
-            count = brute_geodesic_count(y, z)
+            count = len(brute_minimal_images(y, z)[1])
             assert (count >= 2) == on_boundary, (y, z, count)
     _report(7, "multiple geodesics iff lift on cell boundary, 3x10^3", start,
             cap=60.0)
@@ -220,7 +218,7 @@ def test_criterion_08_equivalence_completeness():
             for i in cls:
                 cls_of[i] = ci
         for i, j in itertools.combinations(range(len(verts)), 2):
-            same = equivalent(verts[i].coords, verts[j].coords)
+            same = project(verts[i].coords) == project(verts[j].coords)
             assert same == (cls_of[i] == cls_of[j]), (base, i, j)
 
     # middle/truncating partners share the pivot; pivot coordinates sum to

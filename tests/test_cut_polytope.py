@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -10,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatklein import (CutPolytope, InvariantError, catalog, cut_polytope, delta,
-                       equivalent, k_value, minimal_lifts, project, representatives)
+                       k_value, minimal_lifts, project, representatives)
 from flatklein._exact import _scaled, gcd_reduce, mat_rank
-from flatklein.cut_polytope import (Cap, LabeledSet, Wall, _barycenter_key, _gain8,
-                                    _k_table, chamber_reduce)
+from flatklein.cut_polytope import (LabeledSet, _barycenter_key, _chamber, _gain8,
+                                    _k_table)
 from flatklein.klein_space import DeckElement, apply_deck, canonicalize, neighbor_set
-from flatklein.oracle import brute_geodesic_count, brute_vertices
+from flatklein.oracle import brute_minimal_images, brute_vertices
 
 HEX_BASE = (F(1, 4), F(0))
 
@@ -34,6 +35,12 @@ open_coord = st.fractions(min_value=0, max_value=F(39, 40),
 
 def _pairs(cell):
     return [(nrm, off) for _, nrm, off in cell.halfspaces()]
+
+
+def _reduced(p):
+    """The Fraction view of `_chamber`: (reduced point, reflected, prism)."""
+    nums, den, reflected, prism = _chamber(p)
+    return tuple(F(x, den) for x in nums), reflected, prism
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +185,8 @@ def test_halfspace_counts():
 
 def test_prism_slants_drop_coordinate():
     cell = cut_polytope((F(1, 2), F(1, 4), F(0)))
-    for d, normal, _ in cell.halfspaces():
-        if d.key().startswith("s"):
+    for key, normal, _ in cell.halfspaces():
+        if key.startswith("s"):
             assert normal[0] == 0
 
 
@@ -216,29 +223,35 @@ def test_halfspaces_are_bisectors_with_neighbor_set():
 
 
 def _fraction_halfspaces(cell):
-    """Each descriptor's inequality built on Fractions, one at a time."""
+    """Each row's inequality built on Fractions from its key, one at a time:
+    `w<i>+-`, `c+-`, or `s+-` and one bit per horizontal coordinate."""
     out = []
-    a = cell.reduced
-    for d in cell.descriptors():
+    a = _reduced(cell.point.rep)[0]
+    for key, _, _ in cell.integer_rows():
         normal = [F(0)] * cell.n
-        if isinstance(d, Wall):
-            normal[d.index] = F(d.sign)
-            offset = d.sign * a[d.index] + F(1, 2)
-        elif isinstance(d, Cap):
-            normal[-1] = F(d.sign)
-            offset = d.sign * a[-1] + 1
+        if key[0] == "w":
+            i, sign = int(key[1:-1]), 1 if key[-1] == "+" else -1
+            normal[i] = F(sign)
+            offset = sign * a[i] + F(1, 2)
+        elif key[0] == "c":
+            sign = 1 if key[1] == "+" else -1
+            normal[-1] = F(sign)
+            offset = sign * a[-1] + 1
         else:
             # sign*(x_n - a_n) <= 1/2 + sum c_i (x_i - bit_i/2)
-            normal[-1] = F(d.sign)
-            offset = d.sign * a[-1] + F(1, 2)
+            sign, bits = 1 if key[1] == "+" else -1, [int(b) for b in key[2:]]
+            assert key[0] == "s" and len(bits) == cell.n - 1, key
+            assert not any(bits[i] for i in cell.prism), key
+            normal[-1] = F(sign)
+            offset = sign * a[-1] + F(1, 2)
             for i in cell.active:
-                c = 2 * a[i] - d.delta_bits[i]
+                c = 2 * a[i] - bits[i]
                 normal[i] = -c
-                offset -= c * d.delta_bits[i] / 2
+                offset -= c * bits[i] / 2
         for i in cell.reflected:
             offset -= normal[i]
             normal[i] = -normal[i]
-        out.append((d, tuple(normal), offset))
+        out.append((key, tuple(normal), offset))
     return out
 
 
@@ -273,21 +286,21 @@ def test_integer_rows_match_fraction_halfspaces():
 
 
 def test_chamber_reduce():
-    red, refl, prism = chamber_reduce((F(1, 4), F(1, 3), F(0)))
+    red, refl, prism = _reduced((F(1, 4), F(1, 3), F(0)))
     assert (red, refl, prism) == ((F(1, 4), F(1, 3), F(0)), (), ())
 
-    red, refl, prism = chamber_reduce((F(3, 4), F(0)))
+    red, refl, prism = _reduced((F(3, 4), F(0)))
     assert red == (F(1, 4), F(0)) and refl == (0,) and prism == ()
 
-    red, refl, prism = chamber_reduce((F(3, 4), F(1, 2), F(0)))
+    red, refl, prism = _reduced((F(3, 4), F(1, 2), F(0)))
     assert red == (F(1, 4), F(1, 2), F(0))
     assert refl == (0,) and prism == (1,)
 
     for p in ((F(1), F(0)), (F(-1, 3), F(1, 3)), (F(1, 4), F(5, 4), F(0))):
         with pytest.raises(ValueError, match=r"^expected a canonical point$"):
-            chamber_reduce(p)
+            _reduced(p)
     # only the head is folded; the last coordinate is passed through
-    assert chamber_reduce((F(3, 4), F(5, 4))) == ((F(1, 4), F(5, 4)), (0,), ())
+    assert _reduced((F(3, 4), F(5, 4))) == ((F(1, 4), F(5, 4)), (0,), ())
     for p in ((F(5, 4), F(0)), (F(1, 4), F(3, 2))):
         with pytest.raises(ValueError,
                            match=r"^base point must be canonical \(in \[0,1\)\^n\)$"):
@@ -388,10 +401,11 @@ def _fraction_vertex_families(cell):
     """
     half = F(1, 2)
     act = cell.active
-    a = {i: cell.reduced[i] for i in act}
+    reduced = _reduced(cell.point.rep)[0]
+    a = {i: reduced[i] for i in act}
     dl = {i: delta(a[i]) for i in act}
     total = sum(dl.values(), start=F(0))
-    a_n = cell.reduced[cell.n - 1]
+    a_n = reduced[cell.n - 1]
     raw = []
     for r in range(len(act) + 1):
         for mem in itertools.combinations(act, r):
@@ -522,7 +536,7 @@ def test_active_descriptors_tight_set_and_outside_point():
     cell = cut_polytope(HEX_BASE)
     assert cell.active_descriptors(HEX_BASE) == frozenset()
     apex = cell.active_descriptors((F(1, 4), F(5, 8)))
-    assert sorted(d.key() for d in apex) == ["s+0", "s+1"]
+    assert sorted(apex) == ["s+0", "s+1"]
     with pytest.raises(ValueError, match="outside the cell"):
         cell.active_descriptors((F(1, 4), F(7, 10)))
 
@@ -630,7 +644,7 @@ def test_equivalences_match_exhaustive_pairs_n3():
         for i in cls:
             cls_of[i] = ci
     for i, j in itertools.combinations(range(len(verts)), 2):
-        same = equivalent(verts[i].coords, verts[j].coords)
+        same = project(verts[i].coords) == project(verts[j].coords)
         assert same == (cls_of[i] == cls_of[j])
 
 
@@ -689,24 +703,36 @@ def _reference_vertex_classes(cell):
 
 
 def _reference_barycenter_classes(cell):
-    """Face classes keyed on the canonical form of each face's barycenter,
-    a Fraction over the vertex numerators; every member is checked to be
-    the deck image of its class's first face."""
+    """Face classes keyed on `project` of each face's barycenter, a Fraction
+    over the vertex numerators.  Every member after its class's first is
+    checked to be the first face's image under the deck map that carries
+    the first barycenter to its own (x_n moves by an integer k, and
+    x_i -> (-1)^k x_i + s_i)."""
     faces = cell.face_lattice()
     nums, den = cell._vertex_nums, cell._vertex_den
     groups = {}
     for fid, f in enumerate(faces):
-        total = [sum(col) for col in zip(*(nums[i] for i in f.vertex_ids))]
-        point, g = canonicalize([F(t, den * len(f.vertex_ids)) for t in total])
-        groups.setdefault((f.dim, point), []).append((fid, g))
+        total = list(map(sum, zip(*map(nums.__getitem__, f.vertex_ids))))
+        rep = project([F(t, den * len(f.vertex_ids)) for t in total]).rep
+        # integer pairs hash and compare far faster than Fractions
+        key = (f.dim, *[(c.numerator, c.denominator) for c in rep])
+        groups.setdefault(key, []).append((fid, total))
     for members in groups.values():
-        first, g_first = members[0]
-        for fid, g in members[1:]:
-            h = g.inverse().compose(g_first)
-            sign = -1 if h.parity else 1
-            image = sorted(tuple(sign * c + s * den for c, s in zip(v, h.shift))
-                           + (v[-1] + h.last_shift * den,)
-                           for v in (nums[i] for i in faces[first].vertex_ids))
+        first, base = members[0]
+        verts = [nums[i] for i in faces[first].vertex_ids]
+        mq = den * len(verts)
+        for fid, total in members[1:]:
+            k, rest = divmod(total[-1] - base[-1], mq)
+            sign = -1 if k % 2 else 1
+            steps = [divmod(t - sign * b, mq) for t, b in zip(total[:-1], base)]
+            assert rest == 0 and not any(r for _, r in steps), (first, fid)
+            g = DeckElement(k % 2, tuple(s for s, _ in steps), k)
+            shift = [s * den for s in g.shift] + [g.last_shift * den]
+            if g.parity:
+                image = sorted((*map(operator.sub, shift, v[:-1]), v[-1] + shift[-1])
+                               for v in verts)
+            else:
+                image = sorted(tuple(map(operator.add, shift, v)) for v in verts)
             assert image == [nums[i] for i in faces[fid].vertex_ids], (first, fid)
     return sorted([fid for fid, _ in members] for members in groups.values())
 
@@ -888,7 +914,7 @@ def _reference_lattice(cell):
     while frontier:
         frontier = {g & f for g in frontier for f in facets} - faces - {frozenset()}
         faces |= frontier
-    out = [(dim(s), tuple(sorted(rows[j][0].key() for j in on_all(s))),
+    out = [(dim(s), tuple(sorted(rows[j][0] for j in on_all(s))),
             tuple(sorted(s))) for s in faces]
     return sorted(out, key=lambda f: (f[0], f[2])), row_sets - facets
 
@@ -941,7 +967,8 @@ def test_face_class_size_is_geodesic_multiplicity():
             ids = faces[cls[0]].vertex_ids
             b = tuple(sum(col) / len(ids) for col in zip(*(verts[i].coords for i in ids)))
             lifts = minimal_lifts(cell.point.rep, project(b))
-            assert len(lifts) == brute_geodesic_count(cell.point.rep, b) == len(cls), (p, cls)
+            count = len(brute_minimal_images(cell.point.rep, b)[1])
+            assert len(lifts) == count == len(cls), (p, cls)
             sizes.add(len(cls))
     assert {1, 2, 3, 4, 32} <= sizes
 
@@ -953,6 +980,61 @@ def test_euler_relation_on_face_lattices():
     for p in cells:
         faces = cut_polytope(p).face_lattice()
         assert sum((-1) ** f.dim for f in faces) == 1, p
+
+
+def _gf2_rank(rows):
+    """Rank over GF(2) of rows given as int bitmasks."""
+    pivots = {}  # leading bit -> row
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
+def _quotient_betti_mod2(cell):
+    """The mod-2 Betti numbers of the cell complex that the face classes
+    make of the quotient: one cell per class, and the boundary entry from
+    class c to class c' is the number of facets of one member of c that
+    lie in c', mod 2."""
+    faces, classes = cell.face_lattice(), cell.face_equivalences()
+    cls_of = {fid: c for c, members in enumerate(classes) for fid in members}
+    masks = [sum(1 << i for i in f.vertex_ids) for f in faces]
+    # a facet of G holds its own lowest vertex, which is a vertex of G
+    by_low = {}
+    for fid, f in enumerate(faces):
+        by_low.setdefault((f.dim, f.vertex_ids[0]), []).append(fid)
+    count = [0] * (cell.n + 2)
+    boundary = [[] for _ in range(cell.n + 2)]  # the rows of d_k
+    for members in classes:
+        g = members[0]
+        k = faces[g].dim
+        count[k] += 1
+        row = 0
+        for v in faces[g].vertex_ids:
+            for fid in by_low.get((k - 1, v), ()):
+                if masks[fid] & masks[g] == masks[fid]:
+                    row ^= 1 << cls_of[fid]
+        boundary[k].append(row)
+    rank = [_gf2_rank(rows) for rows in boundary]
+    return [count[k] - rank[k] - rank[k + 1] for k in range(cell.n + 1)]
+
+
+def test_quotient_mod2_betti_numbers_are_binomial():
+    # K_n is the mapping torus of x -> -x on T^(n-1), which is the identity
+    # on mod-2 homology, so b_k = C(n-1, k) + C(n-1, k-1) = C(n, k); a face
+    # put in the wrong class breaks these more often than it breaks the
+    # Euler characteristic
+    cells = 0
+    for n in range(2, 6):
+        for s in catalog(n):
+            betti = _quotient_betti_mod2(cut_polytope(s.witness))
+            assert betti == [math.comb(n, k) for k in range(n + 1)], (s.witness, betti)
+            cells += 1
+    assert cells == 62
 
 
 def test_face_census_n5():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -17,8 +18,6 @@ from flatklein import (
     SignVector,
     catalog,
     classify,
-    same_stratum,
-    stratum_dimension,
 )
 from flatklein import stratification
 from flatklein._exact import InvariantError
@@ -97,17 +96,9 @@ def test_sign_of_agrees_with_items_in_any_order():
             assert sv.sign_of(rng.sample(sub, len(sub))) == sign
 
 
-def test_stratum_dimension_requires_matching_active():
-    sv = SignVector((0,), (1, 1))
-    with pytest.raises(ValueError):
-        stratum_dimension(sv, DomainDescriptor((PRISM, INTERVAL)))
-
-
 def test_infeasible_pattern_is_empty():
     # four active coordinates: K(full) = sum of squares, never negative
-    sv = SignVector((0, 1, 2, 3), (1,) * 15 + (-1,))
-    dom = DomainDescriptor((INTERVAL,) * 5)
-    assert stratum_dimension(sv, dom) is None
+    assert _dimension(4, (1,) * 15 + (-1,)) is None
 
 
 def test_nonpositive_sign_on_non_degenerable_subset_is_empty():
@@ -117,8 +108,7 @@ def test_nonpositive_sign_on_non_degenerable_subset_is_empty():
                                ((0, 1, 2), 1, -1), ((0, 1, 2), 7, 0)):
         signs = [1] * 2 ** len(active)
         signs[slot] = sign
-        dom = DomainDescriptor((INTERVAL,) * (len(active) + 1))
-        assert stratum_dimension(SignVector(active, tuple(signs)), dom) is None
+        assert _dimension(len(active), tuple(signs)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +146,13 @@ def test_classify_prism_coordinates_excluded():
 
 
 def test_same_stratum_examples():
+    def stratum(p):
+        s = classify(p)
+        return s.domain, s.alpha
     p = (F(3, 10),) * 5 + (F(1, 3),)
-    assert same_stratum(p, p)
-    assert same_stratum(p, (F(7, 20),) * 5 + (F(1, 3),))
-    assert not same_stratum(p, (F(1, 10),) * 5 + (F(1, 3),))
+    assert stratum(p) == stratum(p)
+    assert stratum(p) == stratum((F(7, 20),) * 5 + (F(1, 3),))
+    assert stratum(p) != stratum((F(1, 10),) * 5 + (F(1, 3),))
 
 
 @given(st.lists(canon_coord, min_size=2, max_size=6))
@@ -338,6 +331,46 @@ def test_catalog_witness_check_survives_optimisation():
         capture_output=True, text=True, check=True)
     assert out.stdout == ("witness table misses a feasible pattern: signs "
                           f"{(1,) * 16} over 4 active coordinates\n")
+
+
+@pytest.fixture
+def fresh_strata_caches():
+    # the tests below poison `_dimension` or `_strata_for_size`; no other
+    # test may read what they cached
+    _dimension.cache_clear()
+    _strata_for_size.cache_clear()
+    yield
+    _dimension.cache_clear()
+    _strata_for_size.cache_clear()
+
+
+def test_witness_table_miss_raises_in_process(monkeypatch, fresh_strata_caches):
+    # the center witness realizes none of the tau > 0 patterns at N = 4,
+    # and the first candidate, all signs positive, is feasible
+    monkeypatch.setattr(stratification, "_witness_b",
+                        lambda n, choice: (F(0),) * n)
+    with pytest.raises(InvariantError, match=(
+            r"^witness table misses a feasible pattern: signs "
+            + re.escape(str((1,) * 16)) + r" over 4 active coordinates$")):
+        _strata_for_size(4)
+
+
+def test_empty_closed_region_raises_in_process(monkeypatch, fresh_strata_caches):
+    # K(full) = 0 at N = 4 is feasible (the center), so the tau-LP passes;
+    # a box LP that finds no point contradicts it
+    solve, calls = stratification.lp_maximize, []
+
+    def tau_only(*args):
+        calls.append(args)
+        return solve(*args) if len(calls) == 1 else None
+
+    monkeypatch.setattr(stratification, "lp_maximize", tau_only)
+    signs = (1,) * 15 + (0,)
+    with pytest.raises(InvariantError, match=(
+            r"^closed region of a feasible stratum is empty: signs "
+            + re.escape(str(signs)) + r" over 4 active coordinates$")):
+        _dimension(4, signs)
+    assert len(calls) == 2
 
 
 def test_catalog_refuses_a_witness_of_another_stratum(monkeypatch):
@@ -521,12 +554,12 @@ def test_catalog_solves_each_lp_once(monkeypatch):
         assert len(set(seen)) == len(seen), f"{len(seen) - len(set(seen))} repeated LPs"
         _dimension.cache_clear()
         seen.clear()
-        interval = DomainDescriptor((INTERVAL,) * 7)
-        point = DomainDescriptor((INTERVAL,) * 6 + (POINT,))
-        assert stratum_dimension(center.alpha, interval) == 1
+        # the u-space dimension, read for an interval and a point last
+        # coordinate: the second read solves no LP
+        assert _dimension(6, center.alpha.signs) + 1 == 1
         solved = len(seen)
         assert solved > 0
-        assert stratum_dimension(center.alpha, point) == 0
+        assert _dimension(6, center.alpha.signs) == 0
         assert len(seen) == solved
     finally:
         _dimension.cache_clear()
