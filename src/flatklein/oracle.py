@@ -29,26 +29,31 @@ them as their coordinates do, and each distinct value becomes one
 Fraction.
 
 The edge walk runs on integers, in two passes.  The first checks every
-point in bulk.  The claimed points go over one common denominator, and
-each row's slacks over all of them are built a column at a time; the
-rows are taken in sorted order, so that rows sharing a prefix (a cell's
-slant rows differ in a few entries) share its partial sums.  Every
-(point, row) slack has its sign tested exactly, which gives each point's
-lowest violated row and its tight rows A.  One fraction-free elimination
-of the transposed rows A^T (`_edge_zerosets`) is then the rank test,
-picks the greedy basis B of `_simplicial_cone`, and gives each
-simplicial ray's value on every tight row; double description runs on
-those values and yields the zero sets of the point's edge directions, in
-`_cone_rays`' order.  The pass also records for every row the bitmask of
-the verified points tight on it.  The rows tight at v and flat along an
-edge direction cut out the edge [v, e], and a verified point inside that
-edge would have rank n - 1.  So in the second pass the AND of those rows'
-masks, less v, is {e}, or empty when the edge ends at no listed vertex.
-Only then are the edge directions computed (`_cone_rays`) and the ratio
-test run, with ratios slack / step compared crosswise, to name the
-unlisted endpoint or the unbounded direction; a Fraction is built only
-for a problem message.  A clean walk is complete without a connectivity
-pass: see `certify_vertices`.
+point in bulk (`_packed_scan`).  The claimed points go over one common
+denominator, each coordinate column less its minimum becomes one int with
+a lane of 8k bits per point, k the fewest bytes that hold a bound on every
+|slack| and every column's range below the lane's top (guard) bit, and
+each row's slacks at all points come from at most n multiply-adds of those
+ints.  A lane's guard bit is clear when the point violates the row, and a
+zero-lane test finds the points tight on it; this gives each point's
+lowest violated row, its tight rows A, and for every row the bitmask of
+the feasible points tight on it.  The rows tight at v and flat along an
+edge direction cut out the edge [v, e], and a point inside that edge has
+rank n - 1.  So, once the masks hold the verified points alone, the AND of
+those rows' masks, less v, is {e}, or empty when the edge ends at no
+listed vertex.  A simple point (exactly n tight rows) has the edge
+directions "every tight row but j", and their ANDs prove its rank as well
+(see `certify_vertices`).  Any other point, and a simple point whose test
+fails, gets one fraction-free elimination of the transposed rows A^T
+(`_edge_zerosets`): it is the rank test, picks the greedy basis B of
+`_simplicial_cone`, and gives each simplicial ray's value on every tight
+row; double description runs on those values and yields the zero sets of
+the point's edge directions, in `_cone_rays`' order.  In the second pass,
+only where an AND is empty are the edge directions computed (`_cone_rays`)
+and the ratio test run, with ratios slack / step compared crosswise, to
+name the unlisted endpoint or the unbounded direction; a Fraction is built
+only for a problem message.  A clean walk is complete without a
+connectivity pass: see `certify_vertices`.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from ._exact import (InvariantError, _gauss_jordan, common_denominator,
@@ -146,10 +151,7 @@ def _integerized(halfspaces: Sequence[Halfspace]):
     """Integer (normals, offsets), every row over one common denominator;
     every normal must have the first's length.
 
-    One scale for all rows keeps the entries that two rows share equal
-    (the two slants of one bit pattern differ only in the last), so
-    `_slack_scan` shares their partial sums.  Rays and ratio-test
-    endpoints do not depend on the scale of a row.
+    Rays and ratio-test endpoints do not depend on the scale of a row.
     """
     width = None
     flat = []
@@ -367,54 +369,98 @@ def _scaled_point(p) -> tuple[tuple[int, ...], int]:
     return tuple(nums), den
 
 
-def _slack_scan(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
-                points: Sequence[tuple[tuple[int, ...], int]],
-                ) -> list[tuple[int | None, list[int]]]:
+def _packed_scan(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
+                 points: Sequence[tuple[tuple[int, ...], int]],
+                 ) -> list[tuple[int | None, list[int]]]:
     """Each point's lowest violated row (None if it is feasible) and its
     tight rows in index order.
 
-    The points go over one common denominator Q, as columns X_c of
-    numerators, and row r's slacks over all of them are off_r Q less the
-    sum of row_r[c] X_c, built one column at a time.  The rows are taken
-    in sorted order, so that a row reuses the partial sums of the longest
-    prefix it shares with the row before it (a cell's slant rows differ
-    only in a few entries).  The sign of every (point, row) slack is
-    tested exactly.
+    The points go over one common denominator Q, and each coordinate
+    column becomes one int with a lane of w = 8 size bits per point, point
+    p in bits [w p, w p + w).  A lane holds the numerator less the
+    column's minimum, so it is at least 0.  Row r's slack at point p is
+    s = off_r Q - row_r . x_p = base_r - row_r . (x_p - minima), so
+    |s| <= |base_r| + sum_c |row_r[c]| (range of column c); B is the
+    largest of these bounds over the rows and of the column ranges (a
+    column no row uses still fills its lanes), and size the fewest bytes
+    with B < G = 2^(w - 1).  Then
+
+        (G + base_r) * ONES - sum_c row_r[c] * column_c,
+
+    ONES holding 1 in every lane, is exactly the int whose lane p is
+    G + s, in (0, 2G): at most n multiply-adds give a row's slacks at every
+    point.  Lane p's guard bit G is clear exactly when p violates the row.
+    Its low w - 1 bits are zero exactly when p is tight: adding G - 1 to
+    them sets the guard bit unless they are zero, and as the guard bits
+    are masked off first, no lane carries into the next.  `_guard_lanes`
+    reads a mask of guard bits with `to_bytes` and `bytes.find`.
     """
     if not points:
         return []
     q = math.lcm(*(den for _, den in points))
     cols = list(zip(*(tuple(v * (q // den) for v in nums)
                       for nums, den in points)))
-    sums: list[list[int]] = [[0] * len(points)]
-    prev: tuple[int, ...] = ()
+    minima = [min(col) for col in cols]
+    ranges = [max(col) - lo for col, lo in zip(cols, minima)]
+    bases = [off * q - sum(map(mul, row, minima))
+             for row, off in zip(rows, offs)]
+    # a column no row uses (the polyhedron holds a line) bounds no slack,
+    # but its lanes must still hold its range
+    bound = max([*ranges, *(abs(base) + sum(abs(a) * span
+                                            for a, span in zip(row, ranges))
+                            for row, base in zip(rows, bases))])
+    size = bound.bit_length() // 8 + 1
+    guard = 1 << (8 * size - 1)
+    packed = [int.from_bytes(b"".join((v - lo).to_bytes(size, "little")
+                                      for v in col), "little")
+              for col, lo in zip(cols, minima)]
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(points), "little")
+    guards = ones * guard
+    low_bits = guards - ones
     bad: list[int | None] = [None] * len(points)
-    tight_on: list[list[int]] = [[]] * len(rows)
-    for ri in sorted(range(len(rows)), key=rows.__getitem__):
-        row = rows[ri]
-        # sums[c] holds the partial sums over columns < c of this row
-        shared = next((c for c, (x, y) in enumerate(zip(prev, row)) if x != y),
-                      len(prev))
-        del sums[shared + 1:]
-        for c in range(shared, len(row)):
-            entry = row[c]
-            if entry:
-                sums.append(list(map(add, sums[c],
-                                     map(entry.__mul__, cols[c]))))
-            else:
-                sums.append(sums[c])
-        prev = row
-        dots, limit = sums[-1], offs[ri] * q
-        tight_on[ri] = [p for p, dot in enumerate(dots) if dot == limit]
-        if max(dots) > limit:
-            for p, dot in enumerate(dots):
-                if dot > limit and (bad[p] is None or ri < bad[p]):
-                    bad[p] = ri
     tight: list[list[int]] = [[] for _ in points]
-    for ri, on in enumerate(tight_on):
-        for p in on:
-            tight[p].append(ri)
+    for ri, (row, base) in enumerate(zip(rows, bases)):
+        lanes = (guard + base) * ones
+        for a, col in zip(row, packed):
+            if a:
+                lanes -= a * col
+        violated = guards & ~lanes
+        zero = guards & lanes & ~((lanes & low_bits) + low_bits)
+        if violated:
+            for p in _guard_lanes(violated, size, len(points)):
+                if bad[p] is None:
+                    bad[p] = ri
+        if zero:
+            for p in _guard_lanes(zero, size, len(points)):
+                tight[p].append(ri)
     return list(zip(bad, tight))
+
+
+def _guard_lanes(mask: int, size: int, count: int) -> list[int]:
+    """The lanes, of `size` bytes each, whose guard bit is set in `mask`,
+    an int with no other bit set: the top byte of such a lane is 0x80 and
+    every other byte is 0."""
+    data = mask.to_bytes(size * count, "little")[size - 1::size]
+    out = []
+    at = data.find(0x80)
+    while at >= 0:
+        out.append(at)
+        at = data.find(0x80, at + 1)
+    return out
+
+
+def _far_ends(on_row: Sequence[int], tight: Sequence[int],
+              zerosets: Iterable[int], vi: int) -> list[int]:
+    """For each edge direction at point vi, the AND of the masks of the
+    tight rows flat along it, less vi: the listed points on that edge."""
+    out = []
+    for zs in zerosets:
+        ends = ~(1 << vi)
+        for b, ri in enumerate(tight):
+            if zs >> b & 1:
+                ends &= on_row[ri]
+        out.append(ends)
+    return out
 
 
 def _edge_problem(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
@@ -454,6 +500,17 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     lists a nonempty set of vertices closed under the edge graph, and the
     graph of a pointed polyhedron is connected, so the set is the complete
     vertex set: no separate connectivity pass is needed.
+
+    A simple point v, feasible and tight on exactly n rows A (A v = b),
+    needs no elimination.  For each j let w_j be the top point of the AND
+    of the masks of A's rows but j, less v.  If every w_j exists and none
+    is tight on row j, then A_i (w_j - v) = 0 for i != j and A_j w_j < b_j,
+    so A (W - v) is diagonal with a nonzero diagonal and A has rank n.
+    This needs each w_j only to be feasible, so the masks may hold every
+    feasible point before any rank is known.  A simple point that fails
+    the test is eliminated like any other.  The walk then runs on masks
+    that hold the verified points alone, so that no point of rank < n
+    inside an edge is taken for its end.
     """
     rows, offs = _integerized(halfspaces)
     n = len(rows[0]) if rows else 0
@@ -470,34 +527,53 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     if not scaled:
         return CertificationReport(False, 0, 0, ["no vertices supplied"])
 
-    # pass 1, point checks: the verified points, each with its tight rows
-    # and the zero sets of its edge directions; on_row[r] is the mask of
-    # the verified points tight on row r
-    on_row = [0] * len(rows)
-    verified: list[tuple[int, list[int], list[int]]] = []
-    scan = iter(_slack_scan(rows, offs,
-                            [key for key in scaled if len(key[0]) == n]))
+    # pass 1, point checks.  notes[vi] is point vi's problem, if any, and
+    # on_row[r] the mask of the feasible points tight on row r
+    notes: list[str | None] = [None] * len(scaled)
+    scanned: list[int] = []
     for vi, key in enumerate(scaled):
         vnum = key[0]
         if not rows:
             # all of R^n, which has no vertex: no row is tight anywhere
-            problems.append(f"vertex {_point(key)} has active rank < {len(vnum)}")
-            continue
-        if len(vnum) != n:
-            problems.append(f"vertex {_point(key)} has {len(vnum)} "
-                            f"coordinates, expected {n}")
-            continue
-        bad, tight = next(scan)
+            notes[vi] = f"vertex {_point(key)} has active rank < {len(vnum)}"
+        elif len(vnum) != n:
+            notes[vi] = (f"vertex {_point(key)} has {len(vnum)} "
+                         f"coordinates, expected {n}")
+        else:
+            scanned.append(vi)
+    on_row = [0] * len(rows)
+    feasible: list[tuple[int, list[int]]] = []
+    scan = _packed_scan(rows, offs, [scaled[vi] for vi in scanned])
+    for vi, (bad, tight) in zip(scanned, scan):
         if bad is not None:
-            problems.append(f"vertex {_point(key)} violates constraint {bad}")
+            notes[vi] = f"vertex {_point(scaled[vi])} violates constraint {bad}"
             continue
-        zerosets = _edge_zerosets([rows[ri] for ri in tight], n)
-        if zerosets is None:
-            problems.append(f"vertex {_point(key)} has active rank < {n}")
-            continue
-        verified.append((vi, tight, zerosets))
+        feasible.append((vi, tight))
         for ri in tight:
             on_row[ri] |= 1 << vi
+
+    # the rank test: a simple point whose far ends w_j are all listed and
+    # each off its row j has rank n (see the docstring); every other
+    # feasible point is eliminated
+    simple = [((1 << n) - 1) ^ (1 << j) for j in range(n)]
+    verified: list[tuple[int, list[int], list[int]]] = []
+    for vi, tight in feasible:
+        # with n = 1 the AND would run over no mask at all
+        if len(tight) == n > 1 and all(
+                end and not on_row[ri] >> (end.bit_length() - 1) & 1
+                for end, ri in zip(_far_ends(on_row, tight, simple, vi),
+                                   tight)):
+            zerosets = simple
+        else:
+            zerosets = _edge_zerosets([rows[ri] for ri in tight], n)
+        if zerosets is None:
+            notes[vi] = f"vertex {_point(scaled[vi])} has active rank < {n}"
+            continue
+        verified.append((vi, tight, zerosets))
+    problems += filter(None, notes)
+    # the masks may hold a point of rank < n: keep the verified points alone
+    keep = sum(1 << vi for vi, _, _ in verified)
+    on_row = [mask & keep for mask in on_row]
 
     # pass 2, the edge walk: the AND of the masks of the rows tight at v
     # and flat along an edge direction, less v, holds the edge's other end
@@ -506,17 +582,12 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     edges: set[tuple[int, int]] = set()
     for vi, tight, zerosets in verified:
         rays = None
-        for j, zs in enumerate(zerosets):
-            ends = -1
-            for b, ri in enumerate(tight):
-                if zs >> b & 1:
-                    ends &= on_row[ri]
-            ends &= ~(1 << vi)
-            if not ends:
+        for j, end in enumerate(_far_ends(on_row, tight, zerosets, vi)):
+            if not end:
                 if rays is None:
                     rays = _cone_rays([rows[ri] for ri in tight], n)[0]
                 problems.append(_edge_problem(rows, offs, scaled[vi], rays[j]))
                 continue
-            vj = ends.bit_length() - 1
+            vj = end.bit_length() - 1
             edges.add((min(vi, vj), max(vi, vj)))
     return CertificationReport(not problems, len(scaled), len(edges), problems)

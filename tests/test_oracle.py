@@ -12,10 +12,14 @@ import pytest
 
 import flatklein
 from flatklein import KleinPoint, cut_polytope, project
+from flatklein import oracle
 from flatklein._exact import _scaled, common_denominator
 from flatklein.oracle import (
     _cone_rays,
     _edge_zerosets,
+    _integerized,
+    _packed_scan,
+    _scaled_point,
     _simplicial_cone,
     brute_distance,
     brute_minimal_images,
@@ -286,6 +290,32 @@ def test_certify_simple_point_needs_full_rank():
     assert (report.ok, report.vertex_count, report.edge_count) == (False, 5, 4)
     assert report.problems == [
         "vertex (Fraction(1, 1), Fraction(1, 2)) has active rank < 2"]
+    # in one dimension a simple point's far ends would AND no mask, so it
+    # is eliminated: 0 <= 0 is tight at 0 and at 1 alike
+    report = certify_vertices([((F(0),), F(0))], [(0,), (1,)])
+    assert report.problems == ["vertex (Fraction(0, 1),) has active rank < 1",
+                               "vertex (Fraction(1, 1),) has active rank < 1"]
+
+
+def test_certify_refuses_points_on_a_line():
+    # a column no row uses spans far more than any slack, yet the points
+    # are reported, not dropped: 0 <= 0 at 0 and 300, and the unit square
+    # in x, y with z free at two corners 1000 apart in z
+    report = certify_vertices([((F(0),), F(0))], [(0,), (300,)])
+    assert (report.ok, report.vertex_count, report.edge_count) == (False, 2, 0)
+    assert report.problems == [
+        "vertex (Fraction(0, 1),) has active rank < 1",
+        "vertex (Fraction(300, 1),) has active rank < 1"]
+    line = [((F(c[0]), F(c[1]), F(0)), off) for c, off in _cube(2)]
+    report = certify_vertices(line, [(0, 0, 0), (0, 0, 1000), (2, 0, -5000)])
+    assert (report.ok, report.vertex_count, report.edge_count) == (False, 3, 0)
+    assert report.problems == [
+        "vertex (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)) has active "
+        "rank < 3",
+        "vertex (Fraction(0, 1), Fraction(0, 1), Fraction(1000, 1)) has "
+        "active rank < 3",
+        "vertex (Fraction(2, 1), Fraction(0, 1), Fraction(-5000, 1)) violates "
+        "constraint 0"]
 
 
 def test_certify_flags_points_of_the_wrong_dimension():
@@ -644,7 +674,7 @@ def test_mask_endpoints_match_fraction_ratio_walk():
     assert problems and all(msg.startswith("unbounded") for msg in problems)
 
 
-def test_mask_endpoints_match_fraction_ratio_walk_generic_n6():
+def test_mask_endpoints_match_fraction_ratio_walk_generic_n6(monkeypatch):
     # the certifier's own range; a generic cell mixes simple and degenerate
     # vertices about evenly
     rng = random.Random(985)
@@ -654,12 +684,35 @@ def test_mask_endpoints_match_fraction_ratio_walk_generic_n6():
     pairs = _cell_pairs(base)
     verts = [v.coords for v in cell.vertices()]
     tight = _tight_counts(pairs, verts)
-    assert 6 in tight and max(tight) > 6, base
+    assert tight.count(6) > 100 and max(tight) > 6, base
+    calls = []
+    real = oracle._edge_zerosets
+    monkeypatch.setattr(oracle, "_edge_zerosets",
+                        lambda act, n: calls.append(len(act)) or real(act, n))
     assert _same_report(pairs, verts) == []
+    # a simple vertex's rank comes from its listed neighbours: only the
+    # points with more than n tight rows are eliminated
+    assert sorted(calls) == sorted(t for t in tight if t > 6)
     k = rng.randrange(len(verts))
     missing = _same_report(pairs, verts[:k] + verts[k + 1:])
     assert missing and all(msg.endswith(f"unlisted vertex {verts[k]}")
                            for msg in missing)
+    # a simple vertex next to an unlisted one fails the neighbour test and
+    # is eliminated; a point of rank < n inside its edge to a listed
+    # neighbour, listed last, would be that edge's far end unless the masks
+    # are rebuilt without it
+    s = tight.index(6)
+    gone, kept = itertools.islice(
+        (j for j in range(len(verts))
+         if j != s and _adjacent_pairs(pairs, [verts[s], verts[j]])), 2)
+    mid = tuple((x + y) / 2 for x, y in zip(verts[s], verts[kept]))
+    calls.clear()
+    problems = _same_report(pairs, [v for i, v in enumerate(verts)
+                                    if i != gone] + [mid])
+    assert f"vertex {mid} has active rank < 6" in problems
+    assert any(msg.endswith(f"unlisted vertex {verts[gone]}")
+               for msg in problems)
+    assert 6 in calls
 
 
 def _violated(halfspaces, point):
@@ -730,6 +783,74 @@ def test_bulk_pass_mid_edge_point_n6():
     assert problems == [f"vertex {mid} has active rank < 6",
                         f"vertex {far} violates constraint "
                         f"{_violated(pairs, far)[0]}"]
+
+
+
+def _plain_scan(rows, offs, points):
+    """`_packed_scan` from one exact slack per (point, row)."""
+    out = []
+    for nums, den in points:
+        slack = [off * den - sum(a * x for a, x in zip(row, nums))
+                 for row, off in zip(rows, offs)]
+        out.append((next((r for r, s in enumerate(slack) if s < 0), None),
+                    [r for r, s in enumerate(slack) if s == 0]))
+    return out
+
+
+def test_packed_scan_matches_plain_slacks():
+    # lane p - 1 sits just below lane p: each vertex comes right after a
+    # point that violates one of its tight rows and again right after one
+    # strictly inside that row, so a carry out of either lane would show
+    rng = random.Random(2301)
+    big = 2 ** 61 - 1
+    below = 0
+    for n in range(2, 8):
+        for base in _seeded_bases(rng, n, 3 if n < 6 else 1):
+            # shifting the cell by c keeps every tight set and makes
+            # coordinates negative, over denominators up to 2^61 - 1
+            c = [F(-rng.randrange(1, 5), rng.choice((1, 3, big)))
+                 for _ in range(n)]
+            pairs = [(nrm, off + sum(a * x for a, x in zip(nrm, c)))
+                     for nrm, off in _cell_pairs(base)]
+            rows, offs = _integerized(pairs)
+            verts = [tuple(x + y for x, y in zip(v.coords, c))
+                     for v in cut_polytope(base).vertices()]
+            claim = []
+            for v in rng.sample(verts, min(len(verts), 30)):
+                r = rng.choice(_plain_scan(rows, offs, [_scaled_point(v)])[0][1])
+                t = F(1, rng.choice((7, big)))
+                claim += [tuple(x + t * a for x, a in zip(v, rows[r])), v,
+                          tuple(x - t * a for x, a in zip(v, rows[r])), v]
+            points = [_scaled_point(p) for p in claim]
+            want = _plain_scan(rows, offs, points)
+            assert _packed_scan(rows, offs, points) == want, base
+            below += sum(bad is not None for bad, _ in want[::4])
+            assert _packed_scan(rows, offs, points[1:2]) == want[1:2], base
+            rng.shuffle(points)
+            assert (_packed_scan(rows, offs, points)
+                    == _plain_scan(rows, offs, points)), base
+    assert below >= 40, below
+    # rows over 2^61 - 1 as well, and no point at all
+    box = [(nrm, off / big) for nrm, off in _cube(3)]
+    rows, offs = _integerized(box)
+    points = [_scaled_point(p) for p in itertools.product(
+        (0, F(1, big), F(-1, big), F(1, 2 * big)), repeat=3)]
+    assert _packed_scan(rows, offs, points) == _plain_scan(rows, offs, points)
+    assert _packed_scan(rows, offs, []) == []
+    # a free column: its range, 2^20 here, is far above every slack bound
+    line = [((F(c[0]), F(c[1]), F(0)), off) for c, off in _cube(2)]
+    rows, offs = _integerized(line)
+    points = [_scaled_point(p) for p in itertools.product(
+        (0, 1, 2, -1), (0, F(1, 2)), (0, 2 ** 20, -7))]
+    assert _packed_scan(rows, offs, points) == _plain_scan(rows, offs, points)
+    # slacks of every bit length, each row's bound met: x <= 0 has slacks
+    # 0 to -h and -x <= h slacks h to 2h
+    for h in itertools.chain.from_iterable((2 ** k - 1, 2 ** k)
+                                           for k in range(70)):
+        rows, offs = [(1,), (-1,)], [0, h]
+        points = [((x,), 1) for x in (h, 0, h // 2, h, 0)]
+        assert (_packed_scan(rows, offs, points)
+                == _plain_scan(rows, offs, points)), h
 
 
 def _fraction_sorted_vertices(halfspaces):
