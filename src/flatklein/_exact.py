@@ -51,7 +51,9 @@ def _eliminate(rows: list[Sequence[int]], r: int, col: int) -> None:
     for i, row in enumerate(rows):
         f = row[col]
         if i != r and f != 0:
-            rows[i] = gcd_reduce([pc * x - f * y for x, y in zip(row, p)])
+            new = [pc * x - f * y for x, y in zip(row, p)]
+            g = math.gcd(*new)
+            rows[i] = [v // g for v in new] if g > 1 else new
 
 
 def _gauss_jordan(m: list[Sequence[int]]) -> list[int]:
@@ -64,8 +66,10 @@ def _gauss_jordan(m: list[Sequence[int]]) -> list[int]:
     pivots: list[int] = []
     for col in range(len(m[0])):
         rank = len(pivots)
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
+        for piv in range(rank, len(m)):
+            if m[piv][col]:
+                break
+        else:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         _eliminate(m, rank, col)

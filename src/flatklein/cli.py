@@ -8,6 +8,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -291,6 +292,16 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randrange(0, den), den)
 
 
+def _first_difference(mine: list, brute: list) -> str:
+    """The first place, in sorted order, where a sorted claimed vertex list
+    differs from the exhaustive oracle's list (the lists must differ)."""
+    for got, want in itertools.zip_longest(mine, brute):
+        if got != want:
+            if want is None or (got is not None and got < want):
+                return f"extra point {_pt_str(got)}"
+            return f"missing vertex {_pt_str(want)}"
+
+
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         # zero trials would check nothing and still print "pass"
@@ -307,14 +318,17 @@ def _cmd_verify(args) -> int:
         pairs = [(nrm, off) for _, nrm, off in cell.integer_rows()]
         if n <= 5:
             brute = brute_vertices(pairs)
-            ok = sorted(claimed) == brute
+            mine = sorted(claimed)
+            ok = mine == brute
+            cause = None if ok else _first_difference(mine, brute)
             detail = f"{len(claimed)} vertices, exhaustive"
         else:
             report = certify_vertices(pairs, claimed)
             ok = report.ok
+            cause = None if ok else report.problems[0]
             detail = f"{len(claimed)} vertices, {report.edge_count} edges"
         if not ok:
-            failures.append(f"vertex mismatch at P = {_pt_str(base)}")
+            failures.append(f"vertex mismatch at P = {_pt_str(base)}: {cause}")
         y = project(tuple(_random_rational(rng) for _ in range(n)))
         z = project(tuple(_random_rational(rng) for _ in range(n)))
         d_ok = squared_distance(y, z) == brute_distance(y, z)

@@ -30,20 +30,25 @@ Fraction.
 
 The edge walk runs on integers, in two passes.  The first checks every
 point in bulk (`_packed_scan`).  The claimed points go over one common
-denominator, each coordinate column less its minimum becomes one int with
-a lane of 8k bits per point, k the fewest bytes that hold a bound on every
-|slack| and every column's range below the lane's top (guard) bit, and
-each row's slacks at all points come from at most n multiply-adds of those
-ints.  A lane's guard bit is clear when the point violates the row, and a
+denominator, the lcm of all their denominators, in one pass over their
+coordinates (`_over_one_denominator`); the numerators over it are also
+each point's key for duplicates.  Each coordinate column less its
+minimum becomes one int with a lane of 8k bits per point, k the fewest
+bytes that hold a bound on every |slack| and every column's range below
+the lane's top (guard) bit, and each row's slacks at all points come from
+at most n multiply-adds of those ints.  A lane's guard bit is clear when the point violates the row, and a
 zero-lane test finds the points tight on it; this gives each point's
 lowest violated row, its tight rows A, and for every row the bitmask of
 the feasible points tight on it.  The rows tight at v and flat along an
 edge direction cut out the edge [v, e], and a point inside that edge has
 rank n - 1.  So, once the masks hold the verified points alone, the AND of
 those rows' masks, less v, is {e}, or empty when the edge ends at no
-listed vertex.  A simple point (exactly n tight rows) has the edge
-directions "every tight row but j", and their ANDs prove its rank as well
-(see `certify_vertices`).  Any other point, and a simple point whose test
+listed vertex.  Each AND takes only the masks of the rows set in the
+zero set, found by walking its set bits (`_far_ends`).  A simple point
+(exactly n tight rows) has the edge directions "every tight row but j",
+whose n ANDs come from one prefix and one suffix pass
+(`_simple_far_ends`), and they prove its rank as well (see
+`certify_vertices`).  Any other point, and a simple point whose test
 fails, gets one fraction-free elimination of the transposed rows A^T
 (`_edge_zerosets`): it is the rank test, picks the greedy basis B of
 `_simplicial_cone`, and gives each simplicial ray's value on every tight
@@ -247,46 +252,65 @@ def _double_description(rays: list[tuple[int, ...]], zerosets: list[int],
                          ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Insert rows into a pointed rank-n cone, one at a time.
 
-    Double description with the usual combinatorial adjacency test on zero
-    sets.  `values(i, rays)` gives row i's value on every current ray; a
-    new ray is a positive combination of two old ones, so the loop works
-    alike on ray coordinates (values are dot products) and on rays' values
-    over a fixed row list (values are entries).  Returns the rays and
-    their zero sets: bit i of a zero set is set when row i is 0 on the ray.
+    The start is simplicial: n rays, ray k's zero set the basis rows but
+    k.  Double description with the usual combinatorial adjacency test on
+    zero sets.  `values(i, rays)` gives row i's value on every current
+    ray; a new ray is a positive combination of two old ones, so the loop
+    works alike on ray coordinates (values are dot products) and on rays'
+    values over a fixed row list (values are entries).  Returns the rays
+    and their zero sets: bit i of a zero set is set when row i is 0 on the
+    ray.
+
+    The first insertion skips the adjacency test, which every pair would
+    pass: rays k and l of the start share the basis less rows k and l,
+    n - 2 rows, and any other ray j lacks row j of that set.
     """
+    # every pair of rays of the simplicial start is adjacent
+    check_adjacency = False
     for i in inserts:
         bit = 1 << i
         vals = values(i, rays)
-        keep = [j for j, v in enumerate(vals) if v <= 0]
-        pos = [j for j, v in enumerate(vals) if v > 0]
-        neg = [j for j, v in enumerate(vals) if v < 0]
-        new_rays: list[tuple[int, ...]] = []
-        new_zerosets: list[int] = []
+        pos: list[int] = []
+        neg: list[int] = []
+        kept_rays: list[tuple[int, ...]] = []
+        kept_zerosets: list[int] = []
+        for j, v in enumerate(vals):
+            if v > 0:
+                pos.append(j)
+                continue
+            if v:
+                neg.append(j)
+                kept_zerosets.append(zerosets[j])
+            else:
+                kept_zerosets.append(zerosets[j] | bit)
+            kept_rays.append(rays[j])
         for p in pos:
             zp, vp, rp = zerosets[p], vals[p], rays[p]
             for q in neg:
                 meet = zp & zerosets[q]
                 # adjacent rays of a pointed n-cone share n - 2 tight rows,
                 # and no third ray is tight on all of them
-                if meet.bit_count() < n - 2:
-                    continue
-                holders = 0
-                for z in zerosets:
-                    if z & meet == meet:
-                        holders += 1
-                        if holders > 2:
-                            break
-                if holders > 2:
-                    continue
+                if check_adjacency:
+                    if meet.bit_count() < n - 2:
+                        continue
+                    holders = 0
+                    for z in zerosets:
+                        if z & meet == meet:
+                            holders += 1
+                            if holders > 2:
+                                break
+                    if holders > 2:
+                        continue
                 # both multipliers are positive, so the new ray is tight
                 # exactly where both parents are, and on row i
                 vq = vals[q]
-                new_rays.append(gcd_reduce(
-                    [vp * b - vq * a for a, b in zip(rp, rays[q])]))
-                new_zerosets.append(meet | bit)
-        rays = [rays[j] for j in keep] + new_rays
-        zerosets = [zerosets[j] | (bit if vals[j] == 0 else 0)
-                    for j in keep] + new_zerosets
+                ray = [vp * b - vq * a for a, b in zip(rp, rays[q])]
+                g = math.gcd(*ray)
+                kept_rays.append(tuple([x // g for x in ray]) if g > 1
+                                 else tuple(ray))
+                kept_zerosets.append(meet | bit)
+        rays, zerosets = kept_rays, kept_zerosets
+        check_adjacency = True
     return rays, zerosets
 
 
@@ -369,6 +393,29 @@ def _scaled_point(p) -> tuple[tuple[int, ...], int]:
     return tuple(nums), den
 
 
+def _over_one_denominator(claimed: Iterable) -> tuple[
+        list[tuple[int, ...]], int]:
+    """Claimed points as integer numerators over one common denominator,
+    the lcm of all their denominators, and that denominator.
+
+    Points that are all tuples of ints and Fractions are read in one pass
+    over their coordinates; otherwise each point goes through
+    `_scaled_point` first.  With one denominator, equal points have equal
+    numerators.
+    """
+    reps = [getattr(p, "rep", p) for p in claimed]
+    if set(map(type, reps)) <= {tuple} and set(
+            map(type, itertools.chain.from_iterable(reps))) <= {int, Fraction}:
+        dens = {x.denominator for rep in reps for x in rep}
+        q = math.lcm(*dens)
+        scale = {d: q // d for d in dens}
+        return [tuple([x.numerator * scale[x.denominator] for x in rep])
+                for rep in reps], q
+    scaled = [_scaled_point(rep) for rep in reps]
+    q = math.lcm(*(den for _, den in scaled))
+    return [tuple([v * (q // den) for v in nums]) for nums, den in scaled], q
+
+
 def _packed_scan(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
                  points: Sequence[tuple[tuple[int, ...], int]],
                  ) -> list[tuple[int | None, list[int]]]:
@@ -397,8 +444,8 @@ def _packed_scan(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
     """
     if not points:
         return []
-    q = math.lcm(*(den for _, den in points))
-    cols = list(zip(*(tuple(v * (q // den) for v in nums)
+    q = math.lcm(*{den for _, den in points})
+    cols = list(zip(*(nums if den == q else tuple(v * (q // den) for v in nums)
                       for nums, den in points)))
     minima = [min(col) for col in cols]
     ranges = [max(col) - lo for col, lo in zip(cols, minima)]
@@ -452,14 +499,37 @@ def _guard_lanes(mask: int, size: int, count: int) -> list[int]:
 def _far_ends(on_row: Sequence[int], tight: Sequence[int],
               zerosets: Iterable[int], vi: int) -> list[int]:
     """For each edge direction at point vi, the AND of the masks of the
-    tight rows flat along it, less vi: the listed points on that edge."""
+    tight rows flat along it, less vi: the listed points on that edge.
+
+    Only the set bits of each zero set are visited, lowest first."""
     out = []
     for zs in zerosets:
         ends = ~(1 << vi)
-        for b, ri in enumerate(tight):
-            if zs >> b & 1:
-                ends &= on_row[ri]
+        while zs:
+            low = zs & -zs
+            ends &= on_row[tight[low.bit_length() - 1]]
+            zs ^= low
         out.append(ends)
+    return out
+
+
+def _simple_far_ends(on_row: Sequence[int], tight: Sequence[int],
+                     vi: int) -> list[int]:
+    """`_far_ends` for the zero sets "every tight row but j", j in order:
+    the AND of the masks before row j and of those after it, from one
+    prefix and one suffix pass."""
+    masks = [on_row[ri] for ri in tight]
+    before = []
+    acc = ~(1 << vi)
+    for mask in masks:
+        before.append(acc)
+        acc &= mask
+    out = []
+    acc = -1
+    for mask, ends in zip(reversed(masks), reversed(before)):
+        out.append(ends & acc)
+        acc &= mask
+    out.reverse()
     return out
 
 
@@ -515,15 +585,15 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     rows, offs = _integerized(halfspaces)
     n = len(rows[0]) if rows else 0
     problems: list[str] = []
+    points, q = _over_one_denominator(claimed)
     scaled: list[tuple[tuple[int, ...], int]] = []
-    seen: set[tuple[tuple[int, ...], int]] = set()
-    for p in claimed:
-        key = _scaled_point(p)
-        if key in seen:
-            problems.append(f"duplicate vertex {_point(key)}")
+    seen: set[tuple[int, ...]] = set()
+    for nums in points:
+        if nums in seen:
+            problems.append(f"duplicate vertex {_point((nums, q))}")
             continue
-        seen.add(key)
-        scaled.append(key)
+        seen.add(nums)
+        scaled.append((nums, q))
     if not scaled:
         return CertificationReport(False, 0, 0, ["no vertices supplied"])
 
@@ -549,8 +619,9 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
             notes[vi] = f"vertex {_point(scaled[vi])} violates constraint {bad}"
             continue
         feasible.append((vi, tight))
+        bit = 1 << vi
         for ri in tight:
-            on_row[ri] |= 1 << vi
+            on_row[ri] |= bit
 
     # the rank test: a simple point whose far ends w_j are all listed and
     # each off its row j has rank n (see the docstring); every other
@@ -561,7 +632,7 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
         # with n = 1 the AND would run over no mask at all
         if len(tight) == n > 1 and all(
                 end and not on_row[ri] >> (end.bit_length() - 1) & 1
-                for end, ri in zip(_far_ends(on_row, tight, simple, vi),
+                for end, ri in zip(_simple_far_ends(on_row, tight, vi),
                                    tight)):
             zerosets = simple
         else:
@@ -582,12 +653,14 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     edges: set[tuple[int, int]] = set()
     for vi, tight, zerosets in verified:
         rays = None
-        for j, end in enumerate(_far_ends(on_row, tight, zerosets, vi)):
+        ends = (_simple_far_ends(on_row, tight, vi) if zerosets is simple
+                else _far_ends(on_row, tight, zerosets, vi))
+        for j, end in enumerate(ends):
             if not end:
                 if rays is None:
                     rays = _cone_rays([rows[ri] for ri in tight], n)[0]
                 problems.append(_edge_problem(rows, offs, scaled[vi], rays[j]))
                 continue
             vj = end.bit_length() - 1
-            edges.add((min(vi, vj), max(vi, vj)))
+            edges.add((vi, vj) if vi < vj else (vj, vi))
     return CertificationReport(not problems, len(scaled), len(edges), problems)

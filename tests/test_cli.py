@@ -231,9 +231,16 @@ class _CellMissingAVertex:
 
 @pytest.mark.parametrize("n, detail", [(3, "exhaustive"), (6, "edges")])
 def test_verify_reports_vertex_mismatch(monkeypatch, capsys, n, detail):
-    # n <= 5 goes to brute_vertices, n >= 6 to the certifier
+    # n <= 5 goes to brute_vertices, n >= 6 to the certifier; either way
+    # the failure names the dropped vertex
     real = cli.cut_polytope
-    monkeypatch.setattr(cli, "cut_polytope", lambda p: _CellMissingAVertex(real(p)))
+    cells = []
+
+    def missing(p):
+        cells.append(_CellMissingAVertex(real(p)))
+        return cells[-1]
+
+    monkeypatch.setattr(cli, "cut_polytope", missing)
     code, out = run(capsys, "verify", "--n", str(n), "--samples", "1", "--seed", "1")
     assert code == 1
     trial, verdict, failure = out.splitlines()
@@ -241,7 +248,13 @@ def test_verify_reports_vertex_mismatch(monkeypatch, capsys, n, detail):
     assert trial.endswith(f" {detail}: FAIL")
     assert verdict == "FAIL"
     base = trial[len("trial   0: P = "):].split(":")[0]
-    assert failure == f"vertex mismatch at P = {base}"
+    dropped = cells[0].cell.vertices()[0].coords
+    if n <= 5:
+        text = "(" + ", ".join(map(format_rat, dropped)) + ")"
+        assert failure == f"vertex mismatch at P = {base}: missing vertex {text}"
+    else:
+        assert failure.startswith(f"vertex mismatch at P = {base}: edge from (")
+        assert failure.endswith(f" reaches unlisted vertex {dropped}")
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

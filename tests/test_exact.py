@@ -1,4 +1,5 @@
-"""Exact simplex: `lp_maximize` against a basic-solution enumeration."""
+"""Exact linear algebra: `_gauss_jordan` against a Fraction reduced echelon
+form, and the simplex `lp_maximize` against a basic-solution enumeration."""
 
 import itertools
 import random
@@ -29,6 +30,57 @@ def _solve(a, b):
                 f = m[r][col]
                 m[r] = [v - f * w for v, w in zip(m[r], m[col])]
     return [row[-1] for row in m]
+
+
+def _fraction_rref(rows):
+    """Pivot columns and reduced row echelon form over Fractions, every
+    pivot entry 1."""
+    m = [[F(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots, m
+
+
+def test_gauss_jordan_matches_fraction_rref():
+    # row k over its pivot entry is the Fraction row exactly, and the rows
+    # below the rank are zero; pivot entries may be negative
+    rng = random.Random(2402)
+    big = 2 ** 61
+    deficient = negative = 0
+    for _ in range(400):
+        width = rng.randint(1, 7)
+        m = [[rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-big, big)))
+              for _ in range(width)] for _ in range(rng.randint(1, 6))]
+        for c in rng.sample(range(width), rng.randint(0, width // 2)):
+            for row in m:  # a zero column
+                row[c] = 0
+        if len(m) > 1 and rng.random() < 0.5:  # a dependent row
+            a, b = rng.sample(m, 2)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            m.insert(rng.randrange(len(m) + 1),
+                     [s * x + t * y for x, y in zip(a, b)])
+        want_pivots, want = _fraction_rref(m)
+        got = [list(row) for row in m]
+        pivots = _exact._gauss_jordan(got)
+        assert pivots == want_pivots, m
+        for k, c in enumerate(pivots):
+            assert [F(x, got[k][c]) for x in got[k]] == want[k], m
+        assert not any(any(row) for row in got[len(pivots):]), m
+        deficient += len(pivots) < min(len(m), width)
+        negative += any(got[k][c] < 0 for k, c in enumerate(pivots))
+    assert _exact._gauss_jordan([]) == []
+    assert deficient >= 50 and negative >= 50, (deficient, negative)
 
 
 def _reference_max(c, a_ub, b_ub, a_eq, b_eq):

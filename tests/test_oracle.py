@@ -473,17 +473,19 @@ def test_edge_zerosets_match_cone_rays_on_cell_tight_sets():
     assert 0 in sizes and max(sizes) >= 4, sizes
 
 
+_HAND_MADE_CONES = [
+    [(1, 0), (1, 0), (0, 1)],                 # a duplicate row
+    [(1, 0), (2, 0), (0, 1), (0, 3)],         # positively parallel rows
+    [(0, 0), (1, 0), (0, 0), (0, 1)],         # zero rows
+    [(1, 0), (0, 0)],                         # rank 1 < 2
+    [(1, 0), (-1, 0), (0, 1), (0, -1)],       # the cone {0}: no ray
+    [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 0)],
+    [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (-2, 0, 0), (1, 1, 1), (0, 0, 0)],
+]
+
+
 def test_edge_zerosets_on_hand_made_cones():
-    cones = [
-        [(1, 0), (1, 0), (0, 1)],                 # a duplicate row
-        [(1, 0), (2, 0), (0, 1), (0, 3)],         # positively parallel rows
-        [(0, 0), (1, 0), (0, 0), (0, 1)],         # zero rows
-        [(1, 0), (0, 0)],                         # rank 1 < 2
-        [(1, 0), (-1, 0), (0, 1), (0, -1)],       # the cone {0}: no ray
-        [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 0)],
-        [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (-2, 0, 0), (1, 1, 1), (0, 0, 0)],
-    ]
-    for act in cones:
+    for act in _HAND_MADE_CONES:
         _check_zerosets(act, len(act[0]))
     assert _edge_zerosets([(1, 0), (0, 0)], 2) is None
     assert _edge_zerosets([(1, 0), (-1, 0), (0, 1), (0, -1)], 2) == []
@@ -547,6 +549,77 @@ def test_corank_one_zerosets_from_the_dependency():
                 assert sorted(_edge_zerosets(act, n)) == sorted(want), act
                 points += 1
     assert points >= 100, points
+
+
+def _bareiss_det(m):
+    """Determinant of a square integer matrix by Bareiss elimination, in
+    which every division is exact."""
+    m = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        p = m[k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k]
+            m[i] = [0] * (k + 1) + [(x * p[k] - f * y) // prev for x, y in
+                                    zip(m[i][k + 1:], p[k + 1:])]
+        prev = p[k]
+    return sign * prev
+
+
+def _zerosets_from_lines(act, n):
+    """The edge zero sets of {d : act d <= 0}, rank n, with no double
+    description: every n - 1 rows of rank n - 1 fix a line, and a direction
+    on it at which every row is <= 0 is an extreme ray."""
+    found = set()
+    for sub in itertools.combinations(act, n - 1):
+        # the line is spanned by the signed maximal minors of these rows,
+        # which all vanish exactly when their rank is below n - 1
+        d = [(-1) ** c * _bareiss_det([row[:c] + row[c + 1:] for row in sub])
+             for c in range(n)]
+        if not any(d):
+            continue
+        for sign in (1, -1):
+            vals = [sign * sum(a * x for a, x in zip(row, d)) for row in act]
+            if all(v <= 0 for v in vals):
+                found.add(sum(1 << i for i, v in enumerate(vals) if v == 0))
+    return sorted(found)
+
+
+def test_edge_zerosets_match_lines_of_n_minus_one_rows():
+    # m >= n + 2 tight rows as well, which only double description covered
+    def check(act, n):
+        got = _edge_zerosets(act, n)
+        if _fraction_rank(act) < n:
+            assert got is None, act
+        else:
+            assert len(set(got)) == len(got), act
+            assert sorted(got) == _zerosets_from_lines(act, n), act
+        return len(act) - n
+
+    rng = random.Random(2403)
+    extra = set()
+    for n, count in ((3, 6), (4, 3), (5, 1)):
+        for base in _seeded_bases(rng, n, count) + _generic_bases(rng, n, count):
+            for act in _tight_sets(cut_polytope(base)):
+                extra.add(check(act, n))
+    assert max(extra) >= 4, extra
+    tens = [act for base in _generic_bases(rng, 6, 1)
+            for act in _tight_sets(cut_polytope(base)) if len(act) == 10]
+    assert len(tens) >= 4
+    for act in tens[:4]:
+        check(act, 6)
+    for act in _HAND_MADE_CONES:
+        check(act, len(act[0]))
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        act = [tuple(rng.randint(-3, 3) for _ in range(n))
+               for _ in range(rng.randint(1, n + 4))]
+        check(act, n)
 
 
 def test_certify_large_chamber_with_dominant_coordinate():
