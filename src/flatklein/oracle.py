@@ -53,12 +53,17 @@ fails, gets one fraction-free elimination of the transposed rows A^T
 (`_edge_zerosets`): it is the rank test, picks the greedy basis B of
 `_simplicial_cone`, and gives each simplicial ray's value on every tight
 row; double description runs on those values and yields the zero sets of
-the point's edge directions, in `_cone_rays`' order.  In the second pass,
-only where an AND is empty are the edge directions computed (`_cone_rays`)
-and the ratio test run, with ratios slack / step compared crosswise, to
-name the unlisted endpoint or the unbounded direction; a Fraction is built
-only for a problem message.  A clean walk is complete without a
-connectivity pass: see `certify_vertices`.
+the point's edge directions, in `_cone_rays`' order.  Tight-row matrices
+that differ by a positive scaling of rows and a nonzero scaling of columns
+have the same zero sets in the same order, so each class of them is
+eliminated once per call, keyed by a scaled form shared by the class
+(`_cone_key`): a generic n = 6 cell has 26-30 classes among its 262-280
+degenerate points.  In the second pass, only where an AND is empty are
+the edge directions computed (`_cone_rays`) and the ratio test run, with
+ratios slack / step compared crosswise, to name the unlisted endpoint or
+the unbounded direction; a Fraction is built only for a problem message.
+A clean walk is complete without a connectivity pass: see
+`certify_vertices`.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import floordiv, mul
 from typing import Callable, Iterable, Sequence
 
 from ._exact import (InvariantError, _gauss_jordan, common_denominator,
@@ -372,6 +377,53 @@ def _edge_zerosets(active_rows: Sequence[tuple[int, ...]],
         lambda i, rays: [y[i] for y in rays])[1]
 
 
+# a row with one nonzero entry: its column, its sign row and that negated
+_UnitRow = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+
+def _unit_rows(rows: Sequence[tuple[int, ...]]) -> list[_UnitRow | None]:
+    """For each row with exactly one nonzero entry, its column and its
+    sign row (the entry replaced by its sign) and that row negated; None
+    for every other row."""
+    out: list[_UnitRow | None] = []
+    for row in rows:
+        nonzero = [c for c, a in enumerate(row) if a]
+        if len(nonzero) != 1:
+            out.append(None)
+            continue
+        c = nonzero[0]
+        sign = tuple([(a > 0) - (a < 0) for a in row])
+        out.append((c, sign, tuple([-a for a in sign])))
+    return out
+
+
+def _cone_key(rows: Sequence[tuple[int, ...]],
+              units: Sequence[_UnitRow | None],
+              tight: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The tight rows A scaled to a form shared by their whole class (see
+    `certify_vertices`), with `units` from `_unit_rows(rows)`.
+
+    g_c is the gcd of column c over the rows with another nonzero entry,
+    signed as the first nonzero one, or 1 when there is none.  Such a row
+    becomes A_i / g, and a row with one nonzero entry the sign of
+    A_ic / g_c: the key is A diag(1/g) with each row scaled by a positive
+    number."""
+    multi = [rows[ri] for ri in tight if units[ri] is None]
+    scale = [1] * len(rows[0])
+    for c, col in enumerate(zip(*multi)):
+        g = math.gcd(*col)
+        if g:
+            scale[c] = g if next(filter(None, col)) > 0 else -g
+    key = []
+    for ri in tight:
+        unit = units[ri]
+        if unit is None:
+            key.append(tuple(map(floordiv, rows[ri], scale)))
+        else:
+            key.append(unit[1] if scale[unit[0]] > 0 else unit[2])
+    return tuple(key)
+
+
 def _point(scaled: tuple[tuple[int, ...], int]) -> tuple[Fraction, ...]:
     """A point's coordinates from its integer key, for a problem message."""
     nums, den = scaled
@@ -497,14 +549,16 @@ def _guard_lanes(mask: int, size: int, count: int) -> list[int]:
 
 
 def _far_ends(on_row: Sequence[int], tight: Sequence[int],
-              zerosets: Iterable[int], vi: int) -> list[int]:
-    """For each edge direction at point vi, the AND of the masks of the
-    tight rows flat along it, less vi: the listed points on that edge.
+              zerosets: Iterable[int], others: int) -> list[int]:
+    """For each edge direction at a point, the AND of `others` (the mask of
+    the verified points but this one) and of the masks of the tight rows
+    flat along it: the listed points on that edge.
 
-    Only the set bits of each zero set are visited, lowest first."""
+    Only the set bits of each zero set are visited, lowest first.  At n = 1
+    a zero set is empty and the AND is `others` alone."""
     out = []
     for zs in zerosets:
-        ends = ~(1 << vi)
+        ends = others
         while zs:
             low = zs & -zs
             ends &= on_row[tight[low.bit_length() - 1]]
@@ -581,6 +635,20 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     the test is eliminated like any other.  The walk then runs on masks
     that hold the verified points alone, so that no point of rank < n
     inside an edge is taken for its end.
+
+    Points whose tight rows share a `_cone_key` share one elimination.
+    The key is D A G^-1, with D positive and G = diag(g) nonzero diagonal,
+    so two tight-row matrices A, A' with one key satisfy A' = D' A G' for
+    D' positive and G' nonzero diagonal, and d -> G'^-1 d maps
+    {d : A d <= 0} onto {d : A' d <= 0}.  Every subset of rows keeps its
+    rank, so the rank test and the greedy basis agree.  Ray k of the
+    simplicial start maps to a positive multiple of ray k, and a ray's
+    value on row i is scaled by D'_ii > 0; each ray that double description
+    combines from two parents is then the image of the one it combines for
+    A, times a positive number.  So every sign the loop reads agrees, the
+    rays are appended in the same order, and `_edge_zerosets` returns the
+    same list for both, which pass 2 pairs entry by entry with
+    `_cone_rays`' rays.
     """
     rows, offs = _integerized(halfspaces)
     n = len(rows[0]) if rows else 0
@@ -628,6 +696,9 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     # feasible point is eliminated
     simple = [((1 << n) - 1) ^ (1 << j) for j in range(n)]
     verified: list[tuple[int, list[int], list[int]]] = []
+    # the zero sets of each class of tight-row matrices, for this call
+    units = _unit_rows(rows)
+    memo: dict[tuple[tuple[int, ...], ...], list[int] | None] = {}
     for vi, tight in feasible:
         # with n = 1 the AND would run over no mask at all
         if len(tight) == n > 1 and all(
@@ -636,7 +707,12 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
                                    tight)):
             zerosets = simple
         else:
-            zerosets = _edge_zerosets([rows[ri] for ri in tight], n)
+            key = _cone_key(rows, units, tight)
+            if key in memo:
+                zerosets = memo[key]
+            else:
+                zerosets = memo[key] = _edge_zerosets(
+                    [rows[ri] for ri in tight], n)
         if zerosets is None:
             notes[vi] = f"vertex {_point(scaled[vi])} has active rank < {n}"
             continue
@@ -654,7 +730,7 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     for vi, tight, zerosets in verified:
         rays = None
         ends = (_simple_far_ends(on_row, tight, vi) if zerosets is simple
-                else _far_ends(on_row, tight, zerosets, vi))
+                else _far_ends(on_row, tight, zerosets, keep ^ (1 << vi)))
         for j, end in enumerate(ends):
             if not end:
                 if rays is None:

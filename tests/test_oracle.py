@@ -15,12 +15,14 @@ from flatklein import KleinPoint, cut_polytope, project
 from flatklein import oracle
 from flatklein._exact import _scaled, common_denominator
 from flatklein.oracle import (
+    _cone_key,
     _cone_rays,
     _edge_zerosets,
     _integerized,
     _packed_scan,
     _scaled_point,
     _simplicial_cone,
+    _unit_rows,
     brute_distance,
     brute_minimal_images,
     brute_vertices,
@@ -295,6 +297,22 @@ def test_certify_simple_point_needs_full_rank():
     report = certify_vertices([((F(0),), F(0))], [(0,), (1,)])
     assert report.problems == ["vertex (Fraction(0, 1),) has active rank < 1",
                                "vertex (Fraction(1, 1),) has active rank < 1"]
+
+
+def test_certify_interval_and_half_line():
+    # in one dimension an edge direction's zero set is empty: its far end
+    # is any other verified point
+    interval = [((1,), 1), ((-1,), 0)]
+    report = certify_vertices(interval, [(0,)])
+    assert (report.ok, report.vertex_count, report.edge_count) == (False, 1, 0)
+    assert report.problems == [
+        "edge from (Fraction(0, 1),) reaches unlisted vertex (Fraction(1, 1),)"]
+    report = certify_vertices(interval, [(0,), (1,)])
+    assert (report.ok, report.vertex_count, report.edge_count) == (True, 2, 1)
+    report = certify_vertices([((-1,), 0)], [(0,)])
+    assert (report.ok, report.vertex_count, report.edge_count) == (False, 1, 0)
+    assert report.problems == [
+        "unbounded edge direction at vertex (Fraction(0, 1),)"]
 
 
 def test_certify_refuses_points_on_a_line():
@@ -622,6 +640,54 @@ def test_edge_zerosets_match_lines_of_n_minus_one_rows():
         check(act, n)
 
 
+def _key(act):
+    return _cone_key(act, _unit_rows(act), range(len(act)))
+
+
+def test_cone_key_classes_share_zerosets_in_order():
+    # certify_vertices eliminates the first tight set of each key and hands
+    # its zero sets, in order, to every other tight set with that key
+    rng = random.Random(2501)
+    points = {"generic": 0, "prism": 0}
+    classes = 0
+    for n in range(3, 8):
+        generic = _generic_bases(rng, n, 1)[0]
+        prism = (rng.choice((F(0), F(1, 2))),) + generic[1:]
+        for kind, base in (("generic", generic), ("prism", prism)):
+            groups = {}
+            for act in _tight_sets(cut_polytope(base)):
+                if len(act) > n:
+                    groups.setdefault(_key(act), []).append(act)
+            for first, *rest in groups.values():
+                want = _edge_zerosets(first, n)
+                assert want, first
+                for act in rest:
+                    assert _edge_zerosets(act, n) == want, (first, act)
+            points[kind] += sum(map(len, groups.values()))
+            classes += len(groups)
+    assert min(points.values()) > 100, points
+    assert 4 * classes < sum(points.values()), (classes, points)
+
+
+def test_cone_key_of_scaled_and_of_different_cones():
+    # columns: the first negated, the second times 3; rows: the ones with
+    # two or more nonzero entries times 2, the coordinate bounds times 5
+    act = [(-1, 1, -2), (1, -1, -2), (-1, 0, 0), (0, 0, -1), (2, 1, -3),
+           (0, -1, 0)]
+    scaled = [(2, 6, -4), (-2, -6, -4), (5, 0, 0), (0, 0, -5), (-4, 6, -6),
+              (0, -15, 0)]
+    assert _key(act) == _key(scaled)
+    assert _edge_zerosets(act, 3) == _edge_zerosets(scaled, 3)
+    assert len(_edge_zerosets(act, 3)) == 4
+    # the same sign pattern: y >= 2x, y >= 3x, y <= -x has edges on rows 0
+    # and 2, and y >= 2x, 2y >= 3x, y <= -x on rows 1 and 2
+    act = [(2, -1), (3, -1), (1, 1)]
+    other = [(2, -1), (3, -2), (1, 1)]
+    assert sorted(_edge_zerosets(act, 2)) == [0b001, 0b100]
+    assert sorted(_edge_zerosets(other, 2)) == [0b010, 0b100]
+    assert _key(act) != _key(other)
+
+
 def test_certify_large_chamber_with_dominant_coordinate():
     # n=7 chamber where one (a_k - 1/4)^2 exceeds half the total: the cell
     # carries middle and truncating vertices for two nested subsets at once.
@@ -761,11 +827,21 @@ def test_mask_endpoints_match_fraction_ratio_walk_generic_n6(monkeypatch):
     calls = []
     real = oracle._edge_zerosets
     monkeypatch.setattr(oracle, "_edge_zerosets",
-                        lambda act, n: calls.append(len(act)) or real(act, n))
+                        lambda act, n: calls.append(act) or real(act, n))
     assert _same_report(pairs, verts) == []
     # a simple vertex's rank comes from its listed neighbours: only the
-    # points with more than n tight rows are eliminated
-    assert sorted(calls) == sorted(t for t in tight if t > 6)
+    # points with more than n tight rows are eliminated, once per key
+    rows, offs = _integerized(pairs)
+    keys = set()
+    for v in verts:
+        nums, den = common_denominator(v)
+        act = [row for row, off in zip(rows, offs)
+               if sum(a * x for a, x in zip(row, nums)) == off * den]
+        if len(act) > 6:
+            keys.add(_key(act))
+    called = [_key(act) for act in calls]
+    assert len(set(called)) == len(called) and set(called) == keys
+    assert 4 * len(calls) < sum(t > 6 for t in tight), (len(calls), tight)
     k = rng.randrange(len(verts))
     missing = _same_report(pairs, verts[:k] + verts[k + 1:])
     assert missing and all(msg.endswith(f"unlisted vertex {verts[k]}")
@@ -785,7 +861,7 @@ def test_mask_endpoints_match_fraction_ratio_walk_generic_n6(monkeypatch):
     assert f"vertex {mid} has active rank < 6" in problems
     assert any(msg.endswith(f"unlisted vertex {verts[gone]}")
                for msg in problems)
-    assert 6 in calls
+    assert 6 in map(len, calls)
 
 
 def _violated(halfspaces, point):
