@@ -4,6 +4,10 @@ Everything in this module is tolerance-free, and it has one elimination:
 `_eliminate`, a fraction-free row step on integer rows.  Every simplex
 pivot runs through it, and so does `_gauss_jordan`, which gives the rank
 and, in the vertex oracles, the edge zero sets and the simplicial cones.
+Beside it sits one packed slack scan, `_packed_scan`, which finds every
+point's violated and tight rows from a few big-int multiply-adds per row:
+the vertex certifier checks the claimed points with it, and the face
+lattice reads the cell's vertex-row incidences from it.
 The LP solver is a dense two-phase simplex with Bland's rule.  It starts
 from the slack basis wherever it can: only equality rows and rows negated
 for a negative rhs get an artificial variable, and phase 1 runs only when
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Row = Sequence[Fraction]
@@ -88,6 +93,90 @@ def gcd_reduce(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (keep orientation)."""
     g = math.gcd(*vec)
     return tuple([v // g for v in vec]) if g > 1 else tuple(vec)
+
+
+# ---------------------------------------------------------------------------
+# Packed slack scan
+# ---------------------------------------------------------------------------
+
+def _packed_scan(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
+                 points: Sequence[tuple[tuple[int, ...], int]],
+                 ) -> list[tuple[int | None, list[int]]]:
+    """Each point's lowest violated row (None if it is feasible) and its
+    tight rows in index order.
+
+    The points go over one common denominator Q, and each coordinate
+    column becomes one int with a lane of w = 8 size bits per point, point
+    p in bits [w p, w p + w).  A lane holds the numerator less the
+    column's minimum, so it is at least 0.  Row r's slack at point p is
+    s = off_r Q - row_r . x_p = base_r - row_r . (x_p - minima), so
+    |s| <= |base_r| + sum_c |row_r[c]| (range of column c); B is the
+    largest of these bounds over the rows and of the column ranges (a
+    column no row uses still fills its lanes), and size the fewest bytes
+    with B < G = 2^(w - 1).  Then
+
+        (G + base_r) * ONES - sum_c row_r[c] * column_c,
+
+    ONES holding 1 in every lane, is exactly the int whose lane p is
+    G + s, in (0, 2G): at most n multiply-adds give a row's slacks at every
+    point.  Lane p's guard bit G is clear exactly when p violates the row.
+    Its low w - 1 bits are zero exactly when p is tight: adding G - 1 to
+    them sets the guard bit unless they are zero, and as the guard bits
+    are masked off first, no lane carries into the next.  `_guard_lanes`
+    reads a mask of guard bits with `to_bytes` and `bytes.find`.
+    """
+    if not points:
+        return []
+    q = math.lcm(*{den for _, den in points})
+    cols = list(zip(*(nums if den == q else tuple(v * (q // den) for v in nums)
+                      for nums, den in points)))
+    minima = [min(col) for col in cols]
+    ranges = [max(col) - lo for col, lo in zip(cols, minima)]
+    bases = [off * q - sum(map(mul, row, minima))
+             for row, off in zip(rows, offs)]
+    # a column no row uses (the polyhedron holds a line) bounds no slack,
+    # but its lanes must still hold its range
+    bound = max([*ranges, *(abs(base) + sum(abs(a) * span
+                                            for a, span in zip(row, ranges))
+                            for row, base in zip(rows, bases))])
+    size = bound.bit_length() // 8 + 1
+    guard = 1 << (8 * size - 1)
+    packed = [int.from_bytes(b"".join((v - lo).to_bytes(size, "little")
+                                      for v in col), "little")
+              for col, lo in zip(cols, minima)]
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(points), "little")
+    guards = ones * guard
+    low_bits = guards - ones
+    bad: list[int | None] = [None] * len(points)
+    tight: list[list[int]] = [[] for _ in points]
+    for ri, (row, base) in enumerate(zip(rows, bases)):
+        lanes = (guard + base) * ones
+        for a, col in zip(row, packed):
+            if a:
+                lanes -= a * col
+        violated = guards & ~lanes
+        zero = guards & lanes & ~((lanes & low_bits) + low_bits)
+        if violated:
+            for p in _guard_lanes(violated, size, len(points)):
+                if bad[p] is None:
+                    bad[p] = ri
+        if zero:
+            for p in _guard_lanes(zero, size, len(points)):
+                tight[p].append(ri)
+    return list(zip(bad, tight))
+
+
+def _guard_lanes(mask: int, size: int, count: int) -> list[int]:
+    """The lanes, of `size` bytes each, whose guard bit is set in `mask`,
+    an int with no other bit set: the top byte of such a lane is 0x80 and
+    every other byte is 0."""
+    data = mask.to_bytes(size * count, "little")[size - 1::size]
+    out = []
+    at = data.find(0x80)
+    while at >= 0:
+        out.append(at)
+        at = data.find(0x80, at + 1)
+    return out
 
 
 # ---------------------------------------------------------------------------

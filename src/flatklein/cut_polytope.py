@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from ._exact import InvariantError, common_denominator
+from ._exact import InvariantError, _packed_scan, common_denominator
 from .klein_space import (
     KleinPoint,
     LiftPoint,
@@ -381,10 +381,23 @@ class CutPolytope:
 
         Vertex-row incidences are int bitmasks (Kaibel & Pfetsch, 2002),
         with the rows in key order, so that the rows tight on all of a face
-        come off their mask already sorted.  The faces a face G covers are
-        the maximal meets of G with the rows tight at some vertex of G but
-        not at all of them: any other row meets G in nothing or in all of
-        G.  So the cell is level n and a face's dimension is its level.
+        come off their mask already sorted.  They come from the packed
+        slack scan `_exact._packed_scan` over the vertex numerators, the
+        kernel that also checks the certifier's points.  The faces a face
+        G covers are the maximal meets of G with the rows tight at some
+        vertex of G but not at all of them: any other row meets G in
+        nothing or in all of G.  So the cell is level n and a face's
+        dimension is its level.
+
+        Below dimension 4 no maximality test is needed.  A face of
+        dimension k has at least k + 1 vertices, and one of dimension at
+        most 1 has at most 2.  So the facets of a face G of dimension
+        d <= 3 are exactly its meets with at least d vertices: at d = 3 the
+        other meets are edges and vertices (at most 2 vertices), at d = 2
+        vertices (1).  At d = 4 a meet that is a 2-face can hold 4 or more
+        vertices, so the test stays there.  Every vertex is a face and an
+        edge covers its two vertices, so edges need no meets and a vertex
+        face reads its rows off its own mask.
         Refused with a ValueError above n = FACE_N_MAX.
         """
         if self._faces is not None:
@@ -399,28 +412,38 @@ class CutPolytope:
         keys = [key for key, _, _ in rows]
         # at[i]: mask of the rows tight at vertex i; tight[j]: mask of the
         # vertices at which row j is tight
-        at = [sum(1 << j for j, (_, normal, off) in enumerate(rows)
-                  if sum(map(operator.mul, normal, v)) == off * q)
-              for v in nums]
-        tight = [0] * len(rows)
-        for i, on in enumerate(at):
-            for j in _bits(on):
+        scan = _packed_scan([normal for _, normal, _ in rows],
+                            [off for _, _, off in rows], [(v, q) for v in nums])
+        at, tight = [], [0] * len(rows)
+        for i, (_, on) in enumerate(scan):
+            at.append(sum(1 << j for j in on))
+            for j in on:
                 tight[j] |= 1 << i
-        faces = []
+        # per dimension, each face as (vertex ids, mask of its tight rows)
+        graded: list[list[tuple[tuple[int, ...], int]]] = [
+            [((i,), on) for i, on in enumerate(at)]] + [[] for _ in range(self.n)]
         level = {(1 << len(nums)) - 1}
-        for dim in range(self.n, -1, -1):
+        for dim in range(self.n, 1, -1):
             below: set[int] = set()
             for g in level:
                 ids, on, touch = tuple(_bits(g)), -1, 0
                 for i in ids:
                     on &= at[i]
                     touch |= at[i]
-                faces.append(Face(dim, tuple(keys[j] for j in _bits(on)), ids))
+                graded[dim].append((ids, on))
                 # a row tight at some vertex of g but not at all of them
                 # meets g in a nonempty proper face
-                below.update(_maximal({g & tight[j] for j in _bits(touch & ~on)}))
+                meets = {g & tight[j] for j in _bits(touch & ~on)}
+                if dim > 3:
+                    below.update(_maximal(meets))
+                else:  # the facets are the meets with dim or more vertices
+                    below.update(m for m in meets if m.bit_count() >= dim)
             level = below
-        faces.sort(key=lambda f: (f.dim, f.vertex_ids))
+        for g in level:  # the edges
+            lo, hi = (g & -g).bit_length() - 1, g.bit_length() - 1
+            graded[1].append(((lo, hi), at[lo] & at[hi]))
+        faces = [Face(dim, tuple([keys[j] for j in _bits(on)]), ids)
+                 for dim, grade in enumerate(graded) for ids, on in sorted(grade)]
         self._faces = faces
         return faces
 

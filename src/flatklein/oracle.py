@@ -29,24 +29,26 @@ them as their coordinates do, and each distinct value becomes one
 Fraction.
 
 The edge walk runs on integers, in two passes.  The first checks every
-point in bulk (`_packed_scan`).  The claimed points go over one common
-denominator, the lcm of all their denominators, in one pass over their
-coordinates (`_over_one_denominator`); the numerators over it are also
-each point's key for duplicates.  Each coordinate column less its
-minimum becomes one int with a lane of 8k bits per point, k the fewest
+point in bulk with `_exact._packed_scan`, the slack kernel that also gives
+the face lattice its incidences; the vertex list it checks comes from
+`CutPolytope.vertices()`, which does not use it.  The claimed points go
+over one common denominator, the lcm of all their denominators, in one
+pass over their coordinates (`_over_one_denominator`); the numerators over
+it are also each point's key for duplicates.  Each coordinate column less
+its minimum becomes one int with a lane of 8k bits per point, k the fewest
 bytes that hold a bound on every |slack| and every column's range below
 the lane's top (guard) bit, and each row's slacks at all points come from
-at most n multiply-adds of those ints.  A lane's guard bit is clear when the point violates the row, and a
-zero-lane test finds the points tight on it; this gives each point's
-lowest violated row, its tight rows A, and for every row the bitmask of
-the feasible points tight on it.  The rows tight at v and flat along an
-edge direction cut out the edge [v, e], and a point inside that edge has
-rank n - 1.  So, once the masks hold the verified points alone, the AND of
-those rows' masks, less v, is {e}, or empty when the edge ends at no
-listed vertex.  Each AND takes only the masks of the rows set in the
-zero set, found by walking its set bits (`_far_ends`).  A simple point
-(exactly n tight rows) has the edge directions "every tight row but j",
-whose n ANDs come from one prefix and one suffix pass
+at most n multiply-adds of those ints.  A lane's guard bit is clear when
+the point violates the row, and a zero-lane test finds the points tight on
+it; this gives each point's lowest violated row, its tight rows A, and for
+every row the bitmask of the feasible points tight on it.  The rows tight
+at v and flat along an edge direction cut out the edge [v, e], and a point
+inside that edge has rank n - 1.  So, once the masks hold the verified
+points alone, the AND of those rows' masks, less v, is {e}, or empty when
+the edge ends at no listed vertex.  Each AND takes only the masks of the
+rows set in the zero set, found by walking its set bits (`_far_ends`).  A
+simple point (exactly n tight rows) has the edge directions "every tight
+row but j", whose n ANDs come from one prefix and one suffix pass
 (`_simple_far_ends`), and they prove its rank as well (see
 `certify_vertices`).  Any other point, and a simple point whose test
 fails, gets one fraction-free elimination of the transposed rows A^T
@@ -75,8 +77,8 @@ from fractions import Fraction
 from operator import floordiv, mul
 from typing import Callable, Iterable, Sequence
 
-from ._exact import (InvariantError, _gauss_jordan, common_denominator,
-                     gcd_reduce)
+from ._exact import (InvariantError, _gauss_jordan, _packed_scan,
+                     common_denominator, gcd_reduce)
 
 Halfspace = tuple[Sequence[Fraction], Fraction]
 
@@ -466,86 +468,6 @@ def _over_one_denominator(claimed: Iterable) -> tuple[
     scaled = [_scaled_point(rep) for rep in reps]
     q = math.lcm(*(den for _, den in scaled))
     return [tuple([v * (q // den) for v in nums]) for nums, den in scaled], q
-
-
-def _packed_scan(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
-                 points: Sequence[tuple[tuple[int, ...], int]],
-                 ) -> list[tuple[int | None, list[int]]]:
-    """Each point's lowest violated row (None if it is feasible) and its
-    tight rows in index order.
-
-    The points go over one common denominator Q, and each coordinate
-    column becomes one int with a lane of w = 8 size bits per point, point
-    p in bits [w p, w p + w).  A lane holds the numerator less the
-    column's minimum, so it is at least 0.  Row r's slack at point p is
-    s = off_r Q - row_r . x_p = base_r - row_r . (x_p - minima), so
-    |s| <= |base_r| + sum_c |row_r[c]| (range of column c); B is the
-    largest of these bounds over the rows and of the column ranges (a
-    column no row uses still fills its lanes), and size the fewest bytes
-    with B < G = 2^(w - 1).  Then
-
-        (G + base_r) * ONES - sum_c row_r[c] * column_c,
-
-    ONES holding 1 in every lane, is exactly the int whose lane p is
-    G + s, in (0, 2G): at most n multiply-adds give a row's slacks at every
-    point.  Lane p's guard bit G is clear exactly when p violates the row.
-    Its low w - 1 bits are zero exactly when p is tight: adding G - 1 to
-    them sets the guard bit unless they are zero, and as the guard bits
-    are masked off first, no lane carries into the next.  `_guard_lanes`
-    reads a mask of guard bits with `to_bytes` and `bytes.find`.
-    """
-    if not points:
-        return []
-    q = math.lcm(*{den for _, den in points})
-    cols = list(zip(*(nums if den == q else tuple(v * (q // den) for v in nums)
-                      for nums, den in points)))
-    minima = [min(col) for col in cols]
-    ranges = [max(col) - lo for col, lo in zip(cols, minima)]
-    bases = [off * q - sum(map(mul, row, minima))
-             for row, off in zip(rows, offs)]
-    # a column no row uses (the polyhedron holds a line) bounds no slack,
-    # but its lanes must still hold its range
-    bound = max([*ranges, *(abs(base) + sum(abs(a) * span
-                                            for a, span in zip(row, ranges))
-                            for row, base in zip(rows, bases))])
-    size = bound.bit_length() // 8 + 1
-    guard = 1 << (8 * size - 1)
-    packed = [int.from_bytes(b"".join((v - lo).to_bytes(size, "little")
-                                      for v in col), "little")
-              for col, lo in zip(cols, minima)]
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(points), "little")
-    guards = ones * guard
-    low_bits = guards - ones
-    bad: list[int | None] = [None] * len(points)
-    tight: list[list[int]] = [[] for _ in points]
-    for ri, (row, base) in enumerate(zip(rows, bases)):
-        lanes = (guard + base) * ones
-        for a, col in zip(row, packed):
-            if a:
-                lanes -= a * col
-        violated = guards & ~lanes
-        zero = guards & lanes & ~((lanes & low_bits) + low_bits)
-        if violated:
-            for p in _guard_lanes(violated, size, len(points)):
-                if bad[p] is None:
-                    bad[p] = ri
-        if zero:
-            for p in _guard_lanes(zero, size, len(points)):
-                tight[p].append(ri)
-    return list(zip(bad, tight))
-
-
-def _guard_lanes(mask: int, size: int, count: int) -> list[int]:
-    """The lanes, of `size` bytes each, whose guard bit is set in `mask`,
-    an int with no other bit set: the top byte of such a lane is 0x80 and
-    every other byte is 0."""
-    data = mask.to_bytes(size * count, "little")[size - 1::size]
-    out = []
-    at = data.find(0x80)
-    while at >= 0:
-        out.append(at)
-        at = data.find(0x80, at + 1)
-    return out
 
 
 def _far_ends(on_row: Sequence[int], tight: Sequence[int],

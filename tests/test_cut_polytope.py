@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from flatklein import (CutPolytope, InvariantError, catalog, cut_polytope, delta,
                        k_value, minimal_lifts, project, representatives)
-from flatklein._exact import _scaled, gcd_reduce, mat_rank
+from flatklein._exact import _packed_scan, _scaled, gcd_reduce, mat_rank
 from flatklein.cut_polytope import (LabeledSet, _barycenter_key, _chamber, _gain8,
                                     _k_table)
 from flatklein.klein_space import DeckElement, apply_deck, canonicalize, neighbor_set
@@ -830,9 +830,33 @@ def _fraction_rank(rows):
     return rank
 
 
+def _integer_rank(rows):
+    """Rank of integer rows by plain fraction-free forward elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if f := rows[r][col]:
+                rows[r] = [p[col] * x - f * y for x, y in zip(rows[r], p)]
+        rank += 1
+    return rank
+
+
 def _affine_dim(points):
+    """Affine dimension of exact points (ints or Fractions): the rank of
+    their differences from the first, each scaled to integers."""
     base = points[0]
-    return _fraction_rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
+    rows = []
+    for p in points[1:]:
+        diff = [x - b for x, b in zip(p, base)]
+        scale = math.lcm(*(x.denominator for x in diff))
+        rows.append([int(x * scale) for x in diff])
+    return _integer_rank(rows)
 
 
 def _deck_maps(u, w):
@@ -919,11 +943,27 @@ def _reference_lattice(cell):
     return sorted(out, key=lambda f: (f[0], f[2])), row_sets - facets
 
 
+def _seeded_n5_cells(rng):
+    """A generic, a prism and a reflected cell at n = 5."""
+    def head(reflected=False):  # in (0, 1/2), or reflected into (1/2, 1)
+        d = rng.choice((7, 9, 11, 13))
+        a = F(rng.randrange(1, (d + 1) // 2), d)
+        return 1 - a if reflected else a
+
+    def last():
+        d = rng.choice((7, 9, 11, 13))
+        return F(rng.randrange(d), d)
+    return [(head(), head(), head(), head(), last()),
+            (head(), F(1, 2), head(), F(0), last()),
+            (head(True), head(), head(True), head(), last())]
+
+
 def test_face_lattice_matches_facet_intersections():
     cells = _reference_cells()
     cells += [s.witness for n in (2, 3, 4) for s in catalog(n)]
     # each cap is tight at a single vertex of this cell
     cells.append((F(1, 4), F(1, 4), F(1, 4), F(1, 4), F(1, 3)))
+    cells += _seeded_n5_cells(random.Random(2605))
     non_facet_rows = 0
     for p in cells:
         cell = CutPolytope(project(p))
@@ -945,6 +985,55 @@ def test_face_dims_match_affine_rank():
         verts = cell.vertices()
         for f in cell.face_lattice():
             assert f.dim == _affine_dim([verts[i].coords for i in f.vertex_ids]), p
+
+
+def test_face_vertex_counts_bound_affine_dims():
+    # the premise of face_lattice's rule below dimension 4, on dimensions
+    # read off the vertex coordinates (not Face.dim): a face of dimension
+    # at most 1 has at most 2 vertices, and one of dimension k at least
+    # k + 1.  A 2-face can hold 4 or more, which is why the rule stops at 3
+    cells = [s.witness for n in range(2, 6) for s in catalog(n)]
+    cells += _reference_cells()
+    cells += random.Random(2611).sample([s.witness for s in catalog(6)], 8)
+    wide = 0
+    for p in cells:
+        cell = cut_polytope(p)
+        cell.vertices()
+        nums = cell._vertex_nums  # the coordinates over one denominator
+        for f in cell.face_lattice():
+            count = len(f.vertex_ids)
+            dim = _affine_dim([nums[i] for i in f.vertex_ids])
+            assert count >= dim + 1, (p, f.vertex_ids)
+            assert dim >= 2 or count <= 2, (p, f.vertex_ids)
+            wide += cell.n >= 4 and dim == 2 and count >= 4
+    assert wide > 0
+
+
+def test_lattice_incidences_match_integer_dot_products():
+    # the rows tight at each vertex, from the packed slack scan that the
+    # lattice and the certifier share, against plain integer slacks; the
+    # vertex faces must list the same rows
+    cells = _seeded_class_cells(random.Random(2613),
+                                {2: 6, 3: 6, 4: 4, 5: 3, 6: 2, 7: 1})
+    assert any(c in (0, F(1, 2)) for p in cells for c in p[:-1])
+    assert any(c > F(1, 2) for p in cells for c in p[:-1])
+    cells.append((F(1, 10), F(1, 5), F(2, 7), F(1, 3), F(2, 9), F(1, 3), F(1, 3)))
+    for p in cells:
+        cell = cut_polytope(p)
+        cell.vertices()
+        nums, q = cell._vertex_nums, cell._vertex_den
+        rows = sorted(cell.integer_rows())
+        want = [[j for j, (_, normal, off) in enumerate(rows)
+                 if sum(map(operator.mul, normal, v)) == off * q]
+                for v in nums]
+        assert all(sum(map(operator.mul, normal, v)) <= off * q
+                   for v in nums for _, normal, off in rows), p
+        got = _packed_scan([normal for _, normal, _ in rows],
+                           [off for _, _, off in rows], [(v, q) for v in nums])
+        assert got == [(None, tight) for tight in want], p
+        if cell.n <= 6:
+            assert [f.active for f in cell.face_lattice() if f.dim == 0] == [
+                tuple(rows[j][0] for j in tight) for tight in want], p
 
 
 def test_face_classes_match_pairwise_deck_search():

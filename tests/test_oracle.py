@@ -13,13 +13,12 @@ import pytest
 import flatklein
 from flatklein import KleinPoint, cut_polytope, project
 from flatklein import oracle
-from flatklein._exact import _scaled, common_denominator
+from flatklein._exact import _packed_scan, _scaled, common_denominator
 from flatklein.oracle import (
     _cone_key,
     _cone_rays,
     _edge_zerosets,
     _integerized,
-    _packed_scan,
     _scaled_point,
     _simplicial_cone,
     _unit_rows,
