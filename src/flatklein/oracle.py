@@ -40,30 +40,26 @@ bytes that hold a bound on every |slack| and every column's range below
 the lane's top (guard) bit, and each row's slacks at all points come from
 at most n multiply-adds of those ints.  A lane's guard bit is clear when
 the point violates the row, and a zero-lane test finds the points tight on
-it; this gives each point's lowest violated row, its tight rows A, and for
-every row the bitmask of the feasible points tight on it.  The rows tight
-at v and flat along an edge direction cut out the edge [v, e], and a point
-inside that edge has rank n - 1.  So, once the masks hold the verified
-points alone, the AND of those rows' masks, less v, is {e}, or empty when
-the edge ends at no listed vertex.  Each AND takes only the masks of the
-rows set in the zero set, found by walking its set bits (`_far_ends`).  A
-simple point (exactly n tight rows) has the edge directions "every tight
-row but j", whose n ANDs come from one prefix and one suffix pass
-(`_simple_far_ends`), and they prove its rank as well (see
-`certify_vertices`).  Any other point, and a simple point whose test
-fails, gets one fraction-free elimination of the transposed rows A^T
+it; this gives each point's lowest violated row and its tight rows A.
+Each feasible point then gets the zero sets of its edge directions from
+one fraction-free elimination of the transposed rows A^T
 (`_edge_zerosets`): it is the rank test, picks the greedy basis B of
 `_simplicial_cone`, and gives each simplicial ray's value on every tight
-row; double description runs on those values and yields the zero sets of
-the point's edge directions, in `_cone_rays`' order.  Tight-row matrices
-that differ by a positive scaling of rows and a nonzero scaling of columns
-have the same zero sets in the same order, so each class of them is
-eliminated once per call, keyed by a scaled form shared by the class
-(`_cone_key`): a generic n = 6 cell has 26-30 classes among its 262-280
-degenerate points.  In the second pass, only where an AND is empty are
-the edge directions computed (`_cone_rays`) and the ratio test run, with
-ratios slack / step compared crosswise, to name the unlisted endpoint or
-the unbounded direction; a Fraction is built only for a problem message.
+row; double description runs on those values and yields the zero sets, in
+`_cone_rays`' order.  Tight-row matrices that differ by a positive scaling
+of rows and a nonzero scaling of columns have the same zero sets in the
+same order, so each class of them is eliminated once per call, keyed by a
+scaled form shared by the class (`_cone_key`): the generic n = 6 cell at
+P = (1/10, 1/5, 2/7, 1/3, 2/9, 1/3) has 40 classes among its 600
+vertices.  Each row then gets the bitmask of the verified points (rank n)
+tight on it.  The rows tight at v and flat along an edge direction cut out
+the edge [v, e], and a point inside that edge has rank n - 1, so the AND
+of those rows' masks, less v, is {e}, or empty when the edge ends at no
+listed vertex (`_far_ends`).  In the second pass, only where an AND is
+empty are the edge directions computed (`_cone_rays`) and the ratio test
+run, with ratios slack / step compared crosswise, to name the unlisted
+endpoint or the unbounded direction; a Fraction is built only for a
+problem message.
 A clean walk is complete without a connectivity pass: see
 `certify_vertices`.
 """
@@ -432,80 +428,41 @@ def _point(scaled: tuple[tuple[int, ...], int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, den) for v in nums)
 
 
-def _scaled_point(p) -> tuple[tuple[int, ...], int]:
-    """A claimed point as its integer numerators over the lcm of its
-    denominators, which is its lowest-terms key.
-
-    Ints and Fractions are read as they are; anything else `Fraction`
-    accepts (strings, floats, an iterator of them) goes through `_coords`.
-    """
-    rep = getattr(p, "rep", p)
-    if type(rep) is not tuple or not all(
-            type(x) is Fraction or type(x) is int for x in rep):
-        rep = _coords(rep)
-    nums, den = common_denominator(rep)
-    return tuple(nums), den
-
-
 def _over_one_denominator(claimed: Iterable) -> tuple[
         list[tuple[int, ...]], int]:
     """Claimed points as integer numerators over one common denominator,
     the lcm of all their denominators, and that denominator.
 
-    Points that are all tuples of ints and Fractions are read in one pass
-    over their coordinates; otherwise each point goes through
-    `_scaled_point` first.  With one denominator, equal points have equal
-    numerators.
+    A point that is a tuple of ints and Fractions is read as it is; any
+    other point (strings, floats, an iterator of them) goes through
+    `_coords`.  With one denominator, equal points have equal numerators.
     """
-    reps = [getattr(p, "rep", p) for p in claimed]
-    if set(map(type, reps)) <= {tuple} and set(
-            map(type, itertools.chain.from_iterable(reps))) <= {int, Fraction}:
-        dens = {x.denominator for rep in reps for x in rep}
-        q = math.lcm(*dens)
-        scale = {d: q // d for d in dens}
-        return [tuple([x.numerator * scale[x.denominator] for x in rep])
-                for rep in reps], q
-    scaled = [_scaled_point(rep) for rep in reps]
-    q = math.lcm(*(den for _, den in scaled))
-    return [tuple([v * (q // den) for v in nums]) for nums, den in scaled], q
+    exact = {int, Fraction}
+    reps = [rep if type(rep) is tuple and exact.issuperset(map(type, rep))
+            else _coords(rep)
+            for rep in (getattr(p, "rep", p) for p in claimed)]
+    dens = {x.denominator for rep in reps for x in rep}
+    q = math.lcm(*dens)
+    scale = {d: q // d for d in dens}
+    return [tuple([x.numerator * scale[x.denominator] for x in rep])
+            for rep in reps], q
 
 
 def _far_ends(on_row: Sequence[int], tight: Sequence[int],
-              zerosets: Iterable[int], others: int) -> list[int]:
+              flats: Iterable[Sequence[int]], others: int) -> list[int]:
     """For each edge direction at a point, the AND of `others` (the mask of
     the verified points but this one) and of the masks of the tight rows
     flat along it: the listed points on that edge.
 
-    Only the set bits of each zero set are visited, lowest first.  At n = 1
-    a zero set is empty and the AND is `others` alone."""
-    out = []
-    for zs in zerosets:
-        ends = others
-        while zs:
-            low = zs & -zs
-            ends &= on_row[tight[low.bit_length() - 1]]
-            zs ^= low
-        out.append(ends)
-    return out
-
-
-def _simple_far_ends(on_row: Sequence[int], tight: Sequence[int],
-                     vi: int) -> list[int]:
-    """`_far_ends` for the zero sets "every tight row but j", j in order:
-    the AND of the masks before row j and of those after it, from one
-    prefix and one suffix pass."""
+    Each flat list gives those rows as positions in `tight`.  At n = 1 a
+    flat list is empty and the AND is `others` alone."""
     masks = [on_row[ri] for ri in tight]
-    before = []
-    acc = ~(1 << vi)
-    for mask in masks:
-        before.append(acc)
-        acc &= mask
     out = []
-    acc = -1
-    for mask, ends in zip(reversed(masks), reversed(before)):
-        out.append(ends & acc)
-        acc &= mask
-    out.reverse()
+    for flat in flats:
+        ends = others
+        for k in flat:
+            ends &= masks[k]
+        out.append(ends)
     return out
 
 
@@ -547,17 +504,6 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     graph of a pointed polyhedron is connected, so the set is the complete
     vertex set: no separate connectivity pass is needed.
 
-    A simple point v, feasible and tight on exactly n rows A (A v = b),
-    needs no elimination.  For each j let w_j be the top point of the AND
-    of the masks of A's rows but j, less v.  If every w_j exists and none
-    is tight on row j, then A_i (w_j - v) = 0 for i != j and A_j w_j < b_j,
-    so A (W - v) is diagonal with a nonzero diagonal and A has rank n.
-    This needs each w_j only to be feasible, so the masks may hold every
-    feasible point before any rank is known.  A simple point that fails
-    the test is eliminated like any other.  The walk then runs on masks
-    that hold the verified points alone, so that no point of rank < n
-    inside an edge is taken for its end.
-
     Points whose tight rows share a `_cone_key` share one elimination.
     The key is D A G^-1, with D positive and G = diag(g) nonzero diagonal,
     so two tight-row matrices A, A' with one key satisfy A' = D' A G' for
@@ -587,8 +533,7 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     if not scaled:
         return CertificationReport(False, 0, 0, ["no vertices supplied"])
 
-    # pass 1, point checks.  notes[vi] is point vi's problem, if any, and
-    # on_row[r] the mask of the feasible points tight on row r
+    # pass 1, point checks.  notes[vi] is point vi's problem, if any
     notes: list[str | None] = [None] * len(scaled)
     scanned: list[int] = []
     for vi, key in enumerate(scaled):
@@ -601,59 +546,47 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
                          f"coordinates, expected {n}")
         else:
             scanned.append(vi)
+    # the rank test and the edge directions' zero sets, from one elimination
+    # per class of tight-row matrices in this call (see the docstring); the
+    # memo keeps each zero set as the positions of its rows in `tight`.
+    # on_row[r] is the mask of the verified points tight on row r, so no
+    # point of rank < n inside an edge is taken for its end
+    units = _unit_rows(rows)
+    memo: dict[tuple[tuple[int, ...], ...], list[list[int]] | None] = {}
     on_row = [0] * len(rows)
-    feasible: list[tuple[int, list[int]]] = []
+    verified: list[tuple[int, list[int], list[list[int]]]] = []
     scan = _packed_scan(rows, offs, [scaled[vi] for vi in scanned])
     for vi, (bad, tight) in zip(scanned, scan):
         if bad is not None:
             notes[vi] = f"vertex {_point(scaled[vi])} violates constraint {bad}"
             continue
-        feasible.append((vi, tight))
+        key = _cone_key(rows, units, tight)
+        if key in memo:
+            flats = memo[key]
+        else:
+            zerosets = _edge_zerosets([rows[ri] for ri in tight], n)
+            flats = memo[key] = None if zerosets is None else [
+                [k for k in range(len(tight)) if zs >> k & 1]
+                for zs in zerosets]
+        if flats is None:
+            notes[vi] = f"vertex {_point(scaled[vi])} has active rank < {n}"
+            continue
+        verified.append((vi, tight, flats))
         bit = 1 << vi
         for ri in tight:
             on_row[ri] |= bit
-
-    # the rank test: a simple point whose far ends w_j are all listed and
-    # each off its row j has rank n (see the docstring); every other
-    # feasible point is eliminated
-    simple = [((1 << n) - 1) ^ (1 << j) for j in range(n)]
-    verified: list[tuple[int, list[int], list[int]]] = []
-    # the zero sets of each class of tight-row matrices, for this call
-    units = _unit_rows(rows)
-    memo: dict[tuple[tuple[int, ...], ...], list[int] | None] = {}
-    for vi, tight in feasible:
-        # with n = 1 the AND would run over no mask at all
-        if len(tight) == n > 1 and all(
-                end and not on_row[ri] >> (end.bit_length() - 1) & 1
-                for end, ri in zip(_simple_far_ends(on_row, tight, vi),
-                                   tight)):
-            zerosets = simple
-        else:
-            key = _cone_key(rows, units, tight)
-            if key in memo:
-                zerosets = memo[key]
-            else:
-                zerosets = memo[key] = _edge_zerosets(
-                    [rows[ri] for ri in tight], n)
-        if zerosets is None:
-            notes[vi] = f"vertex {_point(scaled[vi])} has active rank < {n}"
-            continue
-        verified.append((vi, tight, zerosets))
     problems += filter(None, notes)
-    # the masks may hold a point of rank < n: keep the verified points alone
-    keep = sum(1 << vi for vi, _, _ in verified)
-    on_row = [mask & keep for mask in on_row]
 
     # pass 2, the edge walk: the AND of the masks of the rows tight at v
     # and flat along an edge direction, less v, holds the edge's other end
     # alone (see the module docstring); the ratio test runs only when the
     # AND is empty
+    vertex_mask = sum(1 << vi for vi, _, _ in verified)
     edges: set[tuple[int, int]] = set()
-    for vi, tight, zerosets in verified:
+    for vi, tight, flats in verified:
         rays = None
-        ends = (_simple_far_ends(on_row, tight, vi) if zerosets is simple
-                else _far_ends(on_row, tight, zerosets, keep ^ (1 << vi)))
-        for j, end in enumerate(ends):
+        for j, end in enumerate(_far_ends(on_row, tight, flats,
+                                          vertex_mask ^ (1 << vi))):
             if not end:
                 if rays is None:
                     rays = _cone_rays([rows[ri] for ri in tight], n)[0]
