@@ -5,9 +5,10 @@ Everything in this module is tolerance-free, and it has one elimination:
 pivot runs through it, and so does `_gauss_jordan`, which gives the rank
 and, in the vertex oracles, the edge zero sets and the simplicial cones.
 Beside it sits one packed slack scan, `_packed_scan`, which finds every
-point's violated and tight rows from a few big-int multiply-adds per row:
-the vertex certifier checks the claimed points with it, and the face
-lattice reads the cell's vertex-row incidences from it.
+point's violated and tight rows, and every row's tight points, from a few
+big-int multiply-adds and bytes operations per row: the vertex certifier
+checks the claimed points with it, and the face lattice reads the cell's
+vertex-row incidences from it.
 The LP solver is a dense two-phase simplex with Bland's rule.  It starts
 from the slack basis wherever it can: only equality rows and rows negated
 for a negative rhs get an artificial variable, and phase 1 runs only when
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 Row = Sequence[Fraction]
@@ -99,18 +101,25 @@ def gcd_reduce(vec: Sequence[int]) -> tuple[int, ...]:
 # Packed slack scan
 # ---------------------------------------------------------------------------
 
-def _packed_scan(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
-                 points: Sequence[tuple[tuple[int, ...], int]],
-                 ) -> list[tuple[int | None, list[int]]]:
-    """Each point's lowest violated row (None if it is feasible) and its
-    tight rows in index order.
+#: `bytes.translate` table from guard bytes (0x80 set, 0 clear) to binary digits
+_GUARD_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
+#: rows per block of one-byte row numbers; byte 255 marks a point not tight
+_BLOCK = 255
 
-    The points go over one common denominator Q, and each coordinate
-    column becomes one int with a lane of w = 8 size bits per point, point
-    p in bits [w p, w p + w).  A lane holds the numerator less the
-    column's minimum, so it is at least 0.  Row r's slack at point p is
-    s = off_r Q - row_r . x_p = base_r - row_r . (x_p - minima), so
-    |s| <= |base_r| + sum_c |row_r[c]| (range of column c); B is the
+
+def _packed_scan(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
+                 points: Sequence[tuple[int, ...]], q: int,
+                 ) -> tuple[list[int | None], list[Sequence[int]], list[int]]:
+    """Each point's lowest violated row (None if it is feasible), each
+    point's tight rows in index order, and each row's tight points as one
+    mask (bit p for point p).  The points are integer numerators over one
+    common denominator q.
+
+    Each coordinate column becomes one int with a lane of w = 8 size bits
+    per point, point p in bits [w p, w p + w).  A lane holds the numerator
+    less the column's minimum, so it is at least 0.  Row r's slack at
+    point p is s = off_r q - row_r . x_p = base_r - row_r . (x_p - minima),
+    so |s| <= |base_r| + sum_c |row_r[c]| (range of column c); B is the
     largest of these bounds over the rows and of the column ranges (a
     column no row uses still fills its lanes), and size the fewest bytes
     with B < G = 2^(w - 1).  Then
@@ -119,51 +128,83 @@ def _packed_scan(rows: Sequence[tuple[int, ...]], offs: Sequence[int],
 
     ONES holding 1 in every lane, is exactly the int whose lane p is
     G + s, in (0, 2G): at most n multiply-adds give a row's slacks at every
-    point.  Lane p's guard bit G is clear exactly when p violates the row.
-    Its low w - 1 bits are zero exactly when p is tight: adding G - 1 to
-    them sets the guard bit unless they are zero, and as the guard bits
-    are masked off first, no lane carries into the next.  `_guard_lanes`
-    reads a mask of guard bits with `to_bytes` and `bytes.find`.
+    point, fewer where a row shares leading entries with the row before
+    it (only that row's prefix sums are kept).  Lane p's guard bit G is
+    clear exactly when p violates the row.  Its low w - 1 bits are zero
+    exactly when p is tight: adding G - 1 to them sets the guard bit
+    unless they are zero, and as the guard bits are masked off first, no
+    lane carries into the next.
+
+    The lanes are read with C-level bytes operations, never one bit at a
+    time: the top byte of every lane, last lane first (`to_bytes` and a
+    stride-`size` slice), is 0x80 where the guard bit is set and 0
+    elsewhere.  Translated to binary digits, that row of bytes is the
+    row's point mask.  Translated to the row's number (mod 255) where
+    tight and 255 elsewhere, the rows of a block of 255 form a byte matrix
+    whose column for point p, less its 255 bytes, is p's tight rows in
+    that block.  A violated row is rare; `_guard_lanes` reads its points
+    with `bytes.find`.
     """
-    if not points:
-        return []
-    q = math.lcm(*{den for _, den in points})
-    cols = list(zip(*(nums if den == q else tuple(v * (q // den) for v in nums)
-                      for nums, den in points)))
-    minima = [min(col) for col in cols]
-    ranges = [max(col) - lo for col, lo in zip(cols, minima)]
+    count = len(points)
+    if not count:
+        return [], [], [0] * len(rows)
+    cols = list(zip(*points))
+    minima = list(map(min, cols))
+    ranges = list(map(sub, map(max, cols), minima))
     bases = [off * q - sum(map(mul, row, minima))
              for row, off in zip(rows, offs)]
     # a column no row uses (the polyhedron holds a line) bounds no slack,
     # but its lanes must still hold its range
-    bound = max([*ranges, *(abs(base) + sum(abs(a) * span
-                                            for a, span in zip(row, ranges))
+    bound = max([*ranges, *(abs(base) + sum(map(mul, map(abs, row), ranges))
                             for row, base in zip(rows, bases))])
     size = bound.bit_length() // 8 + 1
     guard = 1 << (8 * size - 1)
-    packed = [int.from_bytes(b"".join((v - lo).to_bytes(size, "little")
-                                      for v in col), "little")
+    packed = [int.from_bytes(b"".join(map(int.to_bytes, map(sub, col, repeat(lo)),
+                                          repeat(size), repeat("little"))),
+                             "little")
               for col, lo in zip(cols, minima)]
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(points), "little")
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
     guards = ones * guard
     low_bits = guards - ones
-    bad: list[int | None] = [None] * len(points)
-    tight: list[list[int]] = [[] for _ in points]
+    bad: list[int | None] = [None] * count
+    masks: list[int] = []
+    blocks: list[list[bytes]] = []
+    numbers = [bytes.maketrans(b"\x00\x80", bytes((_BLOCK, r)))
+               for r in range(min(len(rows), _BLOCK))]
+    # chain[c] is row . columns over the first c columns of the row before:
+    # a row adds only the entries after the prefix it shares with that row
+    # (a cell lists its slant rows in product order, so, two by two, they
+    # share all but their last entry)
+    chain = [0]
+    prev: Sequence[int] = ()
     for ri, (row, base) in enumerate(zip(rows, bases)):
-        lanes = (guard + base) * ones
-        for a, col in zip(row, packed):
-            if a:
-                lanes -= a * col
-        violated = guards & ~lanes
-        zero = guards & lanes & ~((lanes & low_bits) + low_bits)
-        if violated:
-            for p in _guard_lanes(violated, size, len(points)):
+        c = 0
+        while c < len(prev) and row[c] == prev[c]:
+            c += 1
+        del chain[c + 1:]
+        for a, col in zip(row[c:], packed[c:]):
+            chain.append(chain[-1] + a * col if a else chain[-1])
+        prev = row
+        lanes = (guard + base) * ones - chain[-1]
+        held = lanes & guards
+        if held != guards:
+            for p in _guard_lanes(guards ^ held, size, count):
                 if bad[p] is None:
                     bad[p] = ri
-        if zero:
-            for p in _guard_lanes(zero, size, len(points)):
-                tight[p].append(ri)
-    return list(zip(bad, tight))
+        zero = held & ~((lanes & low_bits) + low_bits)
+        top = zero.to_bytes(size * count, "big")[::size]
+        masks.append(int(top.translate(_GUARD_DIGITS), 2))
+        if ri % _BLOCK == 0:
+            blocks.append([])
+        blocks[-1].append(top.translate(numbers[ri % _BLOCK]))
+    tight: list[Sequence[int]] = [b""] * count
+    for first, block in zip(range(0, len(rows), _BLOCK), blocks):
+        matrix = b"".join(block)
+        at = [matrix[p::count].translate(None, b"\xff")
+              for p in range(count - 1, -1, -1)]
+        tight = at if not first else [
+            [*old, *map(first.__add__, new)] for old, new in zip(tight, at)]
+    return bad, tight, masks
 
 
 def _guard_lanes(mask: int, size: int, count: int) -> list[int]:

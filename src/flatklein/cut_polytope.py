@@ -90,11 +90,12 @@ class LabeledSet:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        if any(i >= j for i, j in zip(self.members, self.members[1:])):
+        members = self.members
+        if any(map(operator.ge, members, members[1:])):
             raise ValueError("members must be strictly increasing")
-        if len(self.labels) != len(self.members):
+        if len(self.labels) != len(members):
             raise ValueError("labels must align with members")
-        if any(e not in (0, 1) for e in self.labels):
+        if not all(map((0, 1).__contains__, self.labels)):
             raise ValueError("labels are 0/1")
 
     def label_of(self, i: int) -> int:
@@ -251,8 +252,8 @@ class CutPolytope:
             # one Fraction per distinct entry: rows share most of them
             values = {v for _, normal, off in rows for v in (*normal, off)}
             frac = {v: Fraction(v, 2 * self._den) for v in values}
-            self._halfspaces = [(key, tuple(frac[v] for v in normal), frac[off])
-                                for key, normal, off in rows]
+            self._halfspaces = [(key, tuple(map(frac.__getitem__, normal)),
+                                 frac[off]) for key, normal, off in rows]
         return self._halfspaces
 
     def _slacks(self, x: Sequence[Rational]) -> list[tuple[str, int]]:
@@ -292,6 +293,10 @@ class CutPolytope:
         Q = lcm(2D^2, 2D|2A_k - e D|), so the sort and the collision check
         compare integer tuples, each distinct value becomes a Fraction once,
         and the face work reads the numerators over Q kept on the cell.
+        The head values off S, on S with each label, and the pivot's move
+        per unit of K are taken out of the reduced chamber once per cell,
+        not per vertex, and each vertex's coordinates are one `map` over the
+        Fractions.
         """
         if self._vertices is not None:
             return self._vertices
@@ -300,22 +305,29 @@ class CutPolytope:
         k2 = [t >> 2 for t in _k_table([_gain8(a[i], den) for i in act], sq)]
         q = math.lcm(2 * sq, *(2 * den * abs(2 * a[k] - e * den)
                                for k in act for e in (0, 1)))
-        # Q over 2D and over 2D^2 (one unit of 2D^2 K), and the pivot's
-        # shift per unit of 2D^2 K: Q / (2D (2A_k - e D))
+        # Q over 2D and over 2D^2 (one unit of 2D^2 K)
         per_2d, per_k = q // (2 * den), q // (2 * sq)
-        step = {(k, e): q // (2 * den * (2 * a[k] - e * den))
-                for k in act for e in (0, 1)}
         refl = set(self.reflected)
 
         def real(i: int, x: int) -> int:  # back out of the reduced chamber
             return q - x if i in refl else x
 
-        off = {i: (den - 2 * a[i]) * per_2d for i in act}
-        on = {(i, e): (2 * a[i] - den + 2 * e * den) * per_2d
+        # head numerators over Q, off S and on S with label e, and the
+        # pivot's move per unit of 2D^2 K, Q / (2D (2A_k - e D)), each
+        # already out of the reduced chamber
+        base = [0] * n
+        for i in act:
+            base[i] = real(i, (den - 2 * a[i]) * per_2d)
+        on = {(i, e): real(i, (2 * a[i] - den + 2 * e * den) * per_2d)
               for i in act for e in (0, 1)}
+        step = {(k, e): (-1 if k in refl else 1)
+                * (q // (2 * den * (2 * a[k] - e * den)))
+                for k in act for e in (0, 1)}
         height = 2 * den * a[last] * per_k
-        # (kind, support, pivot, merged, numerators over Q)
-        raw: list[tuple[str, LabeledSet, int | None, bool, list[int]]] = []
+        # numerators over Q (prism axes still 0) and (kind, support, pivot,
+        # merged) of each vertex
+        coords: list[list[int]] = []
+        info: list[tuple[str, LabeledSet, int | None, bool]] = []
         for mask, ks in enumerate(k2):
             pos = _bits(mask)
             mem = tuple(act[j] for j in pos)
@@ -336,41 +348,43 @@ class CutPolytope:
                 continue
             for labels in itertools.product((0, 1), repeat=len(mem)):
                 support = LabeledSet(mem, labels)
-                base = [0] * n
-                for i in act:
-                    base[i] = real(i, off[i])
+                on_s = base[:]
                 for i, e in zip(mem, labels):
-                    base[i] = real(i, on[i, e])
+                    on_s[i] = on[i, e]
                 for kind, k, shift, z in families:
-                    co = base[:]
+                    co = on_s[:]
                     if k is not None:
                         e_k = labels[mem.index(k)]
-                        co[k] = real(k, on[k, e_k] + shift * step[k, e_k])
+                        co[k] = on[k, e_k] + shift * step[k, e_k]
                     co[last] = z
-                    raw.append((kind, support, k, k is None and not ks, co))
+                    coords.append(co)
+                    info.append((kind, support, k, k is None and not ks))
         # prism coordinates take a_j - 1/2 + b for both bits b
         prism = [(j, a[j] * (q // den) - q // 2) for j in self.prism]
         keyed: list[tuple[tuple[int, ...], int]] = []
-        for idx, (*_, co) in enumerate(raw):
+        for idx, co in enumerate(coords):
             for bits in itertools.product((0, q), repeat=len(prism)):
                 for (j, x), b in zip(prism, bits):
                     co[j] = x + b
                 keyed.append((tuple(co), idx))
         keyed.sort()
-        for (c1, _), (c2, _) in zip(keyed, keyed[1:]):
-            if c1 == c2:
-                base_p = ",".join(format_rat(c) for c in self.point.rep)
-                raise InvariantError(
-                    f"vertex coordinates collide in the cell at P = {base_p}: "
-                    + ",".join(format_rat(Fraction(x, q)) for x in c1))
-        frac = {x: Fraction(x, q) for x in {x for co, _ in keyed for x in co}}
+        nums = [co for co, _ in keyed]
+        # the first of two equal neighbours, if any
+        clash = next(itertools.compress(nums, map(operator.eq, nums, nums[1:])),
+                     None)
+        if clash is not None:
+            base_p = ",".join(format_rat(c) for c in self.point.rep)
+            raise InvariantError(
+                f"vertex coordinates collide in the cell at P = {base_p}: "
+                + ",".join(format_rat(Fraction(x, q)) for x in clash))
+        frac = {x: Fraction(x, q) for x in set(itertools.chain(*nums))}
         built = []
         for co, idx in keyed:
-            kind, support, pivot, merged, _ = raw[idx]
+            kind, support, pivot, merged = info[idx]
             built.append(Vertex(kind, support, pivot,
-                                tuple(frac[x] for x in co), merged))
+                                tuple(map(frac.__getitem__, co)), merged))
         self._vertices = built
-        self._vertex_nums = [co for co, _ in keyed]
+        self._vertex_nums = nums
         self._vertex_den = q
         return built
 
@@ -412,13 +426,9 @@ class CutPolytope:
         keys = [key for key, _, _ in rows]
         # at[i]: mask of the rows tight at vertex i; tight[j]: mask of the
         # vertices at which row j is tight
-        scan = _packed_scan([normal for _, normal, _ in rows],
-                            [off for _, _, off in rows], [(v, q) for v in nums])
-        at, tight = [], [0] * len(rows)
-        for i, (_, on) in enumerate(scan):
-            at.append(sum(1 << j for j in on))
-            for j in on:
-                tight[j] |= 1 << i
+        _, on_at, tight = _packed_scan([normal for _, normal, _ in rows],
+                                       [off for _, _, off in rows], nums, q)
+        at = [sum(map((1).__lshift__, on)) for on in on_at]
         # per dimension, each face as (vertex ids, mask of its tight rows)
         graded: list[list[tuple[tuple[int, ...], int]]] = [
             [((i,), on) for i, on in enumerate(at)]] + [[] for _ in range(self.n)]

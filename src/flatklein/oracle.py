@@ -28,38 +28,47 @@ sorted as integer numerators over the lcm of the rays' t, which orders
 them as their coordinates do, and each distinct value becomes one
 Fraction.
 
-The edge walk runs on integers, in two passes.  The first checks every
-point in bulk with `_exact._packed_scan`, the slack kernel that also gives
-the face lattice its incidences; the vertex list it checks comes from
+The edge walk runs on integers, in two passes, with no Python loop per
+(point, row) pair.  The first checks every point in bulk with
+`_exact._packed_scan`, the slack kernel that also gives the face lattice
+its incidences; the vertex list it checks comes from
 `CutPolytope.vertices()`, which does not use it.  The claimed points go
-over one common denominator, the lcm of all their denominators, in one
-pass over their coordinates (`_over_one_denominator`); the numerators over
-it are also each point's key for duplicates.  Each coordinate column less
-its minimum becomes one int with a lane of 8k bits per point, k the fewest
-bytes that hold a bound on every |slack| and every column's range below
-the lane's top (guard) bit, and each row's slacks at all points come from
-at most n multiply-adds of those ints.  A lane's guard bit is clear when
-the point violates the row, and a zero-lane test finds the points tight on
-it; this gives each point's lowest violated row and its tight rows A.
-Each feasible point then gets the zero sets of its edge directions from
-one fraction-free elimination of the transposed rows A^T
-(`_edge_zerosets`): it is the rank test, picks the greedy basis B of
+over one common denominator, the lcm of all their denominators, reading
+each distinct coordinate object once (`_over_lcm`: a cell's vertices share
+one Fraction per value); the numerators over it are also each point's key
+for duplicates.  Each coordinate column less its minimum becomes one int
+with a lane of 8k bits per point, k the fewest bytes that hold a bound on
+every |slack| and every column's range below the lane's top (guard) bit,
+and each row's slacks at all points come from at most n multiply-adds of
+those ints.  A lane's guard bit is clear when the point violates the row,
+and a zero-lane test finds the points tight on it; this gives each point's
+lowest violated row and its tight rows A, and each row's mask of the
+points tight on it.  Each feasible point then gets the zero sets of its
+edge directions from one fraction-free elimination of the transposed rows
+A^T (`_edge_zerosets`): it is the rank test, picks the greedy basis B of
 `_simplicial_cone`, and gives each simplicial ray's value on every tight
 row; double description runs on those values and yields the zero sets, in
 `_cone_rays`' order.  Tight-row matrices that differ by a positive scaling
 of rows and a nonzero scaling of columns have the same zero sets in the
 same order, so each class of them is eliminated once per call, keyed by a
-scaled form shared by the class (`_cone_key`): the generic n = 6 cell at
+scaled form shared by the class (`_cone_keys`: each column over the
+column's first nonzero entry in a row with other than one nonzero, read
+off tables kept per first such row): the generic n = 6 cell at
 P = (1/10, 1/5, 2/7, 1/3, 2/9, 1/3) has 40 classes among its 600
-vertices.  Each row then gets the bitmask of the verified points (rank n)
-tight on it.  The rows tight at v and flat along an edge direction cut out
-the edge [v, e], and a point inside that edge has rank n - 1, so the AND
-of those rows' masks, less v, is {e}, or empty when the edge ends at no
-listed vertex (`_far_ends`).  In the second pass, only where an AND is
-empty are the edge directions computed (`_cone_rays`) and the ratio test
-run, with ratios slack / step compared crosswise, to name the unlisted
-endpoint or the unbounded direction; a Fraction is built only for a
-problem message.
+vertices.  The verified points (rank n) of the classes that share their
+zero sets form one batch.  Each row's mask of tight points, ANDed with the
+mask of the verified points, is `on_row`.  The rows tight at v and flat
+along an edge direction cut out the edge [v, e], and a point inside that
+edge has rank n - 1, so the AND of those rows' masks is {v, e}, or {v}
+when the edge ends at no listed vertex (`_far_ends`, which ANDs up to
+128 points of a batch at once, one `map` per step, by a plan kept with
+its zero sets: each edge's AND is a prefix AND, a suffix AND and the flat
+rows between them, `_and_plan`).  Each edge between listed vertices gives
+such an AND at both its ends, so the edges are counted, not stored.  In
+the second pass, only where an AND is {v} are the edge directions
+computed (`_cone_rays`) and the ratio test run, with ratios slack / step
+compared crosswise, to name the unlisted endpoint or the unbounded
+direction; a Fraction is built only for a problem message.
 A clean walk is complete without a connectivity pass: see
 `certify_vertices`.
 """
@@ -70,11 +79,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import floordiv, mul
+from operator import and_, eq, mul, ne
 from typing import Callable, Iterable, Sequence
 
-from ._exact import (InvariantError, _gauss_jordan, _packed_scan,
-                     common_denominator, gcd_reduce)
+from ._exact import InvariantError, _gauss_jordan, _packed_scan, gcd_reduce
 
 Halfspace = tuple[Sequence[Fraction], Fraction]
 
@@ -171,7 +179,7 @@ def _integerized(halfspaces: Sequence[Halfspace]):
                 f"halfspace {i} has normal {normal} with {len(normal)} "
                 f"coordinates, expected {width}")
         flat += [*normal, offset]
-    nums = common_denominator(flat)[0]
+    nums = _over_lcm(flat)[0]
     step = (width or 0) + 1
     rows = [tuple(nums[k:k + step - 1]) for k in range(0, len(nums), step)]
     return rows, nums[step - 1::step]
@@ -375,57 +383,100 @@ def _edge_zerosets(active_rows: Sequence[tuple[int, ...]],
         lambda i, rays: [y[i] for y in rays])[1]
 
 
-# a row with one nonzero entry: its column, its sign row and that negated
-_UnitRow = tuple[int, tuple[int, ...], tuple[int, ...]]
+def _cone_keys(rows: Sequence[tuple[int, ...]],
+               ) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A function from a point's tight rows (indices into `rows`, in row
+    order) to a key shared by the class of its tight-row matrix A (see
+    `certify_vertices`).
 
+    A unit row has one nonzero entry and a multi row any other number.  s
+    holds, per column, the first nonzero entry of that column over the
+    tight multi rows, or 1 when there is none.  The key names, per tight
+    row, A_i diag(1/s): a unit row by the column and the sign of its one
+    entry, a multi row by its entries' ratios a / s_c.  Each ratio, and
+    each multi row's tuple of ratio numbers, is numbered once per call
+    when a point first needs it, so the cost grows with the points' tight
+    rows, not with the distinct entries of the system; the key is a tuple
+    of small ints.
 
-def _unit_rows(rows: Sequence[tuple[int, ...]]) -> list[_UnitRow | None]:
-    """For each row with exactly one nonzero entry, its column and its
-    sign row (the entry replaced by its sign) and that row negated; None
-    for every other row."""
-    out: list[_UnitRow | None] = []
-    for row in rows:
-        nonzero = [c for c, a in enumerate(row) if a]
-        if len(nonzero) != 1:
-            out.append(None)
-            continue
-        c = nonzero[0]
-        sign = tuple([(a > 0) - (a < 0) for a in row])
-        out.append((c, sign, tuple([-a for a in sign])))
-    return out
+    s is read off the point's first tight multi row f whenever f is
+    nonzero in every column that some multi row of the system uses, as in
+    a cell, whose slants all use the same columns.  Then a point's row
+    numbers depend on f alone, so each f keeps one table of them, filled
+    as its points need them, and a point's key is one lookup per tight
+    row.
+    """
+    width = len(rows[0]) if rows else 0
+    multi = [sum(map(bool, row)) != 1 for row in rows]
+    used = (list(map(any, zip(*itertools.compress(rows, multi))))
+            or [False] * width)
+    covers = [m and all(a or not u for a, u in zip(row, used))
+              for row, m in zip(rows, multi)]
+    # the number of each ratio a / b; over[c, b] maps the entries a of
+    # column c met so far to theirs, filled as points need them
+    fractions: dict[Fraction, int] = {}
+    over: dict[tuple[int, int], dict[int, int]] = {}
+    # unit rows as (row, column, entry > 0)
+    units = [(ri, row.index(next(filter(None, row))), max(row) > 0)
+             for ri, row in enumerate(rows) if not multi[ri]]
+    ids: dict[tuple[int, ...], int] = {}
+    # per first tight multi row f (None: there is none), or per s when s
+    # is not read off f: s, its ratio tables and the number of each row,
+    # None for a multi row until a point needs it; unit rows take numbers
+    # below 0
+    tables: dict = {}
 
+    def key(tight: Sequence[int]) -> tuple[int, ...]:
+        f = next(filter(multi.__getitem__, tight), None)
+        if f is not None and not covers[f]:
+            # s needs the later tight multi rows too
+            f = tuple([next(filter(None, col), 1) for col in
+                       zip(*[rows[ri] for ri in tight if multi[ri]])])
+        if f not in tables:
+            s = (f if type(f) is tuple else [1] * width if f is None
+                 else [a or 1 for a in rows[f]])
+            known: list[int | None] = [None] * len(rows)
+            for ri, c, positive in units:
+                known[ri] = -1 - 2 * c - (positive == (s[c] > 0))
+            tables[f] = (s, [over.setdefault(cb, {}) for cb in enumerate(s)],
+                         known)
+        s, ratios, known = tables[f]
+        out = tuple(map(known.__getitem__, tight))
+        if None in out:
+            for ri in tight:
+                if known[ri] is None:
+                    for numbers, b, a in zip(ratios, s, rows[ri]):
+                        if a not in numbers:
+                            numbers[a] = fractions.setdefault(Fraction(a, b),
+                                                              len(fractions))
+                    known[ri] = ids.setdefault(
+                        tuple(map(dict.__getitem__, ratios, rows[ri])),
+                        len(ids))
+            out = tuple(map(known.__getitem__, tight))
+        return out
 
-def _cone_key(rows: Sequence[tuple[int, ...]],
-              units: Sequence[_UnitRow | None],
-              tight: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The tight rows A scaled to a form shared by their whole class (see
-    `certify_vertices`), with `units` from `_unit_rows(rows)`.
-
-    g_c is the gcd of column c over the rows with another nonzero entry,
-    signed as the first nonzero one, or 1 when there is none.  Such a row
-    becomes A_i / g, and a row with one nonzero entry the sign of
-    A_ic / g_c: the key is A diag(1/g) with each row scaled by a positive
-    number."""
-    multi = [rows[ri] for ri in tight if units[ri] is None]
-    scale = [1] * len(rows[0])
-    for c, col in enumerate(zip(*multi)):
-        g = math.gcd(*col)
-        if g:
-            scale[c] = g if next(filter(None, col)) > 0 else -g
-    key = []
-    for ri in tight:
-        unit = units[ri]
-        if unit is None:
-            key.append(tuple(map(floordiv, rows[ri], scale)))
-        else:
-            key.append(unit[1] if scale[unit[0]] > 0 else unit[2])
-    return tuple(key)
+    return key
 
 
 def _point(scaled: tuple[tuple[int, ...], int]) -> tuple[Fraction, ...]:
     """A point's coordinates from its integer key, for a problem message."""
     nums, den = scaled
     return tuple(Fraction(v, den) for v in nums)
+
+
+def _over_lcm(values: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of ints and Fractions over the lcm of their
+    denominators, and that lcm, reading each distinct object once.
+
+    A cell's vertex coordinates and halfspace entries repeat a few objects
+    many times (an n = 6 claim has about 3 130 coordinates in 34-98
+    objects), so the objects are told apart by `id`: hashing a Fraction
+    costs more than converting it.  `values` keeps each object alive.
+    """
+    objects = dict(zip(map(id, values), values))
+    q = math.lcm(*{x.denominator for x in objects.values()})
+    num = {k: x.numerator * (q // x.denominator) for k, x in objects.items()}
+    return list(map(num.__getitem__, map(id, values))), q
 
 
 def _over_one_denominator(claimed: Iterable) -> tuple[
@@ -441,28 +492,65 @@ def _over_one_denominator(claimed: Iterable) -> tuple[
     reps = [rep if type(rep) is tuple and exact.issuperset(map(type, rep))
             else _coords(rep)
             for rep in (getattr(p, "rep", p) for p in claimed)]
-    dens = {x.denominator for rep in reps for x in rep}
-    q = math.lcm(*dens)
-    scale = {d: q // d for d in dens}
-    return [tuple([x.numerator * scale[x.denominator] for x in rep])
-            for rep in reps], q
+    nums, q = _over_lcm(list(itertools.chain(*reps)))
+    ends = list(itertools.accumulate(map(len, reps)))
+    return [tuple(nums[a:b]) for a, b in zip([0, *ends], ends)], q
 
 
-def _far_ends(on_row: Sequence[int], tight: Sequence[int],
-              flats: Iterable[Sequence[int]], others: int) -> list[int]:
-    """For each edge direction at a point, the AND of `others` (the mask of
-    the verified points but this one) and of the masks of the tight rows
-    flat along it: the listed points on that edge.
+#: points per `_far_ends` call: its prefix and suffix ANDs hold about
+#: 2t + 2 masks per point, and a mask has one bit per scanned point
+_AND_SLICE = 128
 
-    Each flat list gives those rows as positions in `tight`.  At n = 1 a
-    flat list is empty and the AND is `others` alone."""
-    masks = [on_row[ri] for ri in tight]
-    out = []
-    for flat in flats:
-        ends = others
-        for k in flat:
-            ends &= masks[k]
-        out.append(ends)
+
+# for each edge direction of a class: where its rows' prefix AND stops and
+# its suffix AND starts (counted from the end), and the (edge, position)
+# pairs of its flat rows between the two
+_AndPlan = tuple[list[int], list[int], list[tuple[int, int]]]
+
+
+def _and_plan(zerosets: Sequence[int], t: int) -> _AndPlan:
+    """How `_far_ends` ANDs, at the points of a class, the masks of the
+    tight rows flat along each edge direction.
+
+    Bit k of an edge's zero set is set when the edge is flat on tight row
+    k.  The rows it leaves span [a, b), so its AND is the AND of masks
+    [0, a), of masks [b, t) and of its flat rows inside (a, b).  Every
+    edge shares the prefix and suffix ANDs; at a simple vertex each edge
+    leaves one row and needs nothing more.
+    """
+    lo, hi, inner = [], [], []
+    for j, zs in enumerate(zerosets):
+        leaves = ~zs & ((1 << t) - 1)
+        a = (leaves & -leaves).bit_length() - 1 if leaves else t
+        b = leaves.bit_length() if leaves else t
+        lo.append(a)
+        hi.append(t - b)
+        inner += [(j, k) for k in range(a + 1, b) if zs >> k & 1]
+    return lo, hi, inner
+
+
+def _far_ends(on_row: Sequence[int], tights: Sequence[Sequence[int]],
+              plan: _AndPlan, verified: int) -> list[list[int]]:
+    """For each edge direction of a class, and at each of its points
+    (`tights`, their tight rows), the AND of `verified` (the mask of the
+    verified points) and of the masks of the tight rows flat along it, by
+    the class's `_and_plan`: the listed points on that edge, the point
+    itself included.  At n = 1 no row is flat and the AND is `verified`.
+
+    The points go through each step together: a column holds one tight
+    row's mask per point, and each AND is one `map` over a column.
+    """
+    lo, hi, inner = plan
+    cols = [list(map(on_row.__getitem__, col)) for col in zip(*tights)]
+    prefix = [[verified] * len(tights)]
+    for col in cols:
+        prefix.append(list(map(and_, prefix[-1], col)))
+    suffix = prefix[:1]
+    for col in reversed(cols):
+        suffix.append(list(map(and_, suffix[-1], col)))
+    out = [list(map(and_, prefix[a], suffix[b])) for a, b in zip(lo, hi)]
+    for j, k in inner:
+        out[j] = list(map(and_, out[j], cols[k]))
     return out
 
 
@@ -504,12 +592,12 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     graph of a pointed polyhedron is connected, so the set is the complete
     vertex set: no separate connectivity pass is needed.
 
-    Points whose tight rows share a `_cone_key` share one elimination.
-    The key is D A G^-1, with D positive and G = diag(g) nonzero diagonal,
-    so two tight-row matrices A, A' with one key satisfy A' = D' A G' for
-    D' positive and G' nonzero diagonal, and d -> G'^-1 d maps
-    {d : A d <= 0} onto {d : A' d <= 0}.  Every subset of rows keeps its
-    rank, so the rank test and the greedy basis agree.  Ray k of the
+    Points whose tight rows share a key of `_cone_keys` share one
+    elimination.  The key is D A S^-1, with D positive and S = diag(s)
+    nonzero diagonal, so two tight-row matrices A, A' with one key satisfy
+    A' = D' A S' for D' positive and S' nonzero diagonal, and d -> S'^-1 d
+    maps {d : A d <= 0} onto {d : A' d <= 0}.  Every subset of rows keeps
+    its rank, so the rank test and the greedy basis agree.  Ray k of the
     simplicial start maps to a positive multiple of ray k, and a ray's
     value on row i is scaled by D'_ii > 0; each ray that double description
     combines from two parents is then the image of the one it combines for
@@ -547,51 +635,60 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
         else:
             scanned.append(vi)
     # the rank test and the edge directions' zero sets, from one elimination
-    # per class of tight-row matrices in this call (see the docstring); the
-    # memo keeps each zero set as the positions of its rows in `tight`.
-    # on_row[r] is the mask of the verified points tight on row r, so no
-    # point of rank < n inside an edge is taken for its end
-    units = _unit_rows(rows)
-    memo: dict[tuple[tuple[int, ...], ...], list[list[int]] | None] = {}
-    on_row = [0] * len(rows)
-    verified: list[tuple[int, list[int], list[list[int]]]] = []
-    scan = _packed_scan(rows, offs, [scaled[vi] for vi in scanned])
-    for vi, (bad, tight) in zip(scanned, scan):
-        if bad is not None:
-            notes[vi] = f"vertex {_point(scaled[vi])} violates constraint {bad}"
+    # per class of tight-row matrices in this call (see the docstring).
+    # memo[key] is None when the class's rank is below n; else it is the
+    # batch of every class with its tight-row count and zero sets: their
+    # `_and_plan` and their verified points.  Masks are over the scanned
+    # points, bit s for scanned[s]
+    cone_key = _cone_keys(rows)
+    memo: dict[tuple[int, ...], tuple[_AndPlan, list[int]] | None] = {}
+    batches: dict[tuple[int, ...], tuple[_AndPlan, list[int]]] = {}
+    vertex_mask = 0
+    bad, tights, row_masks = _packed_scan(rows, offs,
+                                          [scaled[vi][0] for vi in scanned], q)
+    for s, (vi, fault, tight) in enumerate(zip(scanned, bad, tights)):
+        if fault is not None:
+            notes[vi] = f"vertex {_point(scaled[vi])} violates constraint {fault}"
             continue
-        key = _cone_key(rows, units, tight)
-        if key in memo:
-            flats = memo[key]
-        else:
-            zerosets = _edge_zerosets([rows[ri] for ri in tight], n)
-            flats = memo[key] = None if zerosets is None else [
-                [k for k in range(len(tight)) if zs >> k & 1]
-                for zs in zerosets]
-        if flats is None:
+        key = cone_key(tight)
+        if key not in memo:
+            zerosets = _edge_zerosets(list(map(rows.__getitem__, tight)), n)
+            memo[key] = None if zerosets is None else batches.setdefault(
+                (len(tight), *zerosets), (_and_plan(zerosets, len(tight)), []))
+        batch = memo[key]
+        if batch is None:
             notes[vi] = f"vertex {_point(scaled[vi])} has active rank < {n}"
             continue
-        verified.append((vi, tight, flats))
-        bit = 1 << vi
-        for ri in tight:
-            on_row[ri] |= bit
+        batch[1].append(s)
+        vertex_mask |= 1 << s
     problems += filter(None, notes)
 
-    # pass 2, the edge walk: the AND of the masks of the rows tight at v
-    # and flat along an edge direction, less v, holds the edge's other end
-    # alone (see the module docstring); the ratio test runs only when the
-    # AND is empty
-    vertex_mask = sum(1 << vi for vi, _, _ in verified)
-    edges: set[tuple[int, int]] = set()
-    for vi, tight, flats in verified:
-        rays = None
-        for j, end in enumerate(_far_ends(on_row, tight, flats,
-                                          vertex_mask ^ (1 << vi))):
-            if not end:
-                if rays is None:
-                    rays = _cone_rays([rows[ri] for ri in tight], n)[0]
-                problems.append(_edge_problem(rows, offs, scaled[vi], rays[j]))
-                continue
-            vj = end.bit_length() - 1
-            edges.add((vi, vj) if vi < vj else (vj, vi))
-    return CertificationReport(not problems, len(scaled), len(edges), problems)
+    # pass 2, the edge walk: on_row[r] is the mask of the verified points
+    # tight on row r, so no point of rank < n inside an edge is taken for
+    # its end.  The AND of the masks of the rows tight at v and flat along
+    # an edge direction holds v and the edge's other end alone (see the
+    # module docstring).  An edge between two verified points is found
+    # once from each end, so there are half as many edges as such ANDs;
+    # the ratio test runs only where the AND holds v alone, in the order
+    # of the points and their edges
+    on_row = [mask & vertex_mask for mask in row_masks]
+    ends_found = 0
+    stuck: list[tuple[int, int]] = []
+    for plan, batch in batches.values():
+        # `_far_ends` holds about 2t + 2 masks per point: a slice at a time
+        for at in range(0, len(batch), _AND_SLICE):
+            members = batch[at:at + _AND_SLICE]
+            alone = list(map((1).__lshift__, members))
+            for j, ends in enumerate(_far_ends(
+                    on_row, [tights[s] for s in members], plan, vertex_mask)):
+                ends_found += sum(map(ne, ends, alone))
+                if any(map(eq, ends, alone)):
+                    stuck += [(s, j) for s, end, v in zip(members, ends, alone)
+                              if end == v]
+    rays: dict[int, list[tuple[int, ...]]] = {}
+    for s, j in sorted(stuck):
+        if s not in rays:
+            rays[s] = _cone_rays(list(map(rows.__getitem__, tights[s])), n)[0]
+        problems.append(_edge_problem(rows, offs, scaled[scanned[s]], rays[s][j]))
+    return CertificationReport(not problems, len(scaled), ends_found // 2,
+                               problems)

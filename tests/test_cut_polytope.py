@@ -1028,9 +1028,12 @@ def test_lattice_incidences_match_integer_dot_products():
                 for v in nums]
         assert all(sum(map(operator.mul, normal, v)) <= off * q
                    for v in nums for _, normal, off in rows), p
-        got = _packed_scan([normal for _, normal, _ in rows],
-                           [off for _, _, off in rows], [(v, q) for v in nums])
-        assert got == [(None, tight) for tight in want], p
+        bad, got, masks = _packed_scan([normal for _, normal, _ in rows],
+                                       [off for _, _, off in rows], nums, q)
+        assert bad == [None] * len(nums), p
+        assert [list(tight) for tight in got] == want, p
+        assert masks == [sum(1 << i for i, tight in enumerate(want) if j in tight)
+                         for j in range(len(rows))], p
         if cell.n <= 6:
             assert [f.active for f in cell.face_lattice() if f.dim == 0] == [
                 tuple(rows[j][0] for j in tight) for tight in want], p

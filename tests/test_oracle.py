@@ -15,12 +15,11 @@ from flatklein import KleinPoint, cut_polytope, project
 from flatklein import oracle
 from flatklein._exact import _packed_scan, _scaled, common_denominator
 from flatklein.oracle import (
-    _cone_key,
+    _cone_keys,
     _cone_rays,
     _edge_zerosets,
     _integerized,
     _simplicial_cone,
-    _unit_rows,
     brute_distance,
     brute_minimal_images,
     brute_vertices,
@@ -638,8 +637,13 @@ def test_edge_zerosets_match_lines_of_n_minus_one_rows():
         check(act, n)
 
 
-def _key(act):
-    return _cone_key(act, _unit_rows(act), range(len(act)))
+def _keys(*acts):
+    """The certifier's class key of each tight-row matrix, all from one
+    `_cone_keys` call, as the ids in its keys are numbered per call."""
+    rows = list(dict.fromkeys(row for act in acts for row in act))
+    index = {row: i for i, row in enumerate(rows)}
+    key = _cone_keys(rows)
+    return [key([index[row] for row in act]) for act in acts]
 
 
 def test_cone_key_classes_share_zerosets_in_order():
@@ -653,9 +657,10 @@ def test_cone_key_classes_share_zerosets_in_order():
         prism = (rng.choice((F(0), F(1, 2))),) + generic[1:]
         for kind, base in (("generic", generic), ("prism", prism)):
             groups = {}
-            for act in _tight_sets(cut_polytope(base)):
-                if len(act) > n:
-                    groups.setdefault(_key(act), []).append(act)
+            acts = [act for act in _tight_sets(cut_polytope(base))
+                    if len(act) > n]
+            for key, act in zip(_keys(*acts), acts):
+                groups.setdefault(key, []).append(act)
             for first, *rest in groups.values():
                 want = _edge_zerosets(first, n)
                 assert want, first
@@ -674,7 +679,7 @@ def test_cone_key_of_scaled_and_of_different_cones():
            (0, -1, 0)]
     scaled = [(2, 6, -4), (-2, -6, -4), (5, 0, 0), (0, 0, -5), (-4, 6, -6),
               (0, -15, 0)]
-    assert _key(act) == _key(scaled)
+    assert len(set(_keys(act, scaled))) == 1
     assert _edge_zerosets(act, 3) == _edge_zerosets(scaled, 3)
     assert len(_edge_zerosets(act, 3)) == 4
     # the same sign pattern: y >= 2x, y >= 3x, y <= -x has edges on rows 0
@@ -683,7 +688,45 @@ def test_cone_key_of_scaled_and_of_different_cones():
     other = [(2, -1), (3, -2), (1, 1)]
     assert sorted(_edge_zerosets(act, 2)) == [0b001, 0b100]
     assert sorted(_edge_zerosets(other, 2)) == [0b010, 0b100]
-    assert _key(act) != _key(other)
+    assert len(set(_keys(act, other))) == 2
+
+
+def test_cone_keys_on_many_distinct_entries(monkeypatch):
+    # the polygon above the tangents 2k x - y <= k^2 of y = x^2 at
+    # k = -N..N and below y <= N^2: column 0 holds 2N + 1 distinct entries.
+    # Its vertices are (k + 1/2, k^2 + k) for k = -N..N-1 and (+-N, N^2)
+    N = 300
+    pairs = [((F(2 * k), F(-1)), F(k * k)) for k in range(-N, N + 1)]
+    pairs.append(((F(0), F(1)), F(N * N)))
+    verts = [(F(2 * k + 1, 2), F(k * k + k)) for k in range(-N, N)]
+    verts += [(F(-N), F(N * N)), (F(N), F(N * N))]
+    report = certify_vertices(pairs, verts)
+    assert (report.ok, report.vertex_count, report.edge_count) == (
+        True, 2 * N + 2, 2 * N + 2)
+    gone = (F(1, 2), F(0))
+    report = certify_vertices(pairs, [v for v in verts if v != gone])
+    assert report.vertex_count == 2 * N + 1
+    assert len(report.problems) == 2
+    assert all(msg.endswith(f"unlisted vertex {gone}")
+               for msg in report.problems)
+    # a ratio is made only when a point needs it: at most one per entry of
+    # each point's tight rows, not one per pair of entries of a column
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return F(*args)
+
+    rows, offs = _integerized(pairs)
+    points, q = _one_denominator(verts)
+    bad, tights, _ = _packed_scan(rows, offs, points, q)
+    assert bad == [None] * len(verts)
+    monkeypatch.setattr(oracle, "Fraction", counted)
+    key = _cone_keys(rows)
+    assert not made
+    keys = [key(tight) for tight in tights]
+    assert 0 < len(made) <= 2 * sum(map(len, tights))
+    assert len(set(keys)) > N
 
 
 def test_certify_large_chamber_with_dominant_coordinate():
@@ -709,15 +752,65 @@ def test_brute_vertices_ignores_row_order_and_repeats():
             assert brute_vertices(shuffled) == want, base
 
 
-def _ratio_walk_report(halfspaces, claimed):
+class _Walks:
+    """The plain Fraction walk from each point, over one list of
+    halfspaces: a test that checks several claims of the same points
+    computes each point's slacks, active rank and edge ends once."""
+
+    def __init__(self, halfspaces):
+        self.rows = [(tuple(F(c) for c in nrm), F(off))
+                     for nrm, off in halfspaces]
+        self.n = len(self.rows[0][0])
+        self.slacks, self.outcomes, self.steps = {}, {}, {}
+
+    def slack(self, t):
+        if t not in self.slacks:
+            self.slacks[t] = [off - sum(a * x for a, x in zip(nrm, t))
+                              for nrm, off in self.rows]
+        return self.slacks[t]
+
+    def outcome(self, t):
+        """The lowest violated row, "rank" when the active rank is below
+        n, or the end of each edge (None when it is unbounded)."""
+        if t not in self.outcomes:
+            self.outcomes[t] = self._walk(t)
+        return self.outcomes[t]
+
+    def _walk(self, t):
+        rows, n, slack = self.rows, self.n, self.slack(t)
+        bad = next((i for i, s in enumerate(slack) if s < 0), None)
+        if bad is not None:
+            return bad
+        act = [tuple(_scaled([*nrm, off])[:-1])
+               for (nrm, off), s in zip(rows, slack) if s == 0]
+        if _fraction_rank(act) < n:
+            return "rank"
+        ends = []
+        for ray in _cone_rays(act, n)[0]:
+            if ray not in self.steps:
+                self.steps[ray] = [sum(a * d for a, d in zip(nrm, ray))
+                                   for nrm, _ in rows]
+            ratios = [s / step for s, step in zip(slack, self.steps[ray])
+                      if step > 0]
+            if not ratios:
+                ends.append(None)
+                continue
+            least = min(ratios)
+            ends.append(tuple(x + least * d for x, d in zip(t, ray)))
+        return ends
+
+
+def _ratio_walk_report(halfspaces, claimed, walks=None):
     """certify_vertices' report from a plain Fraction ratio test per edge.
 
     Every edge from a verified point is followed to the least slack / step
     over the rows it climbs, and the endpoint is looked up among the
     claimed points.  The edge directions are the oracle's own cone rays.
+    `walks`, a `_Walks` over the same halfspaces, shares the walk from
+    each point between calls.
     """
-    rows = [(tuple(F(c) for c in nrm), F(off)) for nrm, off in halfspaces]
-    n = len(rows[0][0])
+    walks = walks or _Walks(halfspaces)
+    n = walks.n
     problems, points, index = [], [], {}
     for p in claimed:
         t = tuple(F(x) for x in p)
@@ -726,26 +819,19 @@ def _ratio_walk_report(halfspaces, claimed):
             continue
         index[t] = len(points)
         points.append(t)
-    walk, edges, steps = [], set(), {}
+    walk, edges = [], set()
     for vi, t in enumerate(points):
-        slack = [off - sum(a * x for a, x in zip(nrm, t)) for nrm, off in rows]
-        bad = next((i for i, s in enumerate(slack) if s < 0), None)
-        if bad is not None:
-            problems.append(f"vertex {t} violates constraint {bad}")
-            continue
-        act = [tuple(_scaled([*nrm, off])[:-1])
-               for (nrm, off), s in zip(rows, slack) if s == 0]
-        if _fraction_rank(act) < n:
+        outcome = walks.outcome(t)
+        if outcome == "rank":
             problems.append(f"vertex {t} has active rank < {n}")
             continue
-        for ray in _cone_rays(act, n)[0]:
-            if ray not in steps:
-                steps[ray] = [sum(a * d for a, d in zip(nrm, ray)) for nrm, _ in rows]
-            ratios = [s / step for s, step in zip(slack, steps[ray]) if step > 0]
-            if not ratios:
+        if isinstance(outcome, int):
+            problems.append(f"vertex {t} violates constraint {outcome}")
+            continue
+        for end in outcome:
+            if end is None:
                 walk.append(f"unbounded edge direction at vertex {t}")
                 continue
-            end = tuple(x + min(ratios) * d for x, d in zip(t, ray))
             if end not in index:
                 walk.append(f"edge from {t} reaches unlisted vertex {end}")
                 continue
@@ -766,16 +852,16 @@ def _ratio_walk_report(halfspaces, claimed):
     return not problems, len(points), len(edges), problems
 
 
-def _same_report(pairs, claim):
+def _same_report(pairs, claim, walks=None):
     report = certify_vertices(pairs, claim)
     got = (report.ok, report.vertex_count, report.edge_count, report.problems)
-    assert got == _ratio_walk_report(pairs, claim), claim
+    assert got == _ratio_walk_report(pairs, claim, walks), claim
     return report.problems
 
 
-def _tight_counts(halfspaces, verts):
-    return [sum(sum(a * x for a, x in zip(nrm, v)) == off
-                for nrm, off in halfspaces) for v in verts]
+def _tight_counts(halfspaces, verts, walks=None):
+    walks = walks or _Walks(halfspaces)
+    return [walks.slack(tuple(F(x) for x in v)).count(0) for v in verts]
 
 
 def test_mask_endpoints_match_fraction_ratio_walk():
@@ -785,7 +871,8 @@ def test_mask_endpoints_match_fraction_ratio_walk():
         for base in _seeded_bases(rng, n, count):
             pairs = _cell_pairs(base)
             verts = brute_vertices(pairs)
-            tight = _tight_counts(pairs, verts)
+            walks = _Walks(pairs)
+            tight = _tight_counts(pairs, verts, walks)
             simple += tight.count(n)
             degenerate += sum(t > n for t in tight)
             k = rng.randrange(len(verts))
@@ -793,14 +880,15 @@ def test_mask_endpoints_match_fraction_ratio_walk():
                      if _adjacent_pairs(pairs, [verts[k], verts[j]]))
             mid = tuple((x + y) / 2 for x, y in zip(verts[k], verts[j]))
             shifted = tuple(x + F(1, 97) for x in verts[k])
-            assert _same_report(pairs, verts) == []
-            missing = _same_report(pairs, verts[:k] + verts[k + 1:])
+            assert _same_report(pairs, verts, walks) == []
+            missing = _same_report(pairs, verts[:k] + verts[k + 1:], walks)
             assert any("unlisted" in msg for msg in missing)
             assert f"vertex {mid} has active rank < {n}" in _same_report(
-                pairs, verts + [mid])
+                pairs, verts + [mid], walks)
             assert f"duplicate vertex {verts[k]}" in _same_report(
-                pairs, verts + [verts[k]])
-            moved = _same_report(pairs, verts[:k] + [shifted] + verts[k + 1:])
+                pairs, verts + [verts[k]], walks)
+            moved = _same_report(pairs, verts[:k] + [shifted] + verts[k + 1:],
+                                 walks)
             assert any(f"unlisted vertex {verts[k]}" in msg for msg in moved)
     # simple points (n tight rows) and degenerate ones (more) are both held
     # here
@@ -820,26 +908,30 @@ def test_mask_endpoints_match_fraction_ratio_walk_generic_n6(monkeypatch):
     cell = cut_polytope(base)
     pairs = _cell_pairs(base)
     verts = [v.coords for v in cell.vertices()]
-    tight = _tight_counts(pairs, verts)
+    # the plain walk from each point is shared by the claims below
+    walks = _Walks(pairs)
+    tight = _tight_counts(pairs, verts, walks)
     assert tight.count(6) > 100 and max(tight) > 6, base
     calls = []
     real = oracle._edge_zerosets
     monkeypatch.setattr(oracle, "_edge_zerosets",
                         lambda act, n: calls.append(act) or real(act, n))
-    assert _same_report(pairs, verts) == []
+    assert _same_report(pairs, verts, walks) == []
     # every vertex, simple (n tight rows) or not, is eliminated once per
     # key of its tight rows, and the keys are far fewer than the vertices
     rows, offs = _integerized(pairs)
-    keys = set()
+    acts = []
     for v in verts:
         nums, den = common_denominator(v)
-        keys.add(_key([row for row, off in zip(rows, offs)
-                       if sum(a * x for a, x in zip(row, nums)) == off * den]))
-    called = [_key(act) for act in calls]
-    assert len(set(called)) == len(called) and set(called) == keys
+        acts.append([row for row, off in zip(rows, offs)
+                     if sum(a * x for a, x in zip(row, nums)) == off * den])
+    keys = _keys(*acts, *calls)
+    called = keys[len(acts):]
+    assert len(set(called)) == len(called)
+    assert set(called) == set(keys[:len(acts)])
     assert 10 * len(calls) < len(verts), (len(calls), len(verts))
     k = rng.randrange(len(verts))
-    missing = _same_report(pairs, verts[:k] + verts[k + 1:])
+    missing = _same_report(pairs, verts[:k] + verts[k + 1:], walks)
     assert missing and all(msg.endswith(f"unlisted vertex {verts[k]}")
                            for msg in missing)
     # a point of rank < n inside the edge from a simple vertex to a listed
@@ -851,7 +943,7 @@ def test_mask_endpoints_match_fraction_ratio_walk_generic_n6(monkeypatch):
          if j != s and _adjacent_pairs(pairs, [verts[s], verts[j]])), 2)
     mid = tuple((x + y) / 2 for x, y in zip(verts[s], verts[kept]))
     problems = _same_report(pairs, [v for i, v in enumerate(verts)
-                                    if i != gone] + [mid])
+                                    if i != gone] + [mid], walks)
     assert f"vertex {mid} has active rank < 6" in problems
     assert any(msg.endswith(f"unlisted vertex {verts[gone]}")
                for msg in problems)
@@ -884,6 +976,40 @@ def test_random_small_systems_match_fraction_ratio_walk():
                 seen[word] = seen.get(word, 0) + any(
                     word in msg for msg in problems)
     assert min(seen.values()) >= 30, seen
+
+
+def _fresh(values):
+    """The same numbers as new Fraction objects, none shared."""
+    return tuple(F(x.numerator, x.denominator) for x in values)
+
+
+def test_reports_do_not_depend_on_coordinate_objects():
+    # vertices() hands out one Fraction object per coordinate value, and
+    # the certifier converts each distinct object once: claims and
+    # halfspaces rebuilt from fresh objects must give the same reports
+    rng = random.Random(2801)
+    generic = _generic_bases(rng, 6, 1)[0]
+    prism = (F(1, 2),) + _generic_bases(rng, 7, 1)[0][1:]
+    for base in (generic, prism):
+        cell = cut_polytope(base)
+        shared = [v.coords for v in cell.vertices()]
+        assert len({id(x) for v in shared for x in v}) < len(shared), base
+        pairs = _cell_pairs(base)
+        fresh_pairs = [(_fresh(nrm), _fresh((off,))[0]) for nrm, off in pairs]
+        k, j = rng.sample(range(len(shared)), 2)
+        mutated = shared[:k] + shared[k + 1:] + [shared[j]]
+        for claim, ok in ((shared, True), (mutated, False)):
+            fresh = [_fresh(v) for v in claim]
+            reports = [certify_vertices(hs, c) for hs in (pairs, fresh_pairs)
+                       for c in (claim, fresh)]
+            got = {(r.ok, r.vertex_count, r.edge_count, tuple(r.problems))
+                   for r in reports}
+            assert len(got) == 1, (base, got)
+            report = reports[0]
+            assert report.ok == ok, (base, report.problems[:2])
+            if not ok:
+                text = "\n".join(report.problems)
+                assert "duplicate vertex" in text and "unlisted" in text
 
 
 def _violated(halfspaces, point):
@@ -957,21 +1083,38 @@ def test_bulk_pass_mid_edge_point_n6():
 
 
 
-def _plain_scan(rows, offs, points):
+def _plain_scan(rows, offs, points, q):
     """`_packed_scan` from one exact slack per (point, row)."""
-    out = []
-    for nums, den in points:
-        slack = [off * den - sum(a * x for a, x in zip(row, nums))
+    bad, tight = [], []
+    for nums in points:
+        slack = [off * q - sum(a * x for a, x in zip(row, nums))
                  for row, off in zip(rows, offs)]
-        out.append((next((r for r, s in enumerate(slack) if s < 0), None),
-                    [r for r, s in enumerate(slack) if s == 0]))
-    return out
+        bad.append(next((r for r, s in enumerate(slack) if s < 0), None))
+        tight.append([r for r, s in enumerate(slack) if s == 0])
+    masks = [sum(1 << p for p, on in enumerate(tight) if r in on)
+             for r in range(len(rows))]
+    return bad, tight, masks
+
+
+def _scan(rows, offs, points, q):
+    """`_packed_scan`, each point's tight rows as a list."""
+    bad, tight, masks = _packed_scan(rows, offs, points, q)
+    return bad, [list(on) for on in tight], masks
+
+
+def _one_denominator(points):
+    """Points of ints and Fractions as integer numerators over the lcm of
+    all their denominators, and that lcm."""
+    points = list(points)
+    q = math.lcm(*(F(x).denominator for p in points for x in p))
+    return [tuple(int(x * q) for x in p) for p in points], q
 
 
 def test_packed_scan_matches_plain_slacks():
     # lane p - 1 sits just below lane p: each vertex comes right after a
     # point that violates one of its tight rows and again right after one
-    # strictly inside that row, so a carry out of either lane would show
+    # strictly inside that row, so a carry out of either lane would show.
+    # Bit p of row r's mask must be set exactly where the slack is zero
     rng = random.Random(2301)
     big = 2 ** 61 - 1
     below = 0
@@ -988,41 +1131,56 @@ def test_packed_scan_matches_plain_slacks():
                      for v in cut_polytope(base).vertices()]
             claim = []
             for v in rng.sample(verts, min(len(verts), 30)):
-                r = rng.choice(
-                    _plain_scan(rows, offs, [common_denominator(v)])[0][1])
+                r = rng.choice(_plain_scan(rows, offs, *_one_denominator([v]))[1][0])
                 t = F(1, rng.choice((7, big)))
                 claim += [tuple(x + t * a for x, a in zip(v, rows[r])), v,
                           tuple(x - t * a for x, a in zip(v, rows[r])), v]
-            points = [common_denominator(p) for p in claim]
-            want = _plain_scan(rows, offs, points)
-            assert _packed_scan(rows, offs, points) == want, base
-            below += sum(bad is not None for bad, _ in want[::4])
-            assert _packed_scan(rows, offs, points[1:2]) == want[1:2], base
+            points, q = _one_denominator(claim)
+            want = _plain_scan(rows, offs, points, q)
+            assert _scan(rows, offs, points, q) == want, base
+            below += sum(bad is not None for bad in want[0][::4])
+            assert (_scan(rows, offs, points[1:2], q)
+                    == _plain_scan(rows, offs, points[1:2], q)), base
             rng.shuffle(points)
-            assert (_packed_scan(rows, offs, points)
-                    == _plain_scan(rows, offs, points)), base
+            assert (_scan(rows, offs, points, q)
+                    == _plain_scan(rows, offs, points, q)), base
     assert below >= 40, below
     # rows over 2^61 - 1 as well, and no point at all
     box = [(nrm, off / big) for nrm, off in _cube(3)]
     rows, offs = _integerized(box)
-    points = [common_denominator(p) for p in itertools.product(
-        (0, F(1, big), F(-1, big), F(1, 2 * big)), repeat=3)]
-    assert _packed_scan(rows, offs, points) == _plain_scan(rows, offs, points)
-    assert _packed_scan(rows, offs, []) == []
-    # a free column: its range, 2^20 here, is far above every slack bound
+    points, q = _one_denominator(itertools.product(
+        (0, F(1, big), F(-1, big), F(1, 2 * big)), repeat=3))
+    assert _scan(rows, offs, points, q) == _plain_scan(rows, offs, points, q)
+    assert _scan(rows, offs, [], 1) == ([], [], [0] * len(rows))
+    # a free column: its range, 2^20 here, is far above every slack bound,
+    # and no row's mask may depend on it
     line = [((F(c[0]), F(c[1]), F(0)), off) for c, off in _cube(2)]
     rows, offs = _integerized(line)
-    points = [common_denominator(p) for p in itertools.product(
-        (0, 1, 2, -1), (0, F(1, 2)), (0, 2 ** 20, -7))]
-    assert _packed_scan(rows, offs, points) == _plain_scan(rows, offs, points)
+    points, q = _one_denominator(itertools.product(
+        (0, 1, 2, -1), (0, F(1, 2)), (0, 2 ** 20, -7)))
+    want = _plain_scan(rows, offs, points, q)
+    assert _scan(rows, offs, points, q) == want
+    # points 3k, 3k + 1 and 3k + 2 differ in the free column alone
+    assert any(want[2]) and all(
+        (mask >> p & 1) == (mask >> p + 1 & 1) == (mask >> p + 2 & 1)
+        for mask in want[2] for p in range(0, len(points), 3))
+    # more rows than one block of one-byte row numbers (255), repeated
+    # rows among them, every point tight on rows of both blocks
+    rows = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(600)]
+    points = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(40)]
+    offs = [sum(a * x for a, x in zip(row, nums)) // 2
+            for row, nums in zip(rows, itertools.cycle(points))]
+    want = _plain_scan(rows, offs, points, 2)
+    assert all(on[0] < 255 < on[-1] for on in want[1])
+    assert _scan(rows, offs, points, 2) == want
     # slacks of every bit length, each row's bound met: x <= 0 has slacks
     # 0 to -h and -x <= h slacks h to 2h
     for h in itertools.chain.from_iterable((2 ** k - 1, 2 ** k)
                                            for k in range(70)):
         rows, offs = [(1,), (-1,)], [0, h]
-        points = [((x,), 1) for x in (h, 0, h // 2, h, 0)]
-        assert (_packed_scan(rows, offs, points)
-                == _plain_scan(rows, offs, points)), h
+        points = [(x,) for x in (h, 0, h // 2, h, 0)]
+        assert (_scan(rows, offs, points, 1)
+                == _plain_scan(rows, offs, points, 1)), h
 
 
 def _fraction_sorted_vertices(halfspaces):
