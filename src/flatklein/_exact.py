@@ -3,7 +3,7 @@
 Everything in this module is tolerance-free, and it has one elimination:
 `_eliminate`, a fraction-free row step on integer rows.  Every simplex
 pivot runs through it, and so does `_gauss_jordan`, which gives the rank
-and, in the vertex oracles, the edge zero sets and the simplicial cones.
+and, in the vertex oracles, the simplicial start of every cone.
 Beside it sits one packed slack scan, `_packed_scan`, which finds every
 point's violated and tight rows, and every row's tight points, from a few
 big-int multiply-adds and bytes operations per row: the vertex certifier
@@ -40,11 +40,6 @@ def common_denominator(row: Row) -> tuple[list[int], int]:
     its denominators, and that lcm."""
     scale = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (scale // x.denominator) for x in row], scale
-
-
-def _scaled(row: Row) -> list[int]:
-    """A row of ints and Fractions times the lcm of its denominators."""
-    return common_denominator(row)[0]
 
 
 def _eliminate(rows: list[Sequence[int]], r: int, col: int) -> None:
@@ -88,7 +83,7 @@ def _gauss_jordan(m: list[Sequence[int]]) -> list[int]:
 
 def mat_rank(rows: Iterable[Row]) -> int:
     """Rank of a rational matrix by fraction-free integer elimination."""
-    return len(_gauss_jordan([_scaled(row) for row in rows]))
+    return len(_gauss_jordan([common_denominator(row)[0] for row in rows]))
 
 
 def gcd_reduce(vec: Sequence[int]) -> tuple[int, ...]:
@@ -280,7 +275,8 @@ def lp_maximize(c: Row,
     basis = [slot.get(i, 1 + n + i) for i in range(len(rhs))]
     rows: list[Sequence[int]] = []
     for i, (row, b) in enumerate(zip([*a_ub, *a_eq], rhs)):
-        ints = _scaled([0, *row, *(int(i == j) for j in range(n_ub)), b])
+        ints, _ = common_denominator(
+            [0, *row, *(int(i == j) for j in range(n_ub)), b])
         if b < 0:
             ints = [-x for x in ints]
         rows.append(ints[:-1] + [int(basis[i] == art + j) for j in range(k)]
@@ -299,5 +295,5 @@ def lp_maximize(c: Row,
                     _eliminate(rows, r, col)
                     basis[r] = col
     # phase 2: the artificials may no longer enter
-    objective = _scaled([1, *(-x for x in c)]) + [0] * (n_ub + k + 1)
-    return _phase(rows, basis, objective, art)
+    objective, _ = common_denominator([1, *(-x for x in c)])
+    return _phase(rows, basis, objective + [0] * (n_ub + k + 1), art)

@@ -122,7 +122,13 @@ class KleinPoint:
         if len(self.rep) < 2:
             raise ValueError("points must have dimension at least 2")
         # 0 <= p/q < 1 on the integers of each rational (q > 0)
-        if any(not 0 <= c.numerator < c.denominator for c in self.rep):
+        try:
+            outside = any(not 0 <= c.numerator < c.denominator
+                          for c in self.rep)
+        except AttributeError:
+            bad = next(c for c in self.rep if not hasattr(c, "numerator"))
+            raise TypeError(f"not an exact rational: {bad!r}") from None
+        if outside:
             raise ValueError("representative must lie in [0,1)^n")
 
     @property

@@ -7,70 +7,49 @@ homogenised halfspace system, and certification from an exact walk of the
 edge graph.  These routines are deliberately dumb and exact; they are the
 ground truth the unit and acceptance tests compare against.
 
-`brute_vertices` and `certify_vertices` share one routine, the double
-description loop `_double_description`, which grows a cone's extreme rays
-from the simplicial cone of a greedy basis of its rows; one
-`_exact._gauss_jordan` of the transposed rows finds that start
-(`_simplicial_cone`, `_edge_zerosets`).  They never check the same cell
-(the CLI and the benchmark send n <= 5 to the first and n >= 6 to the
-second), and neither shares a formula with the closed-form vertex
-families.  The tests also hold `brute_vertices` to a plain exhaustive
-basis enumeration at n <= 3, and the edge count of `certify_vertices` to
-the vertex pairs whose shared tight rows have rank n - 1.
+Both vertex oracles read halfspaces and claimed points alike, as integer
+numerators over one common denominator (`_over_one_denominator`), and
+reach every cone through one routine, `_cone_rays`: one fraction-free
+elimination of the transposed rows is the rank test and gives the
+simplicial cone of a greedy basis, and double description (Fukuda &
+Prodon, "Double description method revisited", 1996) inserts the other
+rows.  The oracles never check the same cell (the CLI and the benchmark
+send n <= 5 to `brute_vertices` and n >= 6 to `certify_vertices`), and
+neither shares a formula with the closed-form vertex families.  The tests
+also hold `brute_vertices` to a plain exhaustive basis enumeration at
+n <= 3, and the edge count of `certify_vertices` to the vertex pairs whose
+shared tight rows have rank n - 1.
 
 `brute_vertices` inserts the homogenised rows densest first (a stable
 sort by nonzero count): double description is very sensitive to the
-insertion order (Fukuda & Prodon, "Double description method revisited",
-1996), and dense rows cut the intermediate cones down soonest.  The
-simplicial start of the sorted cone is also its rank test (the cone has
-rank n + 1 exactly when the normals have rank n).  The vertices are
-sorted as integer numerators over the lcm of the rays' t, which orders
-them as their coordinates do, and each distinct value becomes one
-Fraction.
+insertion order, and dense rows cut the intermediate cones down soonest.
+The vertices are sorted as integer numerators over the lcm of the rays'
+t, which orders them as their coordinates do, and each distinct value
+becomes one Fraction.
 
 The edge walk runs on integers, in two passes, with no Python loop per
 (point, row) pair.  The first checks every point in bulk with
 `_exact._packed_scan`, the slack kernel that also gives the face lattice
 its incidences; the vertex list it checks comes from
-`CutPolytope.vertices()`, which does not use it.  The claimed points go
-over one common denominator, the lcm of all their denominators, reading
-each distinct coordinate object once (`_over_lcm`: a cell's vertices share
-one Fraction per value); the numerators over it are also each point's key
-for duplicates.  Each coordinate column less its minimum becomes one int
-with a lane of 8k bits per point, k the fewest bytes that hold a bound on
-every |slack| and every column's range below the lane's top (guard) bit,
-and each row's slacks at all points come from at most n multiply-adds of
-those ints.  A lane's guard bit is clear when the point violates the row,
-and a zero-lane test finds the points tight on it; this gives each point's
-lowest violated row and its tight rows A, and each row's mask of the
-points tight on it.  Each feasible point then gets the zero sets of its
-edge directions from one fraction-free elimination of the transposed rows
-A^T (`_edge_zerosets`): it is the rank test, picks the greedy basis B of
-`_simplicial_cone`, and gives each simplicial ray's value on every tight
-row; double description runs on those values and yields the zero sets, in
-`_cone_rays`' order.  Tight-row matrices that differ by a positive scaling
-of rows and a nonzero scaling of columns have the same zero sets in the
-same order, so each class of them is eliminated once per call, keyed by a
-scaled form shared by the class (`_cone_keys`: each column over the
-column's first nonzero entry in a row with other than one nonzero, read
-off tables kept per first such row): the generic n = 6 cell at
-P = (1/10, 1/5, 2/7, 1/3, 2/9, 1/3) has 40 classes among its 600
-vertices.  The verified points (rank n) of the classes that share their
-zero sets form one batch.  Each row's mask of tight points, ANDed with the
-mask of the verified points, is `on_row`.  The rows tight at v and flat
-along an edge direction cut out the edge [v, e], and a point inside that
-edge has rank n - 1, so the AND of those rows' masks is {v, e}, or {v}
-when the edge ends at no listed vertex (`_far_ends`, which ANDs up to
-128 points of a batch at once, one `map` per step, by a plan kept with
-its zero sets: each edge's AND is a prefix AND, a suffix AND and the flat
-rows between them, `_and_plan`).  Each edge between listed vertices gives
-such an AND at both its ends, so the edges are counted, not stored.  In
-the second pass, only where an AND is {v} are the edge directions
-computed (`_cone_rays`) and the ratio test run, with ratios slack / step
-compared crosswise, to name the unlisted endpoint or the unbounded
-direction; a Fraction is built only for a problem message.
-A clean walk is complete without a connectivity pass: see
-`certify_vertices`.
+`CutPolytope.vertices()`, which does not use it.  The scan gives each
+point's lowest violated row and its tight rows A, and each row's mask of
+the points tight on it.  Each feasible point then gets the rank test and
+the zero sets of its edge directions from `_cone_rays` without
+coordinates, once per class of tight-row matrices that differ by a
+positive scaling of rows and a nonzero scaling of columns (`_cone_keys`):
+the generic n = 6 cell at P = (1/10, 1/5, 2/7, 1/3, 2/9, 1/3) has 40
+classes among its 600 vertices.  The rows tight at v and flat along an
+edge direction cut out the edge [v, e], and a point inside that edge has
+rank n - 1, so the AND of those rows' masks over the verified points
+(rank n) is {v, e}, or {v} when the edge ends at no listed vertex
+(`_far_ends`, by a plan kept per class, `_and_plan`).  Each edge between
+listed vertices gives such an AND at both its ends, so the edges are
+counted, not stored.  In the second pass, only where an AND is {v} are
+the edge directions computed (`_cone_rays` with coordinates) and the
+ratio test run, with ratios slack / step compared crosswise, to name the
+unlisted endpoint or the unbounded direction; a Fraction is built only
+for a problem message.  A clean walk is complete without a connectivity
+pass: see `certify_vertices`.
 """
 
 from __future__ import annotations
@@ -167,7 +146,10 @@ def _integerized(halfspaces: Sequence[Halfspace]):
     """Integer (normals, offsets), every row over one common denominator;
     every normal must have the first's length.
 
-    Rays and ratio-test endpoints do not depend on the scale of a row.
+    The rows are read as claimed points are (`_over_one_denominator`), so
+    an entry may be anything `Fraction` reads exactly, a float or a 'p/q'
+    string too.  Rays and ratio-test endpoints do not depend on the scale
+    of a row.
     """
     width = None
     flat = []
@@ -178,11 +160,9 @@ def _integerized(halfspaces: Sequence[Halfspace]):
             raise ValueError(
                 f"halfspace {i} has normal {normal} with {len(normal)} "
                 f"coordinates, expected {width}")
-        flat += [*normal, offset]
-    nums = _over_lcm(flat)[0]
-    step = (width or 0) + 1
-    rows = [tuple(nums[k:k + step - 1]) for k in range(0, len(nums), step)]
-    return rows, nums[step - 1::step]
+        flat.append((*normal, offset))
+    nums = _over_one_denominator(flat)[0]
+    return [row[:-1] for row in nums], [row[-1] for row in nums]
 
 
 def brute_vertices(halfspaces: Sequence[Halfspace]) -> list[tuple[Fraction, ...]]:
@@ -203,10 +183,10 @@ def brute_vertices(halfspaces: Sequence[Halfspace]) -> list[tuple[Fraction, ...]
     # dense rows first: they cut the intermediate cones down soonest
     cone.sort(key=lambda row: sum(x != 0 for x in row), reverse=True)
     # the row -t <= 0 clears the offsets, so rank(cone) = rank(normals) + 1
-    start = _simplicial_cone(cone, n + 1)
-    if len(start[0]) <= n:
+    found = _cone_rays(cone, n + 1)
+    if found is None:
         return []
-    rays = [ray for ray in _cone_rays(cone, n + 1, start)[0] if ray[-1] > 0]
+    rays = [ray for ray in found[0] if ray[-1] > 0]
     # over one denominator the integer numerators sort as the vertices do
     den = math.lcm(*(ray[-1] for ray in rays))
     keys = sorted(tuple(v * (den // ray[-1]) for v in ray[:-1]) for ray in rays)
@@ -231,56 +211,60 @@ class CertificationReport:
         return self.ok
 
 
-def _simplicial_cone(rows: Sequence[Sequence[int]],
-                     n: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Greedy rank-n basis of integer rows and the extreme rays of its cone.
+def _cone_rays(active_rows: Sequence[tuple[int, ...]], n: int,
+               coords: bool = True,
+               ) -> tuple[list[tuple[int, ...]], list[int]] | None:
+    """Extreme rays of the cone {d : row.d <= 0} and their zero sets, or
+    None when the integer rows have rank below n.
 
-    A row joins the basis when it raises the rank of the rows before it.
-    One fraction-free Gauss-Jordan elimination of [A^T | I_n] decides this:
-    its pivot columns below m = len(rows) are the greedy basis B.  With n
-    of them, row k of the reduced matrix is [E A^T | E] with E B^T
-    diagonal, so its right block is column k of B^-1 times its pivot entry.
-    Ray k (tight on every basis row but k) is that block, made primitive
-    and negated when the pivot entry is positive.  Returns (basis, rays);
-    rays is empty when the rows have rank below n.
+    Bit i of a ray's zero set is set when active_rows[i] is 0 on the ray.
+    One fraction-free Gauss-Jordan elimination of [A^T | I_n] picks the
+    greedy basis B (a row joins when it raises the rank of the rows before
+    it): its pivot columns below m = len(active_rows) number the rows of
+    B, and the rows have rank n exactly when there are n of them.  Each
+    reduced row is [A d | d] for an integer d, zero at every pivot column
+    but its own, so d is ray k of the simplicial cone of B (tight on every
+    basis row but B_k, negative on B_k) once made primitive, and negated
+    when its pivot entry is positive.
+
+    Double description then inserts the other rows in order, with the
+    usual combinatorial adjacency test on zero sets.  The first insertion
+    skips it, as every pair would pass: rays k and l of the start share
+    the basis less B_k and B_l, n - 2 rows, and any other ray j lacks B_j
+    of them.
+
+    Returns each ray's coordinates d, primitive.  The loop takes a ray's
+    value on a row as a dot product: carrying A d along would cost more
+    where the rows far outnumber the coordinates, as in `brute_vertices`.
+    With `coords` False the elimination is of A^T alone, and each ray is
+    kept as its values A d on the rows, up to a positive factor: the loop
+    reads a value off an entry, which is all the certifier's pass 1
+    needs.  Every sign it reads is the same, so the zero sets are the
+    same, in the same order.
     """
-    m = len(rows)
+    m = len(active_rows)
+    unit = range(n) if coords else ()
     reduced: list[Sequence[int]] = [
-        [row[k] for row in rows] + [int(j == k) for j in range(n)]
+        [row[k] for row in active_rows] + [int(j == k) for j in unit]
         for k in range(n)]
-    basis = [c for c in _gauss_jordan(reduced) if c < m]
-    if len(basis) < n:
-        return basis, []
-    rays = [gcd_reduce([-x for x in row[m:]] if row[c] > 0 else row[m:])
-            for row, c in zip(reduced, basis)]
-    return basis, rays
-
-
-def _double_description(rays: list[tuple[int, ...]], zerosets: list[int],
-                         inserts: Iterable[int], n: int,
-                         values: Callable[[int, list[tuple[int, ...]]],
-                                          list[int]],
-                         ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Insert rows into a pointed rank-n cone, one at a time.
-
-    The start is simplicial: n rays, ray k's zero set the basis rows but
-    k.  Double description with the usual combinatorial adjacency test on
-    zero sets.  `values(i, rays)` gives row i's value on every current
-    ray; a new ray is a positive combination of two old ones, so the loop
-    works alike on ray coordinates (values are dot products) and on rays'
-    values over a fixed row list (values are entries).  Returns the rays
-    and their zero sets: bit i of a zero set is set when row i is 0 on the
-    ray.
-
-    The first insertion skips the adjacency test, which every pair would
-    pass: rays k and l of the start share the basis less rows k and l,
-    n - 2 rows, and any other ray j lacks row j of that set.
-    """
+    pivots = _gauss_jordan(reduced)
+    if sum(c < m for c in pivots) < n:
+        return None
+    # the right block, or the values when there is none
+    skip = m if coords else 0
+    rays = [gcd_reduce([-x for x in row[skip:]] if row[c] > 0 else row[skip:])
+            for row, c in zip(reduced, pivots)]
+    basis = sum(1 << c for c in pivots)
+    zerosets = [basis ^ (1 << c) for c in pivots]
     # every pair of rays of the simplicial start is adjacent
     check_adjacency = False
-    for i in inserts:
+    for i in range(m):
+        if basis >> i & 1:
+            continue
         bit = 1 << i
-        vals = values(i, rays)
+        row = active_rows[i]
+        vals = ([sum(map(mul, row, ray)) for ray in rays] if coords
+                else [ray[i] for ray in rays])
         pos: list[int] = []
         neg: list[int] = []
         kept_rays: list[tuple[int, ...]] = []
@@ -325,64 +309,6 @@ def _double_description(rays: list[tuple[int, ...]], zerosets: list[int],
     return rays, zerosets
 
 
-def _cone_rays(active_rows: list[tuple[int, ...]], n: int,
-               start: tuple[list[int], list[tuple[int, ...]]] | None = None,
-               ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Extreme rays of the pointed cone {d : row.d <= 0} (rows rank n).
-
-    Double description: start from a rank-n subset (a simplicial cone that
-    contains the target) and insert the remaining rows in order.  `start`
-    is the `_simplicial_cone` of the rows when the caller has it already.
-    Returns the rays and their zero sets: bit i of a ray's mask is set
-    when active_rows[i].ray == 0.
-    """
-    basis, rays = start or _simplicial_cone(active_rows, n)
-    if len(basis) != n:
-        raise InvariantError(
-            f"cone is not pointed: active rows {list(active_rows)} have rank "
-            f"{len(basis)} < {n}; basis rows {[active_rows[i] for i in basis]}")
-    zerosets = [sum(1 << basis[i] for i in range(n) if i != j)
-                for j in range(n)]
-    in_basis = set(basis)
-
-    def dots(i: int, rays: list[tuple[int, ...]]) -> list[int]:
-        row = active_rows[i]
-        return [sum(map(mul, row, r)) for r in rays]
-
-    return _double_description(
-        rays, zerosets,
-        [i for i in range(len(active_rows)) if i not in in_basis], n, dots)
-
-
-def _edge_zerosets(active_rows: Sequence[tuple[int, ...]],
-                   n: int) -> list[int] | None:
-    """`_cone_rays(active_rows, n)[1]`, or None when the rows have rank < n.
-
-    One fraction-free Gauss-Jordan elimination of the transposed rows A^T
-    (n x m) does the work.  Its pivot columns are the greedy basis B of
-    `_simplicial_cone`, and there are n of them exactly when A has rank n.
-    Row k of the reduced matrix is E A^T for an invertible E, so its entry
-    i is c_ik p_k, where A_i = sum_k c_ik B_k and p_k is its pivot entry.
-    Simplicial ray k satisfies B_l.d = 0 for l != k and B_k.d < 0, so
-    A_i.d is -c_ik times a positive number: minus the row, times the sign
-    of p_k, is the ray's value on every tight row.  Double description
-    then runs on these value vectors, reading entries instead of taking
-    dot products, and gives the zero sets in `_cone_rays`' order.
-    """
-    reduced: list[Sequence[int]] = list(zip(*active_rows))
-    pivots = _gauss_jordan(reduced)
-    if len(pivots) < n:
-        return None
-    rays = [gcd_reduce([-x for x in row] if row[c] > 0 else row)
-            for row, c in zip(reduced, pivots)]
-    basis = sum(1 << c for c in pivots)
-    zerosets = [basis ^ (1 << c) for c in pivots]
-    others = [i for i in range(len(active_rows)) if not basis >> i & 1]
-    return _double_description(
-        rays, zerosets, others, n,
-        lambda i, rays: [y[i] for y in rays])[1]
-
-
 def _cone_keys(rows: Sequence[tuple[int, ...]],
                ) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """A function from a point's tight rows (indices into `rows`, in row
@@ -390,28 +316,23 @@ def _cone_keys(rows: Sequence[tuple[int, ...]],
     `certify_vertices`).
 
     A unit row has one nonzero entry and a multi row any other number.  s
-    holds, per column, the first nonzero entry of that column over the
-    tight multi rows, or 1 when there is none.  The key names, per tight
-    row, A_i diag(1/s): a unit row by the column and the sign of its one
-    entry, a multi row by its entries' ratios a / s_c.  Each ratio, and
-    each multi row's tuple of ratio numbers, is numbered once per call
-    when a point first needs it, so the cost grows with the points' tight
-    rows, not with the distinct entries of the system; the key is a tuple
-    of small ints.
+    is the point's first tight multi row f, with 1 wherever an entry is 0,
+    or all ones when the point has no tight multi row.  The key names, per
+    tight row, A_i diag(1/s): a unit row by the column and the sign of its
+    one entry over s_c, a multi row by its entries' ratios a / s_c.  Any
+    nonzero s read off the point gives a sound key: two points with one
+    key have A' = D A diag(s'/s) with D positive, which is the class the
+    proof in `certify_vertices` needs.
 
-    s is read off the point's first tight multi row f whenever f is
-    nonzero in every column that some multi row of the system uses, as in
-    a cell, whose slants all use the same columns.  Then a point's row
-    numbers depend on f alone, so each f keeps one table of them, filled
-    as its points need them, and a point's key is one lookup per tight
-    row.
+    Each ratio, and each multi row's tuple of ratio numbers, is numbered
+    once per call when a point first needs it, so the cost grows with the
+    points' tight rows, not with the distinct entries of the system; the
+    key is a tuple of small ints.  A point's row numbers depend on f alone,
+    so each f keeps one table of them, filled as its points need them, and
+    a point's key is one lookup per tight row.
     """
     width = len(rows[0]) if rows else 0
     multi = [sum(map(bool, row)) != 1 for row in rows]
-    used = (list(map(any, zip(*itertools.compress(rows, multi))))
-            or [False] * width)
-    covers = [m and all(a or not u for a, u in zip(row, used))
-              for row, m in zip(rows, multi)]
     # the number of each ratio a / b; over[c, b] maps the entries a of
     # column c met so far to theirs, filled as points need them
     fractions: dict[Fraction, int] = {}
@@ -420,21 +341,15 @@ def _cone_keys(rows: Sequence[tuple[int, ...]],
     units = [(ri, row.index(next(filter(None, row))), max(row) > 0)
              for ri, row in enumerate(rows) if not multi[ri]]
     ids: dict[tuple[int, ...], int] = {}
-    # per first tight multi row f (None: there is none), or per s when s
-    # is not read off f: s, its ratio tables and the number of each row,
-    # None for a multi row until a point needs it; unit rows take numbers
-    # below 0
+    # per first tight multi row f (None: there is none): s, its ratio
+    # tables and the number of each row, None for a multi row until a
+    # point needs it; unit rows take numbers below 0
     tables: dict = {}
 
     def key(tight: Sequence[int]) -> tuple[int, ...]:
         f = next(filter(multi.__getitem__, tight), None)
-        if f is not None and not covers[f]:
-            # s needs the later tight multi rows too
-            f = tuple([next(filter(None, col), 1) for col in
-                       zip(*[rows[ri] for ri in tight if multi[ri]])])
         if f not in tables:
-            s = (f if type(f) is tuple else [1] * width if f is None
-                 else [a or 1 for a in rows[f]])
+            s = [1] * width if f is None else [a or 1 for a in rows[f]]
             known: list[int | None] = [None] * len(rows)
             for ri, c, positive in units:
                 known[ri] = -1 - 2 * c - (positive == (s[c] > 0))
@@ -602,9 +517,9 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     value on row i is scaled by D'_ii > 0; each ray that double description
     combines from two parents is then the image of the one it combines for
     A, times a positive number.  So every sign the loop reads agrees, the
-    rays are appended in the same order, and `_edge_zerosets` returns the
-    same list for both, which pass 2 pairs entry by entry with
-    `_cone_rays`' rays.
+    rays are appended in the same order, and `_cone_rays` returns the same
+    zero sets for both, with or without coordinates, which pass 2 pairs
+    entry by entry with the rays.
     """
     rows, offs = _integerized(halfspaces)
     n = len(rows[0]) if rows else 0
@@ -652,9 +567,10 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
             continue
         key = cone_key(tight)
         if key not in memo:
-            zerosets = _edge_zerosets(list(map(rows.__getitem__, tight)), n)
-            memo[key] = None if zerosets is None else batches.setdefault(
-                (len(tight), *zerosets), (_and_plan(zerosets, len(tight)), []))
+            cone = _cone_rays(list(map(rows.__getitem__, tight)), n,
+                              coords=False)
+            memo[key] = None if cone is None else batches.setdefault(
+                (len(tight), *cone[1]), (_and_plan(cone[1], len(tight)), []))
         batch = memo[key]
         if batch is None:
             notes[vi] = f"vertex {_point(scaled[vi])} has active rank < {n}"
@@ -688,7 +604,13 @@ def certify_vertices(halfspaces: Sequence[Halfspace],
     rays: dict[int, list[tuple[int, ...]]] = {}
     for s, j in sorted(stuck):
         if s not in rays:
-            rays[s] = _cone_rays(list(map(rows.__getitem__, tights[s])), n)[0]
+            act = list(map(rows.__getitem__, tights[s]))
+            cone = _cone_rays(act, n)
+            if cone is None:
+                raise InvariantError(
+                    f"verified vertex {_point(scaled[scanned[s]])} has tight "
+                    f"rows {act} of rank < {n}")
+            rays[s] = cone[0]
         problems.append(_edge_problem(rows, offs, scaled[scanned[s]], rays[s][j]))
     return CertificationReport(not problems, len(scaled), ends_found // 2,
                                problems)

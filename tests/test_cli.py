@@ -257,6 +257,26 @@ def test_verify_reports_vertex_mismatch(monkeypatch, capsys, n, detail):
         assert failure.endswith(f" reaches unlisted vertex {dropped}")
 
 
+def test_verify_names_an_extra_point(monkeypatch, capsys):
+    # the exhaustive oracle loses a vertex: the claimed list has one more
+    real = cli.brute_vertices
+    lost = []
+
+    def short(pairs):
+        verts = real(pairs)
+        lost.append(verts.pop(len(verts) // 2))
+        return verts
+
+    monkeypatch.setattr(cli, "brute_vertices", short)
+    code, out = run(capsys, "verify", "--n", "3", "--samples", "1", "--seed", "1")
+    assert code == 1
+    trial, verdict, failure = out.splitlines()
+    assert trial.endswith(" exhaustive: FAIL") and verdict == "FAIL"
+    base = trial[len("trial   0: P = "):].split(":")[0]
+    text = "(" + ", ".join(map(format_rat, lost[0])) + ")"
+    assert failure == f"vertex mismatch at P = {base}: extra point {text}"
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_refuses_no_samples(capsys, samples):
     code = cli.main(["verify", "--n", "3", "--samples", samples])

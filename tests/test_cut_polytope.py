@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from flatklein import (CutPolytope, InvariantError, catalog, cut_polytope, delta,
                        k_value, minimal_lifts, project, representatives)
-from flatklein._exact import _packed_scan, _scaled, gcd_reduce, mat_rank
+from flatklein._exact import (_packed_scan, common_denominator, gcd_reduce,
+                              mat_rank)
 from flatklein.cut_polytope import (LabeledSet, _barycenter_key, _chamber, _gain8,
                                     _k_table)
 from flatklein.klein_space import DeckElement, apply_deck, canonicalize, neighbor_set
@@ -199,7 +200,7 @@ def test_base_point_strictly_interior(coords):
 
 
 def _integer_halfspace(normal, offset):
-    return gcd_reduce(_scaled([*normal, offset]))
+    return gcd_reduce(common_denominator([*normal, offset])[0])
 
 
 def test_halfspaces_are_bisectors_with_neighbor_set():

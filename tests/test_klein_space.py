@@ -138,6 +138,14 @@ def test_klein_point_validation():
             KleinPoint(rep)
 
 
+def test_klein_point_refuses_inexact_coordinates():
+    # the coordinate that is no rational is named, as `rat` names it
+    for rep, text in (((0.5, 0.25), r"0\.5"), (("1/2", "1/3"), "'1/2'"),
+                      ((F(1, 2), 0.75), r"0\.75")):
+        with pytest.raises(TypeError, match=rf"^not an exact rational: {text}$"):
+            KleinPoint(rep)
+
+
 def test_project_returns_a_klein_point_unchanged():
     y = KleinPoint((F(1, 4), F(0)))
     assert project(y) is y

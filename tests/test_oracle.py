@@ -13,13 +13,11 @@ import pytest
 import flatklein
 from flatklein import KleinPoint, cut_polytope, project
 from flatklein import oracle
-from flatklein._exact import _packed_scan, _scaled, common_denominator
+from flatklein._exact import _packed_scan, common_denominator
 from flatklein.oracle import (
     _cone_keys,
     _cone_rays,
-    _edge_zerosets,
     _integerized,
-    _simplicial_cone,
     brute_distance,
     brute_minimal_images,
     brute_vertices,
@@ -197,26 +195,46 @@ def test_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def _edge_zerosets(act, n):
+    """The certifier's pass 1 on a tight-row matrix: its edge directions'
+    zero sets, or None when its rank is below n."""
+    cone = _cone_rays(act, n, coords=False)
+    return None if cone is None else cone[1]
+
+
+# pass 2 of the certifier asks `_cone_rays` for coordinates at verified
+# points alone, so None there is an internal fault.  The tests below make
+# it answer None: the walk from (0, 0), tight on three rows of the wedge,
+# reaches the unlisted (1, 0) and (0, 1), so pass 2 runs
+_WEDGE = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0), ((-1, -1), 0)]
+
+
 def test_cone_ray_checks_survive_optimisation():
-    # a line {(0, t)} is no pointed cone; -O strips asserts, not raises
+    # -O strips asserts, not raises
     src = str(Path(flatklein.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-O", "-c",
          "import sys; sys.path.insert(0, sys.argv[1])\n"
-         "from flatklein.oracle import _cone_rays\n"
-         "try:\n    _cone_rays([(1, 0), (-1, 0)], 2)\n"
+         "from flatklein import oracle\n"
+         "real = oracle._cone_rays\n"
+         "oracle._cone_rays = lambda act, n, coords=True: (\n"
+         "    None if coords else real(act, n, coords))\n"
+         f"try:\n    oracle.certify_vertices({_WEDGE}, [(0, 0)])\n"
          "except AssertionError as exc:\n    print(exc)", src],
         capture_output=True, text=True, check=True)
-    assert "basis rows [(1, 0)]" in out.stdout
+    assert "has tight rows [(-1, 0), (0, -1), (-1, -1)] of rank < 2" in out.stdout
 
 
-def test_cone_not_pointed_names_every_active_row():
-    # the basis holds only the first row; the message names all three
+def test_cone_not_pointed_names_every_active_row(monkeypatch):
+    # the message names the point and all three of its tight rows
+    real = oracle._cone_rays
+    monkeypatch.setattr(oracle, "_cone_rays", lambda act, n, coords=True: (
+        None if coords else real(act, n, coords)))
     with pytest.raises(flatklein.InvariantError) as info:
-        _cone_rays([(1, 0), (2, 0), (-1, 0)], 2)
+        certify_vertices(_WEDGE, [(0, 0)])
     assert str(info.value) == (
-        "cone is not pointed: active rows [(1, 0), (2, 0), (-1, 0)] have "
-        "rank 1 < 2; basis rows [(1, 0)]")
+        "verified vertex (Fraction(0, 1), Fraction(0, 1)) has tight rows "
+        "[(-1, 0), (0, -1), (-1, -1)] of rank < 2")
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +376,18 @@ def test_ragged_normals_are_refused():
             oracle(ragged)
 
 
+def test_halfspaces_read_exactly_in_other_forms():
+    # floats and strings in a halfspace are read as exactly as in a point
+    box = [(nrm, off / 2) for nrm, off in _cube(2)]
+    corners = brute_vertices(box)
+    for form in (float, str):
+        hs = [(tuple(map(form, nrm)), form(off)) for nrm, off in box]
+        assert brute_vertices(hs) == corners, form
+        report = certify_vertices(hs, corners)
+        assert (report.ok, report.vertex_count, report.edge_count) == (
+            True, 4, 4), form
+
+
 def test_certify_finds_duplicates_in_other_forms():
     box = [(nrm, off / 2) for nrm, off in _cube(2)]
     corners = brute_vertices(box)  # (0, 0), (0, 1/2), (1/2, 0), (1/2, 1/2)
@@ -420,7 +450,7 @@ def test_edge_walk_matches_adjacent_vertex_pairs():
     assert report.edge_count == len(adjacent) - degree
 
 
-def test_simplicial_cone_rays_are_negated_inverse_columns():
+def test_cone_rays_are_primitive_with_exact_zerosets():
     rng = random.Random(505)
     squares = 0
     for _ in range(300):
@@ -433,21 +463,19 @@ def test_simplicial_cone_rays_are_negated_inverse_columns():
             a, b = rng.sample(rows, 2)
             rows.insert(rng.randrange(len(rows) + 1),
                         tuple(2 * x - 3 * y for x, y in zip(a, b)))
-        greedy = []
-        for i, row in enumerate(rows):
-            picked = [rows[j] for j in greedy]
-            if len(greedy) < n and _fraction_rank(picked + [row]) > len(greedy):
-                greedy.append(i)
-        basis, rays = _simplicial_cone(rows, n)
-        assert basis == greedy, rows
-        if len(basis) < n:
-            assert rays == [], rows
+        got = _cone_rays(rows, n)
+        bare = _cone_rays(rows, n, coords=False)
+        if _fraction_rank(rows) < n:
+            assert got is None and bare is None, rows
             continue
         squares += 1
-        for j, ray in enumerate(rays):
+        rays, zerosets = got
+        assert bare[1] == zerosets, rows
+        for ray, zs in zip(rays, zerosets, strict=True):
             assert math.gcd(*ray) == 1, rows
-            dots = [sum(a * d for a, d in zip(rows[i], ray)) for i in basis]
-            assert dots[j] < 0 and not any(dots[:j] + dots[j + 1:]), rows
+            dots = [sum(a * d for a, d in zip(row, ray)) for row in rows]
+            assert max(dots) <= 0, rows
+            assert zs == sum(1 << i for i, v in enumerate(dots) if v == 0), rows
     assert squares >= 100
 
 
@@ -465,7 +493,7 @@ def _tight_sets(cell):
 def _check_zerosets(act, n):
     got = _edge_zerosets(act, n)
     if _fraction_rank(act) < n:
-        assert got is None, act
+        assert got is None and _cone_rays(act, n) is None, act
     else:
         assert got == _cone_rays(act, n)[1], act
 
@@ -670,6 +698,55 @@ def test_cone_key_classes_share_zerosets_in_order():
             classes += len(groups)
     assert min(points.values()) > 100, points
     assert 4 * classes < sum(points.values()), (classes, points)
+    # random systems whose first multi row (two or more nonzero entries) is
+    # 0 in a column that a later multi row uses: each comes with copies of
+    # one class, A' = D A S with D positive on the unit rows and 1 on the
+    # others and S nonzero where the first multi row is, 1 elsewhere; and
+    # with a decoy, a copy with one row negated or one entry in that column
+    # moved, whose cone may differ
+    acts = []
+    for _ in range(150):
+        n = rng.randint(3, 5)
+        zero = rng.randrange(n)
+        first = [rng.choice((-2, -1, 1, 3)) for _ in range(n)]
+        first[zero] = 0
+        later = [rng.randint(-2, 2) for _ in range(n)]
+        later[zero] = rng.choice((-1, 1, 2))
+        later[zero - 1] = rng.choice((-2, 1))
+        act = [tuple(first)]
+        for row in [later] + [[rng.randint(-2, 2) for _ in range(n)]
+                              for _ in range(rng.randint(n - 1, n + 2))]:
+            if rng.random() < 0.4:  # a unit row
+                row = [0] * n
+                row[rng.randrange(n)] = rng.choice((-1, 2))
+            act.insert(rng.randint(1, len(act)), tuple(row))
+        acts.append(act)
+        for _ in range(3):
+            cols = [rng.choice((-3, -1, 1, 2)) if a else 1 for a in first]
+            copy = []
+            for row in act:
+                d = rng.randint(1, 3) if sum(map(bool, row)) == 1 else 1
+                copy.append(tuple(d * a * c for a, c in zip(row, cols)))
+            acts.append(copy)
+        decoy = [list(row) for row in act]
+        k = rng.randrange(1, len(act))
+        if rng.random() < 0.5:
+            decoy[k] = [-a for a in decoy[k]]
+        else:
+            decoy[k][zero] += rng.choice((-1, 1))
+        acts.append([tuple(row) for row in decoy])
+    groups = {}
+    for n in (3, 4, 5):
+        sized = [act for act in acts if len(act[0]) == n]
+        for key, act in zip(_keys(*sized), sized):
+            groups.setdefault((n, key), []).append(act)
+    shared = 0
+    for first, *rest in groups.values():
+        want = _edge_zerosets(first, len(first[0]))
+        for act in rest:
+            assert _edge_zerosets(act, len(act[0])) == want, (first, act)
+        shared += bool(rest and want)
+    assert shared >= 100, shared
 
 
 def test_cone_key_of_scaled_and_of_different_cones():
@@ -781,7 +858,7 @@ class _Walks:
         bad = next((i for i, s in enumerate(slack) if s < 0), None)
         if bad is not None:
             return bad
-        act = [tuple(_scaled([*nrm, off])[:-1])
+        act = [tuple(common_denominator([*nrm, off])[0][:-1])
                for (nrm, off), s in zip(rows, slack) if s == 0]
         if _fraction_rank(act) < n:
             return "rank"
@@ -913,9 +990,14 @@ def test_mask_endpoints_match_fraction_ratio_walk_generic_n6(monkeypatch):
     tight = _tight_counts(pairs, verts, walks)
     assert tight.count(6) > 100 and max(tight) > 6, base
     calls = []
-    real = oracle._edge_zerosets
-    monkeypatch.setattr(oracle, "_edge_zerosets",
-                        lambda act, n: calls.append(act) or real(act, n))
+    real = oracle._cone_rays
+
+    def counted(act, n, coords=True):
+        if not coords:
+            calls.append(act)
+        return real(act, n, coords)
+
+    monkeypatch.setattr(oracle, "_cone_rays", counted)
     assert _same_report(pairs, verts, walks) == []
     # every vertex, simple (n tight rows) or not, is eliminated once per
     # key of its tight rows, and the keys are far fewer than the vertices
@@ -1190,7 +1272,8 @@ def _fraction_sorted_vertices(halfspaces):
     extreme rays, and so the sorted vertices, do not depend on that order.
     """
     rows = [(tuple(ints[:-1]), ints[-1])
-            for ints in (_scaled([*nrm, off]) for nrm, off in halfspaces)]
+            for ints, _ in (common_denominator([*nrm, off])
+                            for nrm, off in halfspaces)]
     n = len(rows[0][0]) if rows else 0
     if not rows or _fraction_rank([row for row, _ in rows]) < n:
         return []
