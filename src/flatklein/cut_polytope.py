@@ -128,12 +128,11 @@ def k_value(subset: Union[LabeledSet, Iterable[int]],
     return Fraction(total, 8 * den * den)
 
 
-def _chamber(pt: LiftPoint) -> tuple[list[int], int, tuple[int, ...], tuple[int, ...]]:
-    """(reduced numerators over their common denominator D, D, reflected
-    indices, prism indices) of an exact point.  A head numerator A must
-    have 0 <= A < D; it is a prism (0 or 1/2) iff A = 0 or 2A = D, and
-    reflected iff 2A > D, when it becomes D - A."""
-    nums, den = common_denominator(pt)
+def _chamber(nums: list[int], den: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(reflected indices, prism indices) of a point's numerators over any
+    common denominator D, which it reduces in place.  A head numerator A
+    must have 0 <= A < D; it is a prism (0 or 1/2) iff A = 0 or 2A = D,
+    and reflected iff 2A > D, when it becomes D - A."""
     reflected, prism = [], []
     for i, x in enumerate(nums[:-1]):
         if not 0 <= x < den:
@@ -143,7 +142,7 @@ def _chamber(pt: LiftPoint) -> tuple[list[int], int, tuple[int, ...], tuple[int,
         elif 2 * x > den:
             reflected.append(i)
             nums[i] = den - x
-    return nums, den, tuple(reflected), tuple(prism)
+    return tuple(reflected), tuple(prism)
 
 
 def _k_table(gains: Sequence[int], sq: int) -> list[int]:
@@ -182,7 +181,8 @@ class CutPolytope:
         self.point = point
         self.n = point.n
         # the reduced point as integer numerators over one denominator
-        self._nums, self._den, self.reflected, self.prism = _chamber(point.rep)
+        self._nums, self._den = common_denominator(point.rep)
+        self.reflected, self.prism = _chamber(self._nums, self._den)
         self.active = tuple(i for i in range(self.n - 1) if i not in self.prism)
         self._rows: list[tuple[str, tuple[int, ...], int]] | None = None
         self._halfspaces: list[tuple[str, LiftPoint, Fraction]] | None = None
@@ -560,8 +560,13 @@ def _barycenter_key(pts: list[tuple[int, ...]], q: int) -> tuple[int, ...]:
     return (mq, *(sign * t % mq for t in total[:-1]), total[-1] - k * mq)
 
 
-# a cell's memory grows like its 2*3^(n-1) vertices (about 0.4 MB at n = 6
-# once they are built), so the cache holds few cells
+#: Largest n whose cells the shared cache keeps: a cell has 2n + 2^n rows,
+#: and after a cut-locus `plan` holds about 0.42 MB at n = 10 (1044 rows),
+#: so 32 cached cells keep at most about 14 MB of rows; each n above it
+#: doubles that (8.6 MB a cell at n = 14, by tracemalloc).
+CACHED_CELL_N_MAX = 10
+
+
 @lru_cache(maxsize=32)
 def _cached_cell(rep: LiftPoint) -> CutPolytope:
     # rep is canonical already: wrapping it skips the cell's own projection
@@ -569,5 +574,9 @@ def _cached_cell(rep: LiftPoint) -> CutPolytope:
 
 
 def cut_polytope(p: Union[KleinPoint, Sequence[Rational]]) -> CutPolytope:
-    """Shared-cache constructor (cells are immutable)."""
-    return _cached_cell(project(p).rep)
+    """Shared-cache constructor (cells are immutable); a cell above
+    n = CACHED_CELL_N_MAX is built afresh and not kept."""
+    point = project(p)
+    if point.n > CACHED_CELL_N_MAX:
+        return CutPolytope(point)
+    return _cached_cell(point.rep)

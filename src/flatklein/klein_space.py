@@ -237,7 +237,12 @@ def minimal_lifts(p: Sequence[Rational], z: KleinPoint) -> list[LiftPoint]:
     if n != z.n:
         raise ValueError("dimension mismatch")
     nums, den = common_denominator(pt + z.rep)
-    branches = _branches(nums[:n], nums[n:], den)
+    return _lifts(nums[:n], nums[n:], den)
+
+
+def _lifts(a: Sequence[int], b: Sequence[int], den: int) -> list[LiftPoint]:
+    """`minimal_lifts` of b from a, both integer numerators over den."""
+    branches = _branches(a, b, den)
     best = min(cost for cost, _ in branches)
     keys = sorted({q for cost, axes in branches if cost == best
                    for q in product(*axes)})

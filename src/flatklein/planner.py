@@ -24,17 +24,21 @@ minimal distance.  A lift with no rival is therefore tight on no row: it
 lies in the open cell, its key is () and its face has dimension n.  `plan`
 builds the source's cell only on the cut locus, where two or more lifts
 tie.
+
+A pair is read once: `plan` projects both points and puts them over one
+common denominator, whose integer numerators feed both the stratum
+dimension (`classify`'s core) and the minimal lifts (`minimal_lifts`'
+core).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._exact import InvariantError, mat_rank
+from ._exact import InvariantError, common_denominator, mat_rank
 from .cut_polytope import cut_polytope
-from .klein_space import (KleinPoint, LiftPoint, format_rat, geodesic_path,
-                          minimal_lifts, project)
-from .stratification import classify
+from .klein_space import KleinPoint, LiftPoint, _lifts, format_rat, geodesic_path, project
+from .stratification import _stratum_of
 
 __all__ = ["FaceKey", "PlanResult", "plan", "representatives"]
 
@@ -80,15 +84,20 @@ def representatives(p) -> dict[int, set[FaceKey]]:
 def plan(y, z, samples: int = 0) -> PlanResult:
     """Deterministic selection of one minimal geodesic from y to z.
 
-    Refused with a ValueError above n = CLASSIFY_N_MAX, by `classify`.
+    Refused with a ValueError above n = CLASSIFY_N_MAX, even before a
+    dimension mismatch.
     """
     src = project(y)
     dst = project(z)
-    stratum = classify(src.rep)
-    lifts = minimal_lifts(src.rep, dst)
+    n = src.n
+    nums, den = common_denominator(src.rep + dst.rep)
+    _, _, dim = _stratum_of(nums[:n], den)
+    if dst.n != n:
+        raise ValueError("dimension mismatch")
+    lifts = _lifts(nums[:n], nums[n:], den)
     if len(lifts) == 1:
         # a lone lift is tight on no row of the cell (module docstring)
-        k, q, j = (), lifts[0], len(src.rep)
+        k, q, j = (), lifts[0], n
     else:
         cell = cut_polytope(src)
         by_key = {}
@@ -107,4 +116,4 @@ def plan(y, z, samples: int = 0) -> PlanResult:
         j = cell.n - mat_rank(normal for key, normal, _ in cell.integer_rows()
                               if key in tight)
     pts = tuple(geodesic_path(src.rep, q, samples)) if samples else ()
-    return PlanResult(stratum.dim + j, stratum.dim, j, k, q, pts)
+    return PlanResult(dim + j, dim, j, k, q, pts)

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from ._exact import InvariantError, lp_maximize, mat_rank
+from ._exact import InvariantError, common_denominator, lp_maximize, mat_rank
 from .cut_polytope import _chamber, _gain8, _k_table
 from .klein_space import LiftPoint, Rational, as_point, format_rat
 
@@ -83,14 +83,16 @@ class DomainDescriptor:
 
     @classmethod
     def of_point(cls, p: Sequence[Rational]) -> "DomainDescriptor":
-        return cls(_fold(as_point(p))[0])
+        return cls(_fold(*common_denominator(as_point(p)))[0])
 
 
-def _fold(pt: LiftPoint) -> tuple[tuple[str, ...], list[int], int]:
-    """The domain pattern of an exact canonical point, the gains
-    8 D^2 delta_i of its interval coordinates and D^2, from `_chamber`; the
-    last coordinate must be in [0, 1) too, and is a point iff it is 0."""
-    nums, den, _, prism = _chamber(pt)
+def _fold(nums: list[int], den: int) -> tuple[tuple[str, ...], list[int], int]:
+    """The domain pattern of a canonical point, numerators over any common
+    denominator D (reduced in place), the gains 8 D^2 delta_i of its
+    interval coordinates and D^2, from `_chamber` (scaling D scales each
+    gain and D^2 alike); the last coordinate must be in [0, 1) too, and is
+    a point iff it is 0."""
+    _, prism = _chamber(nums, den)
     if not 0 <= nums[-1] < den:
         raise ValueError("expected a canonical point")
     head = [PRISM if i in prism else INTERVAL for i in range(len(nums) - 1)]
@@ -242,8 +244,8 @@ def _k_signs(gains: Sequence[int], sq: int) -> tuple[int, ...]:
     """The sign of K_S = K(S)/2 for every subset S, in `_subsets` order,
     from `_k_table` of the slant gains over sq = D^2."""
     table = _k_table(gains, sq)
-    return tuple((t > 0) - (t < 0)
-                 for t in map(table.__getitem__, _subset_masks(len(gains))))
+    return tuple([(t > 0) - (t < 0)
+                  for t in map(table.__getitem__, _subset_masks(len(gains)))])
 
 
 def _point_dimension(signs: tuple[int, ...], gains: Sequence[int], sq: int) -> int:
@@ -296,23 +298,32 @@ def _unforced(a_eq: tuple[tuple[int, ...], ...], m: int) -> int:
                            [[*row, *[0] * m] for row in a_eq], [0] * len(a_eq)))
 
 
+def _stratum_of(nums: list[int], den: int) -> tuple[tuple[str, ...], tuple[int, ...], int]:
+    """(kinds, signs, dimension) of the stratum of a canonical point, given
+    by its numerators over any common denominator D (see `_fold`).
+
+    Refused with a ValueError above n = CLASSIFY_N_MAX.
+    """
+    if len(nums) > CLASSIFY_N_MAX:
+        raise ValueError(
+            f"classify and plan are limited to n <= {CLASSIFY_N_MAX}: the "
+            f"point at n = {len(nums)} has up to 2^{len(nums) - 1} = "
+            f"{2 ** (len(nums) - 1)} sign subsets")
+    kinds, gains, sq = _fold(nums, den)
+    signs = _k_signs(gains, sq)
+    return kinds, signs, _point_dimension(signs, gains, sq) + (kinds[-1] == INTERVAL)
+
+
 def classify(p: Sequence[Rational]) -> Stratum:
     """The stratum of a canonical point (exact signs, exact dimension).
 
     Refused with a ValueError above n = CLASSIFY_N_MAX.
     """
     pt = as_point(p)
-    if len(pt) > CLASSIFY_N_MAX:
-        raise ValueError(
-            f"classify and plan are limited to n <= {CLASSIFY_N_MAX}: the "
-            f"point at n = {len(pt)} has up to 2^{len(pt) - 1} = "
-            f"{2 ** (len(pt) - 1)} sign subsets")
-    kinds, gains, sq = _fold(pt)
+    kinds, signs, dim = _stratum_of(*common_denominator(pt))
     domain = DomainDescriptor(kinds)
-    signs = _k_signs(gains, sq)
-    dim = _point_dimension(signs, gains, sq) + (kinds[-1] == INTERVAL)
     return Stratum(domain, SignVector(domain.active, signs), dim, pt,
-                   _is_coincidence(len(gains), signs))
+                   _is_coincidence(len(domain.active), signs))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +410,7 @@ def _strata_for_size(n_active: int):
             continue
         signs = tuple(choice.get(sub, 1) for sub in subsets)
         a = tuple(Fraction(1, 4) + x for x in b)
-        _, gains, sq = _fold(a + (Fraction(0),))
+        _, gains, sq = _fold(*common_denominator(a + (Fraction(0),)))
         if _k_signs(gains, sq) == signs:
             out.append((signs, a))
         elif _dimension(n_active, signs) is not None:

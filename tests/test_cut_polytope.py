@@ -40,7 +40,8 @@ def _pairs(cell):
 
 def _reduced(p):
     """The Fraction view of `_chamber`: (reduced point, reflected, prism)."""
-    nums, den, reflected, prism = _chamber(p)
+    nums, den = common_denominator(p)
+    reflected, prism = _chamber(nums, den)
     return tuple(F(x, den) for x in nums), reflected, prism
 
 

@@ -27,11 +27,13 @@ from flatklein import (
     representatives,
     squared_distance,
 )
-from flatklein._exact import InvariantError
+from flatklein._exact import InvariantError, common_denominator
 from flatklein.cut_polytope import _cached_cell
+from flatklein.klein_space import _lifts
 from flatklein.oracle import brute_distance, brute_minimal_images
 from flatklein.stratification import (INTERVAL, POINT, PRISM, DomainDescriptor,
-                                      _cone_dimension, _dimension, _unforced)
+                                      _cone_dimension, _dimension, _stratum_of,
+                                      _unforced)
 
 HEX_BASE = (F(1, 4), F(0))
 
@@ -174,8 +176,8 @@ def test_shared_face_key_check_survives_optimisation():
         [sys.executable, "-O", "-c",
          "import sys; sys.path.insert(0, sys.argv[1])\n"
          "from flatklein import planner\n"
-         "lifts = planner.minimal_lifts\n"
-         "planner.minimal_lifts = lambda p, z: 2 * lifts(p, z)\n"
+         "lifts = planner._lifts\n"
+         "planner._lifts = lambda a, b, den: 2 * lifts(a, b, den)\n"
          "try:\n    planner.plan(('1/4', '0'), ('1/4', '5/8'))\n"
          "except AssertionError as exc:\n    print(exc)", src],
         capture_output=True, text=True, check=True)
@@ -270,6 +272,79 @@ def test_plan_builds_a_cell_only_on_the_cut_locus():
     assert (res.face_key, res.face_dim, res.index) == (("w0+",), 1, 2)
 
 
+def _split_coord(rng, dens):
+    """A prism, point or quarter value, or k/d with d from dens."""
+    if rng.random() < 0.35:
+        return rng.choice((F(0), F(1, 2), F(1, 4), F(3, 4)))
+    d = rng.choice(dens)
+    return F(rng.randrange(d), d)
+
+
+def test_plan_shares_one_denominator_with_classify_and_lifts():
+    # the source over 7 or 9, the target over 13 or 20: the pair's common
+    # denominator is not the source's, and prism tests must use the shared
+    # one.  Targets are seeded, one half-step across a wall (two lifts) or
+    # at a face barycenter of the source's cell
+    rng = random.Random(6868)
+    tied = prisms = points = 0
+    for n in range(2, 9):
+        for k in range(60 if n <= 4 else 15):
+            y = project(tuple(_split_coord(rng, (7, 9)) for _ in range(n)))
+            if k % 3 == 0:
+                z = project(tuple(_split_coord(rng, (13, 20)) for _ in range(n)))
+                targets = [z]
+            elif k % 3 == 1:
+                i = rng.randrange(n - 1)
+                targets = [project(y.rep[:i] + (y.rep[i] + F(1, 2),) + y.rep[i + 1:])]
+            else:
+                cell = cut_polytope(y)
+                verts = [v.coords for v in cell.vertices()]
+                if n <= 4:
+                    faces = cell.face_lattice()
+                    groups = [[verts[i] for i in f.vertex_ids]
+                              for f in rng.sample(faces, min(6, len(faces)))]
+                else:
+                    groups = [[v] for v in rng.sample(verts, 3)]
+                targets = [project(tuple(sum(col, F(0)) / len(g) for col in zip(*g)))
+                           for g in groups]
+            want = classify(y.rep)
+            prisms += PRISM in want.domain.kinds
+            points += want.domain.kinds[-1] == POINT
+            for z in targets:
+                nums, den = common_denominator(y.rep + z.rep)
+                assert _stratum_of(nums[:n], den) == (
+                    want.domain.kinds, want.alpha.signs, want.dim), (y, z)
+                lifts = minimal_lifts(y.rep, z)
+                assert _lifts(nums[:n], nums[n:], den) == lifts, (y, z)
+                res = plan(y, z)
+                assert res.stratum_dim == want.dim, (y, z)
+                assert res.lift in lifts, (y, z)
+                tied += len(lifts) > 1
+    assert tied >= 300 and prisms >= 100 and points >= 20, (tied, prisms, points)
+
+
+def test_cut_locus_plans_above_the_cache_limit_keep_no_cell():
+    # each n = 14 cell holds about 8 MB of rows; six distinct ones kept in
+    # the shared cell cache raise the peak by about 40 MB
+    src = str(Path(flatklein.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys; sys.path.insert(0, sys.argv[1])\n"
+         "from fractions import Fraction as F\n"
+         "from flatklein import plan\n"
+         "def peak():\n"
+         "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+         "for k in range(6):\n"
+         "    p = tuple(F(i, 29 + 2 * k) for i in range(1, 14)) + (F(1, 3),)\n"
+         "    assert plan(p, (p[0] + F(1, 2),) + p[1:]).face_key == ('w0+',)\n"
+         "    if k == 0:\n"
+         "        first = peak()\n"
+         "print(peak() - first)", src],
+        capture_output=True, text=True, check=True)
+    # ru_maxrss is in KiB on Linux
+    assert int(out.stdout) < 8 * 1024, out.stdout
+
+
 def _fraction_kinds(rep):
     """The domain pattern by Fraction comparison, as the definition reads."""
     head = [PRISM if c in (F(0), F(1, 2)) else INTERVAL for c in rep[:-1]]
@@ -320,6 +395,11 @@ def test_per_pair_errors_keep_type_and_message():
                            match=r"^points must have dimension at least 2$"):
             call()
     g2, g3 = DeckElement.identity(2), DeckElement.identity(3)
+    # the size limit is checked before the dimensions are compared
+    with pytest.raises(ValueError, match=(
+            r"^classify and plan are limited to n <= 18: the point at "
+            r"n = 19 has up to 2\^18 = 262144 sign subsets$")):
+        plan((F(1, 3),) * 19, (F(1, 3),) * 20)
     for call in (lambda: minimal_lifts((0, 0, 0), z2),
                  lambda: squared_distance(z2, z3),
                  lambda: plan((0, 0), (0, 0, 0)),
