@@ -26,10 +26,13 @@ d_Z >= 0} forces to d_i = 0), all the forced i found by one small LP.
 Rank counting over E alone is wrong: a two-equation pattern at N = 6
 forces four further coordinates to 0, and the true dimension is 2, not 5.
 `classify` reads the dimension at its point this way, cached per set of
-zero signs and zero set, and `catalog` classifies one witness per
-stratum.  A sign vector with no point goes to `_dimension`, a tau-LP for
-feasibility plus one box LP per coordinate, cached per pattern.  Both
-count u-space; a stratum whose last coordinate is an interval adds 1.
+zero signs and zero set.  Signs and dimension depend only on the active
+values and their order, so `catalog` classifies one witness per active
+size, last kind and sign pattern, and builds every stratum of that
+pattern from it.  A sign vector with no point goes to `_dimension`, a
+tau-LP for feasibility plus one box LP per coordinate, cached per
+pattern.  Both count u-space; a stratum whose last coordinate is an
+interval adds 1.
 """
 
 from __future__ import annotations
@@ -127,10 +130,13 @@ class SignVector:
     def __post_init__(self):
         if len(self.signs) != 2 ** len(self.active):
             raise ValueError("one sign per subset required")
-        if any(s not in (-1, 0, 1) for s in self.signs):
+        if not {-1, 0, 1}.issuperset(self.signs):
             raise ValueError("signs are -1/0/+1")
 
     def sign_of(self, subset) -> int:
+        for i in subset:
+            if i not in self.active:
+                raise ValueError(f"index {i} is not active: active = {self.active}")
         bits = [1 << self.active.index(i) for i in subset]
         if len(set(bits)) != len(bits):
             raise ValueError(f"repeated index in {tuple(subset)}")
@@ -177,9 +183,8 @@ def _degenerable(n_active: int, size: int) -> bool:
 
 
 def _is_coincidence(n_active: int, signs: tuple[int, ...]) -> bool:
-    if n_active != 6:
-        return False
-    return all(s == 0 for sub, s in zip(_subsets(6), signs) if len(sub) == 5)
+    # the six subsets of size 5 come just before the full set in `_subsets(6)`
+    return n_active == 6 and not any(signs[-7:-1])
 
 
 @lru_cache(maxsize=4096)
@@ -330,25 +335,35 @@ def classify(p: Sequence[Rational]) -> Stratum:
 # Catalog
 # ---------------------------------------------------------------------------
 
-def _witness_b(n_active: int, choice: dict) -> tuple[Fraction, ...] | None:
-    """A rational b-vector realizing a sign pattern (N <= 6), or None for a
-    size-6 pattern that no point has.  `choice` holds the signs of the
-    degenerable subsets; every other K_S is positive.
+def _six_open(sigma: tuple[int, ...]) -> bool:
+    """Whether some point at N = 6 has co-singleton level signs that start
+    with `sigma` (in `_subsets` order: the size-5 subset that leaves out m
+    at position 5 - m).
 
-    At N = 6, with Z = sum u_i, the top level is Z - 1/8 and the
-    co-singleton levels are Z - 2 u_m.  A zero at level 5 pins u_m = Z/2,
-    so two zeros exhaust the budget (all other u vanish), three or more
-    force Z = 0, and a negative level (u_m > Z/2) cannot coexist with any
-    zero or another negative.  tau >= 0 needs Z >= 1/8, while u_m < 1/16
-    keeps every co-singleton level strictly positive there, which the
-    monotone rule already demands.
+    With Z = sum u_i, the top level is Z - 1/8 and the co-singleton levels
+    are Z - 2 u_m.  A zero at level 5 pins u_m = Z/2, so two zeros exhaust
+    the budget (all other u vanish), three or more force Z = 0 and so all
+    six, and a negative level (u_m > Z/2) cannot coexist with any zero or
+    another negative.  tau >= 0 needs Z >= 1/8, while u_m < 1/16 keeps
+    every co-singleton level strictly positive there, which the monotone
+    rule already demands.
+    """
+    zeros, negs = sigma.count(0), sigma.count(-1)
+    return negs <= 1 and not (negs and zeros) and (zeros <= 2 or 1 not in sigma)
+
+
+def _witness_b(n_active: int, deg_signs: tuple[int, ...]) -> tuple[Fraction, ...] | None:
+    """A rational b-vector realizing a sign pattern (N <= 6), or None for a
+    size-6 pattern that no point has (see `_six_open`).  `deg_signs` holds
+    the signs of the degenerable subsets in `_subsets` order (at N = 6 the
+    six subsets of size 5, then the full set); every other K_S is positive.
     """
     F = Fraction
     if n_active <= 3:
         return (F(0),) * n_active
     if n_active > 6:
         raise ValueError("witness table covers active sizes up to 6")
-    tau = choice[tuple(range(n_active))]
+    tau = deg_signs[-1]
     if n_active == 4:
         return (F(1, 5), F(0), F(0), F(0)) if tau == 1 else (F(0),) * 4
     if n_active == 5:
@@ -361,15 +376,15 @@ def _witness_b(n_active: int, choice: dict) -> tuple[Fraction, ...] | None:
         return (F(1, 5),) * 6
     if tau == 0:
         return (F(1, 5), F(1, 5), F(1, 5), F(1, 20), F(1, 20), F(0))
-    sigma = [s for sub, s in choice.items() if len(sub) == 5]
-    zeros, negs = sigma.count(0), sigma.count(-1)
-    if negs > 1 or (negs and zeros) or 3 <= zeros <= 5:
+    sigma = deg_signs[:6]
+    if not _six_open(sigma):
         return None
+    zeros, negs = sigma.count(0), sigma.count(-1)
     if zeros == 6:
         return (F(0),) * 6  # fully degenerate center
-    # the m of each level Z - 2 u_m that is not positive: its subset
-    # leaves out m = 15 - sum(subset)
-    low = [15 - sum(sub) for sub, s in choice.items() if len(sub) == 5 and s != 1]
+    # the m of each level Z - 2 u_m that is not positive (level j leaves
+    # out m = 5 - j)
+    low = [5 - j for j, s in enumerate(sigma) if s != 1]
     if negs:
         (k,) = low
         return tuple(F(1, 5) if m == k else F(1, 20) for m in range(6))
@@ -386,29 +401,34 @@ def _witness_b(n_active: int, choice: dict) -> tuple[Fraction, ...] | None:
 @lru_cache(maxsize=16)
 def _strata_for_size(n_active: int):
     """All feasible sign patterns over subsets of range(n_active), each as
-    (signs, a) with a_i = 1/4 + b_i for a witness b-vector that realizes it.
+    (signs, a) with a_i = 1/4 + b_i for a witness b-vector that realizes it,
+    in `itertools.product((1, 0, -1))` order over the degenerable subsets.
 
-    A candidate that `_witness_b` rules out (None) is skipped; every other
-    candidate whose witness fails must be empty: the tau-LP of
-    `_dimension` checks that the witness table misses none.
+    The walk assigns those signs one subset at a time and drops a prefix
+    as soon as it breaks the monotone rule or, at N = 6, `_six_open`, so
+    `_witness_b` sees only the candidates that keep both.  A candidate that
+    `_witness_b` rules out (None) is skipped; every other candidate whose
+    witness fails must be empty: the tau-LP of `_dimension` checks that the
+    witness table misses none.
     """
     subsets = _subsets(n_active)
+    # degenerability goes by size alone, so the degenerable subsets are the
+    # tail of `subsets`, each after its proper subsets
     deg = [sub for sub in subsets if _degenerable(n_active, len(sub))]
-    # index pairs (small, big) into deg with small a proper subset of big
-    nested = [(i, j) for i, small in enumerate(deg) for j, big in enumerate(deg)
-              if len(small) < len(big) and set(small) <= set(big)]
+    # monotone rule: S a proper subset of S' forces sign(S') <= sign(S), not
+    # both 0, so S' may be 0 or +1 only when every such S is +1
+    candidates = [()]
+    for j, big in enumerate(deg):
+        below = [i for i in range(j) if set(deg[i]) < set(big)]
+        candidates = [c + (s,) for c in candidates
+                      for s in ((1, 0, -1) if all(c[i] == 1 for i in below) else (-1,))
+                      if n_active != 6 or _six_open((c + (s,))[:6])]
     out = []
-    for assignment in itertools.product((1, 0, -1), repeat=len(deg)):
-        # monotone filter: S subset S' forces sign(S') <= sign(S), not both 0
-        if any(assignment[big] > assignment[small]
-               or assignment[big] == assignment[small] == 0
-               for small, big in nested):
-            continue
-        choice = dict(zip(deg, assignment))
-        b = _witness_b(n_active, choice)
+    for deg_signs in candidates:
+        b = _witness_b(n_active, deg_signs)
         if b is None:
             continue
-        signs = tuple(choice.get(sub, 1) for sub in subsets)
+        signs = (1,) * (len(subsets) - len(deg)) + deg_signs
         a = tuple(Fraction(1, 4) + x for x in b)
         _, gains, sq = _fold(*common_denominator(a + (Fraction(0),)))
         if _k_signs(gains, sq) == signs:
@@ -421,24 +441,37 @@ def _strata_for_size(n_active: int):
 
 
 def catalog(n: int) -> list[Stratum]:
-    """All nonempty strata for dimension n (2 <= n <= 7): `classify` at one
-    witness per domain and sign pattern (a_i = 1/4 + b_i, prisms 0)."""
+    """All nonempty strata for dimension n (2 <= n <= 7), one per domain and
+    sign pattern, at the witness a_i = 1/4 + b_i with prisms 0.
+
+    A stratum's signs and u-space dimension depend only on its active values
+    and their order, not on where the prisms sit, so `classify` reads one
+    witness per active size, last kind and pattern (80 at n = 7, for 242
+    strata) and checks that it realizes its pattern; every stratum of that
+    pattern takes the dimension and coincidence flag from it.
+    """
     if not 2 <= n <= 7:
         raise ValueError("catalog supports 2 <= n <= 7")
+    known: dict[tuple, tuple[int, bool]] = {}
     out: list[Stratum] = []
     for horiz in itertools.product((INTERVAL, PRISM), repeat=n - 1):
-        active = [i for i, kind in enumerate(horiz) if kind == INTERVAL]
+        active = tuple(i for i, kind in enumerate(horiz) if kind == INTERVAL)
         for last in (INTERVAL, POINT):
+            domain = DomainDescriptor(horiz + (last,))
             for signs, a in _strata_for_size(len(active)):
                 witness = [Fraction(0)] * n
                 for i, x in zip(active, a):
                     witness[i] = x
                 if last == INTERVAL:
                     witness[-1] = Fraction(1, 3)
-                stratum = classify(witness)
-                got = stratum.domain.kinds, stratum.alpha.signs
-                if got != (horiz + (last,), signs):
-                    raise InvariantError(
-                        f"witness fails to realize its sign pattern: {signs}")
-                out.append(stratum)
+                key = len(active), last, signs
+                if key not in known:
+                    got = classify(witness)
+                    if (got.domain, got.alpha.signs) != (domain, signs):
+                        raise InvariantError(
+                            f"witness fails to realize its sign pattern: {signs}")
+                    known[key] = got.dim, got.coincidence
+                dim, coincidence = known[key]
+                out.append(Stratum(domain, SignVector(active, signs), dim,
+                                   tuple(witness), coincidence))
     return out

@@ -78,7 +78,8 @@ def test_sign_vector_lookup():
     assert sv.sign_of((3,)) == 0
     assert sv.sign_of((3, 1)) == -1
     assert dict(sv.items())[(1,)] == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^index 2 is not active: active = \(1, 3\)$"):
         sv.sign_of((2,))
     with pytest.raises(ValueError):
         sv.sign_of((3, 3))
@@ -266,10 +267,12 @@ def test_catalog_n7_total():
 
 
 def test_catalog_witnesses_realize_their_strata():
-    for n in (2, 3, 4, 5, 6):
+    # `catalog` classifies one witness per pattern and builds the rest: each
+    # stratum must be the one `classify` gives at its witness, the witness
+    # and the coincidence flag included
+    for n in range(2, 8):
         for s in catalog(n):
-            got = classify(s.witness)
-            assert (got.domain, got.alpha, got.dim) == (s.domain, s.alpha, s.dim)
+            assert classify(s.witness) == s
 
 
 def _fraction_signs(p):
@@ -382,6 +385,51 @@ def test_catalog_refuses_a_witness_of_another_stratum(monkeypatch):
         catalog(2)
 
 
+def test_catalog_classifies_each_pattern_once(monkeypatch, fresh_strata_caches):
+    # a cold catalog(7) classifies one witness per active size, last kind
+    # and pattern: 2 * (1 + 1 + 1 + 1 + 2 + 3 + 31) = 80 for its 242 strata;
+    # the size-6 walk prunes every prefix that breaks the monotone rule (731
+    # candidates keep it) or `_six_open`, so `_witness_b` sees only the 31
+    # patterns it realizes
+    classified, candidates = [], []
+    real_classify, real_witness_b = stratification.classify, stratification._witness_b
+
+    def counting_classify(p):
+        classified.append(p)
+        return real_classify(p)
+
+    def counting_witness_b(n_active, deg_signs):
+        candidates.append((n_active, deg_signs))
+        return real_witness_b(n_active, deg_signs)
+
+    monkeypatch.setattr(stratification, "classify", counting_classify)
+    monkeypatch.setattr(stratification, "_witness_b", counting_witness_b)
+    assert len(catalog(7)) == 242
+    assert len(classified) <= 80
+    candidates.clear()
+    _strata_for_size.cache_clear()
+    assert len(_strata_for_size(6)) == 31
+    assert len(candidates) == 31
+    # the six subsets of size 5 come first, the full set last
+    for n_active, deg_signs in candidates:
+        *sigma, tau = deg_signs
+        assert n_active == 6 and len(sigma) == 6
+        assert tau == -1 or set(sigma) == {1}, deg_signs
+
+
+def test_six_open_is_the_witness_table_rule():
+    # at N = 6 with tau < 0, `_witness_b` rules out exactly the level signs
+    # that no kept pattern has, and `_six_open` keeps exactly the prefixes
+    # of kept patterns, so the walk's pruning drops no feasible pattern
+    kept = {signs[-7:-1] for signs, _ in _strata_for_size(6)}
+    assert len(kept) == 29
+    for sigma in itertools.product((1, 0, -1), repeat=6):
+        assert (stratification._witness_b(6, sigma + (-1,)) is None) == (sigma not in kept)
+        for j in range(7):
+            assert stratification._six_open(sigma[:j]) == any(
+                k[:j] == sigma[:j] for k in kept), sigma[:j]
+
+
 def test_witness_table_stops_at_six_active_coordinates():
     with pytest.raises(ValueError,
                        match=r"^witness table covers active sizes up to 6$"):
@@ -451,7 +499,7 @@ def test_dimension_matches_vertex_enumeration():
     for n in (4, 5, 6):
         subs = _subsets(n)
         deg = [s for s in subs if len(s) >= 5 or len(s) == 4 == n]
-        feasible = set()
+        feasible = []
         for assignment in itertools.product((1, 0, -1), repeat=len(deg)):
             sign = dict(zip(deg, assignment))
             if any(set(a) < set(b) and (sign[b] > sign[a] or sign[a] == sign[b] == 0)
@@ -463,10 +511,12 @@ def test_dimension_matches_vertex_enumeration():
             empty += dim is None
             nonempty += dim is not None
             if dim is not None:
-                feasible.add(signs)
-        # the catalog's case analysis keeps exactly the nonempty patterns
-        assert {signs for signs, _ in _strata_for_size(n)} == feasible, n
+                feasible.append(signs)
+        # the catalog's case analysis keeps exactly the nonempty patterns,
+        # in product order: the order of `catalog` and `strata --catalog`
+        assert [signs for signs, _ in _strata_for_size(n)] == feasible, n
     assert (empty, nonempty) == (701, 36)
+    assert [len(_strata_for_size(n)) for n in range(7)] == [1, 1, 1, 1, 2, 3, 31]
     for n in range(7):
         for signs, *_ in _strata_for_size(n):
             assert _dimension(n, signs) == _vertex_dimension(n, signs), (n, signs)
