@@ -33,9 +33,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from ._exact import InvariantError, _packed_scan, common_denominator
@@ -58,8 +58,8 @@ TRUNC_PLUS = "TruncPlus"
 TRUNC_MINUS = "TruncMinus"
 
 #: Largest dimension for which face work (lattice, classes, JSON) runs: the
-#: cell at n has about 2*3^(n-1) vertices, and the n = 7 lattice already
-#: takes seconds.
+#: cell at n has about 2*3^(n-1) vertices, and the generic n = 7 cell's
+#: lattice of 38 939 faces takes 0.67-0.77 s on a 2-core host.
 FACE_N_MAX = 7
 
 
@@ -560,23 +560,22 @@ def _barycenter_key(pts: list[tuple[int, ...]], q: int) -> tuple[int, ...]:
     return (mq, *(sign * t % mq for t in total[:-1]), total[-1] - k * mq)
 
 
-#: Largest n whose cells the shared cache keeps: a cell has 2n + 2^n rows,
-#: and after a cut-locus `plan` holds about 0.42 MB at n = 10 (1044 rows),
-#: so 32 cached cells keep at most about 14 MB of rows; each n above it
-#: doubles that (8.6 MB a cell at n = 14, by tracemalloc).
-CACHED_CELL_N_MAX = 10
-
-
-@lru_cache(maxsize=32)
-def _cached_cell(rep: LiftPoint) -> CutPolytope:
-    # rep is canonical already: wrapping it skips the cell's own projection
-    return CutPolytope(KleinPoint(rep))
+#: cells by canonical rep, each kept only while some caller holds it
+_held_cells: weakref.WeakValueDictionary[LiftPoint, CutPolytope] = (
+    weakref.WeakValueDictionary())
 
 
 def cut_polytope(p: Union[KleinPoint, Sequence[Rational]]) -> CutPolytope:
-    """Shared-cache constructor (cells are immutable); a cell above
-    n = CACHED_CELL_N_MAX is built afresh and not kept."""
+    """The cell of a point, shared while held (cells are immutable).
+
+    A cell that some caller still holds comes back as it is, with the
+    vertices, faces and classes it has computed, so `representatives(p)`
+    after `cut_polytope(p)` reuses the caller's face work.  No cell is
+    kept for its own sake: once the last holder drops it, it is freed,
+    and the next call builds it afresh.
+    """
     point = project(p)
-    if point.n > CACHED_CELL_N_MAX:
-        return CutPolytope(point)
-    return _cached_cell(point.rep)
+    cell = _held_cells.get(point.rep)
+    if cell is None:
+        cell = _held_cells[point.rep] = CutPolytope(point)
+    return cell

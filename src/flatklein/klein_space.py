@@ -240,11 +240,19 @@ def minimal_lifts(p: Sequence[Rational], z: KleinPoint) -> list[LiftPoint]:
     return _lifts(nums[:n], nums[n:], den)
 
 
+def _tied_branches(a: Sequence[int], b: Sequence[int],
+                   den: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """(parity, axes) of each branch of `_branches` at the minimal cost:
+    the minimal lifts are the union of their axes' Cartesian products."""
+    (even, even_axes), (odd, odd_axes) = _branches(a, b, den)
+    if even != odd:
+        return [(0, even_axes)] if even < odd else [(1, odd_axes)]
+    return [(0, even_axes), (1, odd_axes)]
+
+
 def _lifts(a: Sequence[int], b: Sequence[int], den: int) -> list[LiftPoint]:
     """`minimal_lifts` of b from a, both integer numerators over den."""
-    branches = _branches(a, b, den)
-    best = min(cost for cost, _ in branches)
-    keys = sorted({q for cost, axes in branches if cost == best
+    keys = sorted({q for _, axes in _tied_branches(a, b, den)
                    for q in product(*axes)})
     frac = {v: Fraction(v, den) for v in {v for q in keys for v in q}}
     return [tuple(map(frac.__getitem__, q)) for q in keys]

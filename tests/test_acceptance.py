@@ -21,7 +21,6 @@ from flatklein import (
     project,
     squared_distance,
 )
-from flatklein.cut_polytope import _cached_cell
 from flatklein.oracle import (
     brute_distance,
     brute_minimal_images,
@@ -395,7 +394,6 @@ def test_criterion_11_planner_partition():
                 kept.append((y, z, res))
 
     # seed-independence: replay in shuffled order on a fresh cache
-    _cached_cell.cache_clear()
     _dimension.cache_clear()
     _cone_dimension.cache_clear()
     _unforced.cache_clear()
@@ -525,7 +523,6 @@ def test_criterion_13_planner_n4_to_n6():
                 kept.append((y, z, res))
 
     # the same choices on fresh caches, in shuffled order
-    _cached_cell.cache_clear()
     _dimension.cache_clear()
     _cone_dimension.cache_clear()
     _unforced.cache_clear()
@@ -560,7 +557,6 @@ def test_criterion_14_planner_n7_n8():
         assert plan(project(y), project(y)).index == 2 * len(y)
 
     # the same choices on fresh caches, in shuffled order
-    _cached_cell.cache_clear()
     _dimension.cache_clear()
     _cone_dimension.cache_clear()
     _unforced.cache_clear()

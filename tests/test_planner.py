@@ -22,13 +22,13 @@ from flatklein import (
     geodesic_path,
     minimal_lifts,
     plan,
+    planner,
     project,
     rat,
     representatives,
     squared_distance,
 )
-from flatklein._exact import InvariantError, common_denominator
-from flatklein.cut_polytope import _cached_cell
+from flatklein._exact import InvariantError, common_denominator, mat_rank
 from flatklein.klein_space import _lifts
 from flatklein.oracle import brute_distance, brute_minimal_images
 from flatklein.stratification import (INTERVAL, POINT, PRISM, DomainDescriptor,
@@ -103,7 +103,6 @@ def test_plan_is_deterministic_and_cache_independent():
     y = project((F(1, 4), F(1, 8), F(0)))
     z = project((F(3, 4), F(5, 8), F(1, 2)))
     first = plan(y, z)
-    _cached_cell.cache_clear()
     _dimension.cache_clear()
     _cone_dimension.cache_clear()
     _unforced.cache_clear()
@@ -176,8 +175,8 @@ def test_shared_face_key_check_survives_optimisation():
         [sys.executable, "-O", "-c",
          "import sys; sys.path.insert(0, sys.argv[1])\n"
          "from flatklein import planner\n"
-         "lifts = planner._lifts\n"
-         "planner._lifts = lambda a, b, den: 2 * lifts(a, b, den)\n"
+         "rows = planner._tight_rows\n"
+         "planner._tight_rows = lambda *args: 2 * list(rows(*args))\n"
          "try:\n    planner.plan(('1/4', '0'), ('1/4', '5/8'))\n"
          "except AssertionError as exc:\n    print(exc)", src],
         capture_output=True, text=True, check=True)
@@ -188,8 +187,9 @@ def test_lifts_sharing_a_face_key_are_refused(monkeypatch):
     # (1/4, 0) -> (1/4, 5/8) has three minimal lifts; with every lift
     # reported tight on nothing they share the key ()
     assert len(minimal_lifts(HEX_BASE, project((F(1, 4), F(5, 8))))) == 3
-    monkeypatch.setattr(flatklein.CutPolytope, "active_descriptors",
-                        lambda self, q: frozenset())
+    rows = planner._tight_rows
+    monkeypatch.setattr(planner, "_tight_rows",
+                        lambda *args: ((q, []) for q, _ in rows(*args)))
     with pytest.raises(InvariantError, match=(
             r"^minimal lifts must lie on distinct faces: source \(1/4, 0\), "
             r"target \(1/4, 5/8\), 3 lifts, keys \[\(\)\]$")):
@@ -259,17 +259,84 @@ def test_lone_lift_is_tight_on_no_row():
     assert lone and tied >= 50, (lone, tied)
 
 
-def test_plan_builds_a_cell_only_on_the_cut_locus():
-    _cached_cell.cache_clear()
+def _cell_reference(y, z):
+    """`plan`'s (face key, face dim, lift) read off the source's cell: the
+    rows tight at each minimal lift by their slacks, and the chosen face's
+    dimension as n less the rank of its tight rows' normals."""
+    cell = cut_polytope(y)
+    lifts = minimal_lifts(y.rep, z)
+    by_key = {}
+    for q in lifts:
+        tight = cell.active_descriptors(q)
+        by_key[tuple(sorted(tight))] = (q, tight)
+    assert len(by_key) == len(lifts), (y, z)
+    key = min(by_key)
+    q, tight = by_key[key]
+    dim = cell.n - mat_rank(normal for k, normal, _ in cell.integer_rows()
+                            if k in tight)
+    return key, dim, q
+
+
+def test_highly_tied_targets_match_the_cell():
+    # 2^n minimal lifts meet at one vertex: a scan over pairs of lifts
+    # would cost 4^n
+    for n in range(2, 13):
+        y = project((F(0),) * (n - 1) + (F(1, 3),))
+        z = project((F(1, 2),) * (n - 1) + (F(5, 6),))
+        assert len(minimal_lifts(y.rep, z)) == 2 ** n
+        res = plan(y, z)
+        assert (res.face_key, res.face_dim, res.lift) == _cell_reference(y, z)
+        walls = sorted(f"w{i}+" for i in range(n - 1))
+        assert res.face_key == ("s+" + "0" * (n - 1), *walls), n
+        assert (res.face_dim, res.index) == (0, 1), n
+
+
+def test_face_barycenter_and_vertex_targets_match_the_cell():
+    rng = random.Random(636)
+    tied = 0
+    for n, cells, per_cell in ((2, 6, 12), (3, 6, 12), (4, 4, 12), (5, 3, 10),
+                               (6, 2, 8), (7, 1, 8), (8, 2, 4), (9, 1, 4),
+                               (10, 1, 3)):
+        for _ in range(cells):
+            y = project(tuple(_seeded_coord(rng) for _ in range(n)))
+            cell = cut_polytope(y)
+            verts = [v.coords for v in cell.vertices()]
+            groups = [[v] for v in rng.sample(verts, min(per_cell, len(verts)))]
+            if n <= 7:
+                faces = cell.face_lattice()
+                groups += [[verts[i] for i in f.vertex_ids]
+                           for f in rng.sample(faces, min(per_cell, len(faces)))]
+            for g in groups:
+                z = project(tuple(sum(col, F(0)) / len(g) for col in zip(*g)))
+                res = plan(y, z)
+                want = _cell_reference(y, z)
+                assert (res.face_key, res.face_dim, res.lift) == want, (y, z)
+                tied += len(minimal_lifts(y.rep, z)) > 1
+    assert tied >= 200, tied
+
+
+def test_plan_builds_no_cell(monkeypatch):
+    # the tight rows come from the lifts alone, on and off the cut locus
+    base = (F(1, 10), F(1, 5), F(2, 7), F(1, 3), F(2, 9), F(1, 3))
+    vertex = cut_polytope(base).vertices()[100].coords
+    built = []
+    init = flatklein.CutPolytope.__init__
+
+    def counting_init(self, p):
+        built.append(p)
+        init(self, p)
+
+    monkeypatch.setattr(flatklein.CutPolytope, "__init__", counting_init)
     res = plan((F(1, 10), F(1, 5), F(2, 7)), (F(3, 7), F(1, 2), F(1, 8)))
     assert res.face_key == ()
-    assert _cached_cell.cache_info().currsize == 0
     res = plan((F(1, 4), F(0)), (F(1, 4), F(5, 8)))
     assert res.face_key == ("s+0", "s+1")
-    assert _cached_cell.cache_info().currsize == 1
     # two lifts are a tie too: the pair sits on a wall of the hexagon
     res = plan((F(1, 4), F(0)), (F(3, 4), F(0)))
     assert (res.face_key, res.face_dim, res.index) == (("w0+",), 1, 2)
+    res = plan(base, project(vertex))
+    assert res.face_dim == 0 and len(res.face_key) >= 6
+    assert built == []
 
 
 def _split_coord(rng, dens):
@@ -323,9 +390,9 @@ def test_plan_shares_one_denominator_with_classify_and_lifts():
     assert tied >= 300 and prisms >= 100 and points >= 20, (tied, prisms, points)
 
 
-def test_cut_locus_plans_above_the_cache_limit_keep_no_cell():
-    # each n = 14 cell holds about 8 MB of rows; six distinct ones kept in
-    # the shared cell cache raise the peak by about 40 MB
+def test_cut_locus_plans_at_n14_keep_no_cell():
+    # an n = 14 cell holds about 8 MB of rows; six distinct ones kept
+    # after their plans raised the peak by about 40 MB
     src = str(Path(flatklein.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c",
