@@ -38,8 +38,9 @@ class InvariantError(AssertionError):
 def common_denominator(row: Row) -> tuple[list[int], int]:
     """Integer numerators of a row of ints and Fractions over the lcm of
     its denominators, and that lcm."""
-    scale = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row], scale
+    dens = [x.denominator for x in row]
+    scale = math.lcm(*dens)
+    return [x.numerator * (scale // d) for x, d in zip(row, dens)], scale
 
 
 def _eliminate(rows: list[Sequence[int]], r: int, col: int) -> None:

@@ -12,7 +12,9 @@ integer vector and t is an integer with t == s (mod 2).
 All arithmetic here is exact and touches no floats.  Points come in and go
 out as tuples of `fractions.Fraction`; inside, the metric works on integer
 numerators over one common denominator (the lcm of the input denominators)
-and builds a `Fraction` only for a value it returns.
+and builds a `Fraction` only for a value it returns.  A pair is read once:
+one pass over its axes gives both parity branches (`_branches`), and the
+minimal lifts are sorted by their integer keys (`_lifts`).
 """
 
 from __future__ import annotations
@@ -121,15 +123,15 @@ class KleinPoint:
     def __post_init__(self) -> None:
         if len(self.rep) < 2:
             raise ValueError("points must have dimension at least 2")
-        # 0 <= p/q < 1 on the integers of each rational (q > 0)
-        try:
-            outside = any(not 0 <= c.numerator < c.denominator
-                          for c in self.rep)
-        except AttributeError:
-            bad = next(c for c in self.rep if not hasattr(c, "numerator"))
-            raise TypeError(f"not an exact rational: {bad!r}") from None
-        if outside:
-            raise ValueError("representative must lie in [0,1)^n")
+        # 0 <= p/q < 1 on the integers of each rational (q > 0), in order:
+        # the first bad coordinate decides the error
+        for c in self.rep:
+            try:
+                num, den = c.numerator, c.denominator
+            except AttributeError:
+                raise TypeError(f"not an exact rational: {c!r}") from None
+            if not 0 <= num < den:
+                raise ValueError("representative must lie in [0,1)^n")
 
     @property
     def n(self) -> int:
@@ -143,20 +145,19 @@ def _representative(pt: LiftPoint) -> tuple[LiftPoint, int]:
     an even translation, apply the inverse glide once if it still is >= 1,
     then reduce the remaining coordinates mod 1) in closed form: the glide
     runs iff k is odd, and each head coordinate h = x_i (1 - x_i if it ran)
-    ends at h - floor(h).  On the integers of p/d: -p mod d and p mod d are
-    prime to d, so the result stays in lowest terms.
+    ends at h - floor(h).  Each coordinate p/d is read once: its head ends
+    at (-1)^k p mod d over d, prime to d, so in lowest terms, and is kept
+    as it is when that changes nothing.
     """
     last = pt[-1]
-    num, den = last.numerator, last.denominator
-    k = num // den
-    if k % 2:
-        head = [Fraction(-c.numerator % c.denominator, c.denominator)
-                for c in pt[:-1]]
-    else:
-        head = [c if 0 <= c.numerator < c.denominator
-                else Fraction(c.numerator % c.denominator, c.denominator)
-                for c in pt[:-1]]
-    head.append(Fraction(num - k * den, den) if k else last)
+    k, r = divmod(last.numerator, den := last.denominator)
+    sign = -1 if k % 2 else 1
+    head = []
+    for c in pt[:-1]:
+        p, d = c.numerator, c.denominator
+        h = sign * p % d
+        head.append(c if h == p else Fraction(h, d))
+    head.append(Fraction(r, den) if k else last)
     return tuple(head), k
 
 
@@ -190,26 +191,35 @@ def _branches(a: Sequence[int], b: Sequence[int],
     numerators over den.  The parity's image of b is (-1)^parity b_i on the
     head and b_n + parity*den last; axis i keeps the one or two multiples of
     its step (den, or 2*den last) nearest to the gap, as axes[i], and cost
-    is den^2 times the squared distance."""
-    steps = [den] * (len(a) - 1) + [2 * den]
-    branches = []
-    for images in (b, [-bi for bi in b[:-1]] + [b[-1] + den]):
-        axes = []
-        cost = 0
-        for ai, bi, step in zip(a, images, steps):
-            r = (ai - bi) % step
-            lo = ai - r
-            if 2 * r < step:
-                axes.append((lo,))
-                cost += r * r
-            elif 2 * r > step:
-                axes.append((lo + step,))
-                cost += (step - r) ** 2
-            else:
-                axes.append((lo, lo + step))
-                cost += r * r
-        branches.append((cost, axes))
-    return branches
+    is den^2 times the squared distance.  One pass over the axes serves both
+    parities: a head axis takes its even gap (a_i - b_i) mod den and its odd
+    gap (a_i + b_i) mod den in one step, the last axis its gaps to b_n and
+    b_n + den mod 2*den; a gap d below a and u = step - d above it keep
+    a - d, a + u or both."""
+    even: list[tuple[int, ...]] = []
+    odd: list[tuple[int, ...]] = []
+    even_cost = odd_cost = 0
+    for ai, bi in zip(a[:-1], b[:-1]):
+        d = (ai - bi) % den
+        u = den - d
+        even.append((ai - d,) if d < u else (ai + u,) if u < d
+                    else (ai - d, ai + u))
+        even_cost += d * d if d <= u else u * u
+        d = (ai + bi) % den
+        u = den - d
+        odd.append((ai - d,) if d < u else (ai + u,) if u < d
+                   else (ai - d, ai + u))
+        odd_cost += d * d if d <= u else u * u
+    an, step = a[-1], 2 * den
+    d = (an - b[-1]) % step
+    u = step - d
+    even.append((an - d,) if d < u else (an + u,) if u < d else (an - d, an + u))
+    even_cost += d * d if d <= u else u * u
+    d = (an - b[-1] - den) % step
+    u = step - d
+    odd.append((an - d,) if d < u else (an + u,) if u < d else (an - d, an + u))
+    odd_cost += d * d if d <= u else u * u
+    return [(even_cost, even), (odd_cost, odd)]
 
 
 def squared_distance(y: KleinPoint, z: KleinPoint) -> Fraction:
@@ -219,18 +229,18 @@ def squared_distance(y: KleinPoint, z: KleinPoint) -> Fraction:
     if y.n != z.n:
         raise ValueError("dimension mismatch")
     nums, den = common_denominator(y.rep + z.rep)
-    best = min(cost for cost, _ in _branches(nums[:y.n], nums[y.n:], den))
-    return Fraction(best, den * den)
+    (even, _), (odd, _) = _branches(nums[:y.n], nums[y.n:], den)
+    return Fraction(min(even, odd), den * den)
 
 
 def minimal_lifts(p: Sequence[Rational], z: KleinPoint) -> list[LiftPoint]:
     """All lifts of z at minimal Euclidean distance from the cover point p.
 
     Each parity branch of `_branches` that attains the minimum gives the
-    Cartesian product of its per-axis argmin sets; a lift both branches
-    give (only at half-integer coordinates) appears once.  The lifts are
-    sorted lexicographically, and each distinct coordinate becomes one
-    `Fraction`.
+    Cartesian product of its per-axis argmin sets.  No lift comes from both
+    branches: on the last axis, numerators over the common denominator D,
+    branch 0's lifts are congruent to b_n and branch 1's to b_n + D modulo
+    2D.  The lifts are sorted lexicographically.
     """
     pt = as_point(p)
     n = len(pt)
@@ -251,11 +261,15 @@ def _tied_branches(a: Sequence[int], b: Sequence[int],
 
 
 def _lifts(a: Sequence[int], b: Sequence[int], den: int) -> list[LiftPoint]:
-    """`minimal_lifts` of b from a, both integer numerators over den."""
-    keys = sorted({q for _, axes in _tied_branches(a, b, den)
-                   for q in product(*axes)})
-    frac = {v: Fraction(v, den) for v in {v for q in keys for v in q}}
-    return [tuple(map(frac.__getitem__, q)) for q in keys]
+    """`minimal_lifts` of b from a, both integer numerators over den: each
+    tied branch zips its axes' product with the same product over one
+    `Fraction` per axis option, sorted by the integer keys.  No two keys are
+    equal (`minimal_lifts`), so one lift or 2^n take the same path."""
+    pairs: list[tuple[tuple[int, ...], LiftPoint]] = []
+    for _, axes in _tied_branches(a, b, den):
+        pairs += zip(product(*axes),
+                     product(*[[Fraction(v, den) for v in opts] for opts in axes]))
+    return [lift for _, lift in sorted(pairs)]
 
 
 def neighbor_set(p: Sequence[Rational]) -> list[LiftPoint]:

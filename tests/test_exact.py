@@ -1,7 +1,9 @@
-"""Exact linear algebra: `_gauss_jordan` against a Fraction reduced echelon
-form, and the simplex `lp_maximize` against a basic-solution enumeration."""
+"""Exact linear algebra: `common_denominator` and `_gauss_jordan` against
+Fraction references, and the simplex `lp_maximize` against a basic-solution
+enumeration."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,6 +11,20 @@ import pytest
 
 from flatklein import _exact
 from flatklein._exact import lp_maximize
+
+
+def test_common_denominator_matches_fraction_reference():
+    rng = random.Random(77)
+    rows = [[], [F(-3, 4)], [5], [-7, F(1, 6), F(-5, 9), 0, F(2, 3)]]
+    rows += [[rng.randrange(-9, 10) if rng.random() < 0.3
+              else F(rng.randrange(-40, 41), rng.randrange(1, 13))
+              for _ in range(rng.randrange(1, 9))] for _ in range(200)]
+    for row in rows:
+        nums, scale = _exact.common_denominator(row)
+        assert scale == math.lcm(*(F(x).denominator for x in row)), row
+        assert all(type(v) is int for v in nums), row
+        assert [F(v, scale) for v in nums] == [F(x) for x in row], row
+    assert _exact.common_denominator([]) == ([], 1)
 
 
 def _dot(row, x):

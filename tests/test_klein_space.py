@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from flatklein import (
     project,
     squared_distance,
 )
+from flatklein._exact import common_denominator
+from flatklein.klein_space import _tied_branches
 from flatklein.oracle import brute_distance, brute_minimal_images
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=16)
@@ -146,6 +149,15 @@ def test_klein_point_refuses_inexact_coordinates():
             KleinPoint(rep)
 
 
+def test_klein_point_error_names_its_first_bad_coordinate():
+    # coordinates are checked in order: an out-of-range one before an
+    # inexact one raises ValueError, an inexact one first raises TypeError
+    with pytest.raises(ValueError, match=r"\[0,1\)"):
+        KleinPoint((F(3, 2), 0.5))
+    with pytest.raises(TypeError, match=r"^not an exact rational: 0\.5$"):
+        KleinPoint((0.5, F(3, 2)))
+
+
 def test_project_returns_a_klein_point_unchanged():
     y = KleinPoint((F(1, 4), F(0)))
     assert project(y) is y
@@ -270,6 +282,34 @@ def test_metric_kernel_matches_enumeration():
         branches |= {(q[-1] - z.rep[-1]) % 2 for q in lifts}
     assert lift_counts[2] and any(c >= 4 for c in lift_counts), lift_counts
     assert branches == {0, 1}
+
+
+def test_parity_branches_never_share_a_lift():
+    # why `_lifts` needs no set to drop duplicates: where both parity
+    # branches tie, on the last axis (numerators over D) branch 0's lifts
+    # are b_n mod 2D and branch 1's b_n + D, so their products are disjoint.
+    # Denominators 1, 2 and 4 give half-integer and 0 coordinates and ties
+    rng = random.Random(3303)
+    tied_at = Counter()
+    for k in range(2100):
+        n = 2 + k % 7
+        den = (1, 2, 4)[k % 3]
+        x = tuple(F(rng.randrange(-2 * den, 2 * den), den) for _ in range(n))
+        z = project(tuple(F(rng.randrange(den), den) for _ in range(n)))
+        nums, big_d = common_denominator(x + z.rep)
+        tied = _tied_branches(nums[:n], nums[n:], big_d)
+        if len(tied) == 1:
+            continue
+        (_, even), (_, odd) = tied
+        lifts = [set(product(*even)), set(product(*odd))]
+        assert not lifts[0] & lifts[1], (x, z)
+        last = nums[-1]
+        assert {q[-1] % (2 * big_d) for q in lifts[0]} == {last % (2 * big_d)}
+        assert {q[-1] % (2 * big_d) for q in lifts[1]} == \
+            {(last + big_d) % (2 * big_d)}
+        assert len(minimal_lifts(x, z)) == len(lifts[0]) + len(lifts[1])
+        tied_at[n] += 1
+    assert set(tied_at) == set(range(2, 9)), tied_at
 
 
 def test_neighbor_set_counts():
