@@ -190,10 +190,6 @@ def _cmd_geodesics(args) -> int:
 
 
 def _cmd_polytope(args) -> int:
-    if args.n is not None and args.n != len(args.P):
-        print(f"error: --n {args.n} does not match the {len(args.P)}-coordinate --P",
-              file=sys.stderr)
-        raise SystemExit(2)
     cell = cut_polytope(project(args.P))
     if args.format == "svg":
         _emit(_svg_cell(cell), args.out)
@@ -372,7 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polytope", help="cell of closest lifts at a point")
     p.add_argument("--P", type=_parse_point, required=True)
-    p.add_argument("--n", type=int, default=None)
     common(p, fmt=("json", "text", "svg", "off"))
     p.set_defaults(func=_cmd_polytope)
 

@@ -99,6 +99,8 @@ class LabeledSet:
             raise ValueError("labels are 0/1")
 
     def label_of(self, i: int) -> int:
+        if i not in self.members:
+            raise ValueError(f"index {i} is not a member: members = {self.members}")
         return self.labels[self.members.index(i)]
 
 
@@ -259,6 +261,8 @@ class CutPolytope:
     def _slacks(self, x: Sequence[Rational]) -> list[tuple[str, int]]:
         """(row key, offset - normal.x) per half-space, scaled to ints."""
         pt, den = common_denominator(as_point(x))
+        if len(pt) != self.n:
+            raise ValueError("dimension mismatch")
         return [(key, off * den - sum(map(operator.mul, normal, pt)))
                 for key, normal, off in self.integer_rows()]
 

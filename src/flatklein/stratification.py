@@ -29,10 +29,9 @@ forces four further coordinates to 0, and the true dimension is 2, not 5.
 zero signs and zero set.  Signs and dimension depend only on the active
 values and their order, so `catalog` classifies one witness per active
 size, last kind and sign pattern, and builds every stratum of that
-pattern from it.  A sign vector with no point goes to `_dimension`, a
-tau-LP for feasibility plus one box LP per coordinate, cached per
-pattern.  Both count u-space; a stratum whose last coordinate is an
-interval adds 1.
+pattern from it.  The dimension counts u-space; a stratum whose last
+coordinate is an interval adds 1.  A catalog candidate whose witness fails
+to realize it goes to `_nonempty`, one tau-LP that must find it empty.
 """
 
 from __future__ import annotations
@@ -187,20 +186,17 @@ def _is_coincidence(n_active: int, signs: tuple[int, ...]) -> bool:
     return n_active == 6 and not any(signs[-7:-1])
 
 
-@lru_cache(maxsize=4096)
-def _dimension(n_active: int, signs: tuple[int, ...]):
-    """Affine-hull dimension of the pattern's region in u-space, or None if
-    it is empty.  The stratum adds 1 when its last coordinate is an interval."""
-    subsets = _subsets(n_active)
+def _nonempty(n_active: int, signs: tuple[int, ...]) -> bool:
+    """Whether some u in the box 0 <= u_i < 1/16 has these signs of K_S:
+    a K_S off the degenerable subsets is positive on the whole box, and
+    the others go to one LP that asks for a uniform slack tau > 0."""
     eq_rows, eq_rhs = [], []
     ub_rows, ub_rhs = [], []
-    any_degenerable = False
-    for sub, sign in zip(subsets, signs):
+    for sub, sign in zip(_subsets(n_active), signs):
         if not _degenerable(n_active, len(sub)):
             if sign != 1:
-                return None
+                return False
             continue
-        any_degenerable = True
         const, coeffs = _k_row(n_active, frozenset(sub))
         if sign == 0:
             eq_rows.append(coeffs)
@@ -211,38 +207,21 @@ def _dimension(n_active: int, signs: tuple[int, ...]):
         else:
             ub_rows.append(coeffs + [Fraction(1)])
             ub_rhs.append(-const)
-    if any_degenerable:
-        # feasibility with uniform slack tau > 0 (u_i < 1/16 made strict
-        # too); u >= 0 and tau >= 0 are the LP's own bounds
-        for j in range(n_active):
-            row = [Fraction(0)] * (n_active + 1)
-            row[j] = Fraction(1)
-            row[-1] = Fraction(1)
-            ub_rows.append(row)
-            ub_rhs.append(_SIXTEENTH)
-        tau = lp_maximize(
-            [Fraction(0)] * n_active + [Fraction(1)],
-            ub_rows, ub_rhs,
-            [r + [Fraction(0)] for r in eq_rows], eq_rhs)
-        if tau is None or tau <= 0:
-            return None
-    dim_u = n_active
-    if eq_rows:
-        # Implicit equalities of the closed region {equations, 0 <= u <= 1/16}
-        # can only be coordinate vanishing (strict constraints cannot shrink
-        # the affine hull of a nonempty convex region).
-        box = [[int(i == j) for j in range(n_active)] for i in range(n_active)]
-        forced = []
-        for row in box:
-            top = lp_maximize(row, box, [_SIXTEENTH] * n_active, eq_rows, eq_rhs)
-            if top is None:
-                raise InvariantError(
-                    "closed region of a feasible stratum is empty: "
-                    f"signs {signs} over {n_active} active coordinates")
-            if top == 0:
-                forced.append(row)
-        dim_u = n_active - mat_rank(eq_rows + forced)
-    return dim_u
+    if not (eq_rows or ub_rows):
+        return True
+    # feasibility with uniform slack tau > 0 (u_i < 1/16 made strict too);
+    # u >= 0 and tau >= 0 are the LP's own bounds
+    for j in range(n_active):
+        row = [Fraction(0)] * (n_active + 1)
+        row[j] = Fraction(1)
+        row[-1] = Fraction(1)
+        ub_rows.append(row)
+        ub_rhs.append(_SIXTEENTH)
+    tau = lp_maximize(
+        [Fraction(0)] * n_active + [Fraction(1)],
+        ub_rows, ub_rhs,
+        [r + [Fraction(0)] for r in eq_rows], eq_rhs)
+    return tau is not None and tau > 0
 
 
 def _k_signs(gains: Sequence[int], sq: int) -> tuple[int, ...]:
@@ -408,8 +387,8 @@ def _strata_for_size(n_active: int):
     as soon as it breaks the monotone rule or, at N = 6, `_six_open`, so
     `_witness_b` sees only the candidates that keep both.  A candidate that
     `_witness_b` rules out (None) is skipped; every other candidate whose
-    witness fails must be empty: the tau-LP of `_dimension` checks that the
-    witness table misses none.
+    witness fails must be empty: `_nonempty` checks that the witness table
+    misses none.
     """
     subsets = _subsets(n_active)
     # degenerability goes by size alone, so the degenerable subsets are the
@@ -433,7 +412,7 @@ def _strata_for_size(n_active: int):
         _, gains, sq = _fold(*common_denominator(a + (Fraction(0),)))
         if _k_signs(gains, sq) == signs:
             out.append((signs, a))
-        elif _dimension(n_active, signs) is not None:
+        elif _nonempty(n_active, signs):
             raise InvariantError(
                 f"witness table misses a feasible pattern: signs {signs} "
                 f"over {n_active} active coordinates")

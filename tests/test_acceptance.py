@@ -27,7 +27,7 @@ from flatklein.oracle import (
     brute_vertices,
     certify_vertices,
 )
-from flatklein.stratification import _cone_dimension, _dimension, _unforced
+from flatklein.stratification import _cone_dimension, _unforced
 
 DENS = (7, 9, 11, 12, 13, 20)
 
@@ -394,7 +394,6 @@ def test_criterion_11_planner_partition():
                 kept.append((y, z, res))
 
     # seed-independence: replay in shuffled order on a fresh cache
-    _dimension.cache_clear()
     _cone_dimension.cache_clear()
     _unforced.cache_clear()
     replay = random.Random(2222)
@@ -523,7 +522,6 @@ def test_criterion_13_planner_n4_to_n6():
                 kept.append((y, z, res))
 
     # the same choices on fresh caches, in shuffled order
-    _dimension.cache_clear()
     _cone_dimension.cache_clear()
     _unforced.cache_clear()
     random.Random(3131).shuffle(kept)
@@ -557,7 +555,6 @@ def test_criterion_14_planner_n7_n8():
         assert plan(project(y), project(y)).index == 2 * len(y)
 
     # the same choices on fresh caches, in shuffled order
-    _dimension.cache_clear()
     _cone_dimension.cache_clear()
     _unforced.cache_clear()
     random.Random(4141).shuffle(kept)

@@ -305,12 +305,10 @@ def test_malformed_point_exits_2(capsys):
 
 
 def test_dimension_mismatch_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["polytope", "--P", "1/4,0", "--n", "3"])
-    assert exc.value.code == 2
+    assert cli.main(["distance", "--P", "1/4,0", "--Q", "0,0,0"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: --n 3 does not match the 2-coordinate --P\n"
+    assert err == "error: dimension mismatch\n"
 
 
 def test_value_error_exits_2(capsys):

@@ -85,6 +85,9 @@ def test_k_value_ignores_labels():
 
 def test_labeled_set_checks():
     assert LabeledSet((0, 2), (1, 0)).label_of(2) == 0
+    with pytest.raises(ValueError,
+                       match=r"^index 1 is not a member: members = \(0, 2\)$"):
+        LabeledSet((0, 2), (1, 0)).label_of(1)
     for members, labels, match in (
             ((0, 0), (0, 1), "strictly increasing"),
             ((2, 0), (0, 1), "strictly increasing"),
@@ -544,6 +547,16 @@ def test_active_descriptors_tight_set_and_outside_point():
     assert sorted(apex) == ["s+0", "s+1"]
     with pytest.raises(ValueError, match="outside the cell"):
         cell.active_descriptors((F(1, 4), F(7, 10)))
+
+
+def test_points_of_the_wrong_length_are_refused():
+    cell = cut_polytope((F(1, 4), F(1, 3), F(0)))
+    assert cell.contains((F(1, 4), F(1, 3), F(0)))
+    for x in ((0, 0), (0, 0, 0, 5), (F(1, 4), F(1, 3))):
+        with pytest.raises(ValueError, match=r"^dimension mismatch$"):
+            cell.contains(x)
+        with pytest.raises(ValueError, match=r"^dimension mismatch$"):
+            cell.active_descriptors(x)
 
 
 @settings(max_examples=50)

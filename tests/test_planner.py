@@ -32,8 +32,7 @@ from flatklein._exact import InvariantError, common_denominator, mat_rank
 from flatklein.klein_space import _lifts
 from flatklein.oracle import brute_distance, brute_minimal_images
 from flatklein.stratification import (INTERVAL, POINT, PRISM, DomainDescriptor,
-                                      _cone_dimension, _dimension, _stratum_of,
-                                      _unforced)
+                                      _cone_dimension, _stratum_of, _unforced)
 
 HEX_BASE = (F(1, 4), F(0))
 
@@ -103,7 +102,6 @@ def test_plan_is_deterministic_and_cache_independent():
     y = project((F(1, 4), F(1, 8), F(0)))
     z = project((F(3, 4), F(5, 8), F(1, 2)))
     first = plan(y, z)
-    _dimension.cache_clear()
     _cone_dimension.cache_clear()
     _unforced.cache_clear()
     assert plan(y, z) == first

@@ -27,7 +27,7 @@ from flatklein.stratification import (
     POINT,
     PRISM,
     _cone_dimension,
-    _dimension,
+    _nonempty,
     _strata_for_size,
     _unforced,
 )
@@ -99,7 +99,7 @@ def test_sign_of_agrees_with_items_in_any_order():
 
 def test_infeasible_pattern_is_empty():
     # four active coordinates: K(full) = sum of squares, never negative
-    assert _dimension(4, (1,) * 15 + (-1,)) is None
+    assert not _nonempty(4, (1,) * 15 + (-1,))
 
 
 def test_nonpositive_sign_on_non_degenerable_subset_is_empty():
@@ -109,7 +109,7 @@ def test_nonpositive_sign_on_non_degenerable_subset_is_empty():
                                ((0, 1, 2), 1, -1), ((0, 1, 2), 7, 0)):
         signs = [1] * 2 ** len(active)
         signs[slot] = sign
-        assert _dimension(len(active), tuple(signs)) is None
+        assert not _nonempty(len(active), tuple(signs))
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +338,10 @@ def test_catalog_witness_check_survives_optimisation():
 
 @pytest.fixture
 def fresh_strata_caches():
-    # the tests below poison `_dimension` or `_strata_for_size`; no other
-    # test may read what they cached
-    _dimension.cache_clear()
+    # the tests below poison `_strata_for_size`; no other test may read what
+    # it cached
     _strata_for_size.cache_clear()
     yield
-    _dimension.cache_clear()
     _strata_for_size.cache_clear()
 
 
@@ -356,24 +354,6 @@ def test_witness_table_miss_raises_in_process(monkeypatch, fresh_strata_caches):
             r"^witness table misses a feasible pattern: signs "
             + re.escape(str((1,) * 16)) + r" over 4 active coordinates$")):
         _strata_for_size(4)
-
-
-def test_empty_closed_region_raises_in_process(monkeypatch, fresh_strata_caches):
-    # K(full) = 0 at N = 4 is feasible (the center), so the tau-LP passes;
-    # a box LP that finds no point contradicts it
-    solve, calls = stratification.lp_maximize, []
-
-    def tau_only(*args):
-        calls.append(args)
-        return solve(*args) if len(calls) == 1 else None
-
-    monkeypatch.setattr(stratification, "lp_maximize", tau_only)
-    signs = (1,) * 15 + (0,)
-    with pytest.raises(InvariantError, match=(
-            r"^closed region of a feasible stratum is empty: signs "
-            + re.escape(str(signs)) + r" over 4 active coordinates$")):
-        _dimension(4, signs)
-    assert len(calls) == 2
 
 
 def test_catalog_refuses_a_witness_of_another_stratum(monkeypatch):
@@ -437,7 +417,7 @@ def test_witness_table_stops_at_six_active_coordinates():
 
 
 # ---------------------------------------------------------------------------
-# dimension: a second way, and the LP count
+# dimension and emptiness: a second way, and the LP count
 # ---------------------------------------------------------------------------
 
 def _subsets(n):
@@ -494,7 +474,8 @@ def _vertex_dimension(n, signs):
 
 def test_dimension_matches_vertex_enumeration():
     # every sign choice on the subsets that can reach K_S = 0 on the box
-    # that passes the monotone rule, including those `_witness_b` rules out
+    # that passes the monotone rule, including those `_witness_b` rules out:
+    # the emptiness LP against the LP-free vertex oracle
     empty = nonempty = 0
     for n in (4, 5, 6):
         subs = _subsets(n)
@@ -507,7 +488,7 @@ def test_dimension_matches_vertex_enumeration():
                 continue
             signs = tuple(sign.get(s, 1) for s in subs)
             dim = _vertex_dimension(n, signs)
-            assert _dimension(n, signs) == dim, (n, signs)
+            assert _nonempty(n, signs) == (dim is not None), (n, signs)
             empty += dim is None
             nonempty += dim is not None
             if dim is not None:
@@ -519,7 +500,7 @@ def test_dimension_matches_vertex_enumeration():
     assert [len(_strata_for_size(n)) for n in range(7)] == [1, 1, 1, 1, 2, 3, 31]
     for n in range(7):
         for signs, *_ in _strata_for_size(n):
-            assert _dimension(n, signs) == _vertex_dimension(n, signs), (n, signs)
+            assert _nonempty(n, signs), (n, signs)
 
 
 _SPECIAL = (F(0), F(1, 2), F(1, 4), F(3, 4), F(1, 8), F(3, 8))
@@ -543,8 +524,9 @@ def _seeded_points(count, seed):
 
 
 def test_point_dimension_matches_both_oracles():
-    # the local cone at a real point (classify) against the LP `_dimension`
-    # and the LP-free vertex count, per distinct (active count, signs)
+    # the local cone at a real point (classify) against the LP-free vertex
+    # count, per distinct (active count, signs); the emptiness LP must find
+    # each of these realized patterns nonempty
     points = [s.witness for n in range(2, 8) for s in catalog(n)]
     points += _seeded_points(3000, 1717)
     dims, both = {}, 0
@@ -560,7 +542,7 @@ def test_point_dimension_matches_both_oracles():
     assert both >= 50, both
     assert {n for n, signs in dims if 0 in signs} >= {4, 5, 6, 7, 8}
     for (n_active, signs), dim_u in dims.items():
-        assert _dimension(n_active, signs) == dim_u, (n_active, signs)
+        assert _nonempty(n_active, signs), (n_active, signs)
         assert _vertex_dimension(n_active, signs) == dim_u, (n_active, signs)
 
 
@@ -593,26 +575,32 @@ def test_catalog_solves_each_lp_once(monkeypatch):
                      tuple(map(tuple, a_eq)), tuple(b_eq)))
         return solve(c, a_ub, b_ub, a_eq, b_eq)
 
+    checked = []
+
+    def checking_nonempty(n_active, signs):
+        checked.append((n_active, signs))
+        return _nonempty(n_active, signs)
+
     monkeypatch.setattr(stratification, "lp_maximize", recorder)
-    _dimension.cache_clear()
+    monkeypatch.setattr(stratification, "_nonempty", checking_nonempty)
     _cone_dimension.cache_clear()
     _unforced.cache_clear()
     _strata_for_size.cache_clear()
     try:
-        center = next(s for s in catalog(7) if s.coincidence)
+        assert len(catalog(7)) == 242
         assert seen
         assert len(set(seen)) == len(seen), f"{len(seen) - len(set(seen))} repeated LPs"
-        _dimension.cache_clear()
+        # a cold walk over every active size solves one emptiness LP: the
+        # N = 4 candidate with K(full) < 0, which the center witness fails
+        # and the LP refuses
+        _strata_for_size.cache_clear()
         seen.clear()
-        # the u-space dimension, read for an interval and a point last
-        # coordinate: the second read solves no LP
-        assert _dimension(6, center.alpha.signs) + 1 == 1
-        solved = len(seen)
-        assert solved > 0
-        assert _dimension(6, center.alpha.signs) == 0
-        assert len(seen) == solved
+        checked.clear()
+        for n in range(7):
+            _strata_for_size(n)
+        assert checked == [(4, (1,) * 15 + (-1,))]
+        assert len(seen) == 1
     finally:
-        _dimension.cache_clear()
         _cone_dimension.cache_clear()
         _unforced.cache_clear()
         _strata_for_size.cache_clear()
