@@ -298,10 +298,20 @@ def _first_difference(mine: list, brute: list) -> str:
             return f"missing vertex {_pt_str(want)}"
 
 
+#: Largest dimension that `verify` checks: each trial builds and certifies
+#: a cell of about 2*3^(n-1) vertices, which took 0.64-0.72 s and 42 MB at
+#: n = 9 and 3.7-3.9 s and 136 MB at n = 10 (one trial, 2-core host).
+VERIFY_N_MAX = 10
+
+
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         # zero trials would check nothing and still print "pass"
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.n > VERIFY_N_MAX:
+        raise ValueError(
+            f"verify is limited to n <= {VERIFY_N_MAX}: the cell at "
+            f"n = {args.n} has about {2 * 3 ** (args.n - 1)} vertices")
     rng = random.Random(args.seed)
     n = args.n
     failures = []

@@ -59,7 +59,7 @@ TRUNC_MINUS = "TruncMinus"
 
 #: Largest dimension for which face work (lattice, classes, JSON) runs: the
 #: cell at n has about 2*3^(n-1) vertices, and the generic n = 7 cell's
-#: lattice of 38 939 faces takes 0.67-0.77 s on a 2-core host.
+#: lattice of 38 939 faces takes 0.63-0.72 s on a 2-core host.
 FACE_N_MAX = 7
 
 
@@ -171,6 +171,23 @@ class Face:
     dim: int
     active: tuple[str, ...]
     vertex_ids: tuple[int, ...]
+
+
+_set_dim, _set_active, _set_vertex_ids = (
+    Face.__dict__[name].__set__ for name in ("dim", "active", "vertex_ids"))
+
+
+def _face(dim: int, active: tuple[str, ...], vertex_ids: tuple[int, ...]) -> Face:
+    """`Face(dim, active, vertex_ids)`, its slots set directly: the frozen
+    dataclass's `__init__` sets each field through `object.__setattr__`,
+    which makes a face record cost about twice as much (1.3 against
+    0.7 us a face on a 2-core host), a fixed cost on each of the lattice's
+    faces."""
+    face = object.__new__(Face)
+    _set_dim(face, dim)
+    _set_active(face, active)
+    _set_vertex_ids(face, vertex_ids)
+    return face
 
 
 class CutPolytope:
@@ -415,7 +432,9 @@ class CutPolytope:
         vertices (1).  At d = 4 a meet that is a 2-face can hold 4 or more
         vertices, so the test stays there.  Every vertex is a face and an
         edge covers its two vertices, so edges need no meets and a vertex
-        face reads its rows off its own mask.
+        face reads its row keys straight off the scan's tight rows at it.
+        Each grade is sorted once, and the `Face` records are built from
+        it in one pass.
         Refused with a ValueError above n = FACE_N_MAX.
         """
         if self._faces is not None:
@@ -433,9 +452,10 @@ class CutPolytope:
         _, on_at, tight = _packed_scan([normal for _, normal, _ in rows],
                                        [off for _, _, off in rows], nums, q)
         at = [sum(map((1).__lshift__, on)) for on in on_at]
-        # per dimension, each face as (vertex ids, mask of its tight rows)
+        # per dimension from 1 up, each face as (vertex ids, mask of its
+        # tight rows); the faces are built once each grade is complete
         graded: list[list[tuple[tuple[int, ...], int]]] = [
-            [((i,), on) for i, on in enumerate(at)]] + [[] for _ in range(self.n)]
+            [] for _ in range(self.n + 1)]
         level = {(1 << len(nums)) - 1}
         for dim in range(self.n, 1, -1):
             below: set[int] = set()
@@ -456,8 +476,12 @@ class CutPolytope:
         for g in level:  # the edges
             lo, hi = (g & -g).bit_length() - 1, g.bit_length() - 1
             graded[1].append(((lo, hi), at[lo] & at[hi]))
-        faces = [Face(dim, tuple([keys[j] for j in _bits(on)]), ids)
-                 for dim, grade in enumerate(graded) for ids, on in sorted(grade)]
+        key_of = keys.__getitem__
+        # a vertex reads its keys off its own tight rows, in index order
+        faces = [_face(0, tuple(map(key_of, on)), (i,)) for i, on in enumerate(on_at)]
+        for dim in range(1, self.n + 1):
+            faces += [_face(dim, tuple(map(key_of, _bits(on))), ids)
+                      for ids, on in sorted(graded[dim])]
         self._faces = faces
         return faces
 
@@ -490,10 +514,12 @@ class CutPolytope:
         lie in N(b(G')), so that set is the same for R(P) and for
         R(gP) = gR(P): it is G' and it is gG.
         """
-        nums, q = self._vertex_nums, self._vertex_den
+        point, q = self._vertex_nums.__getitem__, self._vertex_den
         groups: dict[tuple[int, ...], list[int]] = {}
         for pos, ids in enumerate(id_sets):
-            groups.setdefault(_barycenter_key([nums[i] for i in ids], q),
+            # the column totals of the set's points, with no list of them
+            total = map(sum, zip(*map(point, ids)))
+            groups.setdefault(_barycenter_key(total, len(ids) * q),
                               []).append(pos)
         return sorted(groups.values())
 
@@ -549,19 +575,19 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _barycenter_key(pts: list[tuple[int, ...]], q: int) -> tuple[int, ...]:
-    """The canonical image of the barycenter of integer points over q, as
-    its numerators over mq (m points) after mq itself.
+def _barycenter_key(total: Iterable[int], mq: int) -> tuple[int, ...]:
+    """The canonical image of the barycenter of m integer points over q,
+    given by their column totals t, as its numerators over mq after mq
+    itself.
 
-    `canonicalize`'s closed form on the column totals t, with b = t / mq:
-    with k = t_n // mq the glide runs iff k is odd (sign -1), each head
-    numerator becomes sign t_i mod mq and the last t_n - k mq.
+    `canonicalize`'s closed form on b = t / mq: with k = t_n // mq the
+    glide runs iff k is odd (sign -1), each head numerator becomes
+    sign t_i mod mq and the last t_n - k mq.
     """
-    mq = len(pts) * q
-    total = [sum(col) for col in zip(*pts)]
-    k = total[-1] // mq
+    *head, last = total
+    k, rest = divmod(last, mq)
     sign = -1 if k % 2 else 1
-    return (mq, *(sign * t % mq for t in total[:-1]), total[-1] - k * mq)
+    return (mq, *[sign * t % mq for t in head], rest)
 
 
 #: cells by canonical rep, each kept only while some caller holds it

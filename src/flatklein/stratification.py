@@ -27,11 +27,12 @@ Rank counting over E alone is wrong: a two-equation pattern at N = 6
 forces four further coordinates to 0, and the true dimension is 2, not 5.
 `classify` reads the dimension at its point this way, cached per set of
 zero signs and zero set.  Signs and dimension depend only on the active
-values and their order, so `catalog` classifies one witness per active
-size, last kind and sign pattern, and builds every stratum of that
-pattern from it.  The dimension counts u-space; a stratum whose last
-coordinate is an interval adds 1.  A catalog candidate whose witness fails
-to realize it goes to `_nonempty`, one tau-LP that must find it empty.
+values and their order, so `catalog` runs the stratum core `_stratum_of`
+on one witness per active size, last kind and sign pattern, and builds
+every stratum of that pattern from it.  The dimension counts u-space; a
+stratum whose last coordinate is an interval adds 1.  A catalog candidate
+whose witness fails to realize it goes to `_nonempty`, one tau-LP that
+must find it empty.
 """
 
 from __future__ import annotations
@@ -424,10 +425,11 @@ def catalog(n: int) -> list[Stratum]:
     sign pattern, at the witness a_i = 1/4 + b_i with prisms 0.
 
     A stratum's signs and u-space dimension depend only on its active values
-    and their order, not on where the prisms sit, so `classify` reads one
-    witness per active size, last kind and pattern (80 at n = 7, for 242
-    strata) and checks that it realizes its pattern; every stratum of that
-    pattern takes the dimension and coincidence flag from it.
+    and their order, not on where the prisms sit, so the stratum core
+    `_stratum_of` reads one witness per active size, last kind and pattern
+    (80 at n = 7, for 242 strata) and checks that it realizes its kinds and
+    signs; every stratum of that pattern takes the dimension from it and
+    the coincidence flag from `_is_coincidence`.
     """
     if not 2 <= n <= 7:
         raise ValueError("catalog supports 2 <= n <= 7")
@@ -445,11 +447,11 @@ def catalog(n: int) -> list[Stratum]:
                     witness[-1] = Fraction(1, 3)
                 key = len(active), last, signs
                 if key not in known:
-                    got = classify(witness)
-                    if (got.domain, got.alpha.signs) != (domain, signs):
+                    kinds, got, dim = _stratum_of(*common_denominator(witness))
+                    if (kinds, got) != (domain.kinds, signs):
                         raise InvariantError(
                             f"witness fails to realize its sign pattern: {signs}")
-                    known[key] = got.dim, got.coincidence
+                    known[key] = dim, _is_coincidence(len(active), signs)
                 dim, coincidence = known[key]
                 out.append(Stratum(domain, SignVector(active, signs), dim,
                                    tuple(witness), coincidence))

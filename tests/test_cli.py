@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -284,6 +285,19 @@ def test_verify_refuses_no_samples(capsys, samples):
     assert code == 2
     assert out == ""
     assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+def test_verify_refuses_a_cell_too_large(capsys):
+    # refused before any cell is built: at n = 30 one would hold about
+    # 2 * 3^29 vertices
+    start = time.perf_counter()
+    code = cli.main(["verify", "--n", "30", "--samples", "1"])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == ("error: verify is limited to n <= 10: the cell at n = 30 "
+                   f"has about {2 * 3 ** 29} vertices\n")
 
 
 def test_distance_refuses_negative_digits(capsys):

@@ -1,5 +1,6 @@
 """Cells of closest lifts: half-spaces, vertex families, faces, pairings."""
 
+import dataclasses
 import gc
 import itertools
 import math
@@ -17,8 +18,8 @@ from flatklein import (CutPolytope, InvariantError, catalog, cut_polytope, delta
                        k_value, minimal_lifts, project, representatives)
 from flatklein._exact import (_packed_scan, common_denominator, gcd_reduce,
                               mat_rank)
-from flatklein.cut_polytope import (LabeledSet, _barycenter_key, _chamber, _gain8,
-                                    _k_table)
+from flatklein.cut_polytope import (Face, LabeledSet, _barycenter_key, _chamber,
+                                    _gain8, _k_table)
 from flatklein.klein_space import DeckElement, apply_deck, canonicalize, neighbor_set
 from flatklein.oracle import brute_minimal_images, brute_vertices
 
@@ -527,6 +528,13 @@ def test_cell_records_are_slotted():
     v = cut_polytope(HEX_BASE).vertices()[0]
     for record in (v, v.support, cut_polytope(HEX_BASE).face_lattice()[0]):
         assert not hasattr(record, "__dict__")
+    # the lattice sets its records' slots directly: they are the records
+    # that `Face` itself builds, and as frozen
+    for face in cut_polytope(HEX_BASE).face_lattice():
+        twin = Face(face.dim, face.active, face.vertex_ids)
+        assert (face == twin, hash(face), repr(face)) == (True, hash(twin), repr(twin))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            face.dim = 0
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +794,7 @@ def test_deck_image_is_the_canonical_deck_map():
         point, _ = canonicalize(bary)
         want = (mq, *(c * mq for c in point.rep))
         assert all(x.denominator == 1 for x in want), (pts, q)
-        assert _barycenter_key(pts, q) == want, (pts, q)
+        assert _barycenter_key(map(sum, zip(*pts)), mq) == want, (pts, q)
     assert integer_heads >= 100
 
 
@@ -1108,8 +1116,9 @@ def _gf2_rank(rows):
 def _quotient_betti_mod2(cell):
     """The mod-2 Betti numbers of the cell complex that the face classes
     make of the quotient: one cell per class, and the boundary entry from
-    class c to class c' is the number of facets of one member of c that
-    lie in c', mod 2."""
+    class c to class c' is the number of facets of a member of c that lie
+    in c', mod 2.  A deck map carries a face's facets onto its image's,
+    class by class, so every member of a class must give the same row."""
     faces, classes = cell.face_lattice(), cell.face_equivalences()
     cls_of = {fid: c for c, members in enumerate(classes) for fid in members}
     masks = [sum(1 << i for i in f.vertex_ids) for f in faces]
@@ -1120,15 +1129,18 @@ def _quotient_betti_mod2(cell):
     count = [0] * (cell.n + 2)
     boundary = [[] for _ in range(cell.n + 2)]  # the rows of d_k
     for members in classes:
-        g = members[0]
-        k = faces[g].dim
+        k = faces[members[0]].dim
         count[k] += 1
-        row = 0
-        for v in faces[g].vertex_ids:
-            for fid in by_low.get((k - 1, v), ()):
-                if masks[fid] & masks[g] == masks[fid]:
-                    row ^= 1 << cls_of[fid]
-        boundary[k].append(row)
+        rows = set()
+        for g in members:
+            row = 0
+            for v in faces[g].vertex_ids:
+                for fid in by_low.get((k - 1, v), ()):
+                    if masks[fid] & masks[g] == masks[fid]:
+                        row ^= 1 << cls_of[fid]
+            rows.add(row)
+        assert len(rows) == 1, (cell.point.rep, members)
+        boundary[k].append(rows.pop())
     rank = [_gf2_rank(rows) for rows in boundary]
     return [count[k] - rank[k] - rank[k + 1] for k in range(cell.n + 1)]
 
@@ -1137,7 +1149,9 @@ def test_quotient_mod2_betti_numbers_are_binomial():
     # K_n is the mapping torus of x -> -x on T^(n-1), which is the identity
     # on mod-2 homology, so b_k = C(n-1, k) + C(n-1, k-1) = C(n, k); a face
     # put in the wrong class breaks these more often than it breaks the
-    # Euler characteristic
+    # Euler characteristic.  Swapping one member between two classes of one
+    # dimension keeps them at every witness; the check that every member
+    # gives its class's boundary row catches that swap at n >= 3
     cells = 0
     for n in range(2, 6):
         for s in catalog(n):

@@ -365,27 +365,44 @@ def test_catalog_refuses_a_witness_of_another_stratum(monkeypatch):
         catalog(2)
 
 
-def test_catalog_classifies_each_pattern_once(monkeypatch, fresh_strata_caches):
-    # a cold catalog(7) classifies one witness per active size, last kind
-    # and pattern: 2 * (1 + 1 + 1 + 1 + 2 + 3 + 31) = 80 for its 242 strata;
-    # the size-6 walk prunes every prefix that breaks the monotone rule (731
-    # candidates keep it) or `_six_open`, so `_witness_b` sees only the 31
-    # patterns it realizes
-    classified, candidates = [], []
-    real_classify, real_witness_b = stratification.classify, stratification._witness_b
+def test_catalog_refuses_a_witness_of_another_last_kind(monkeypatch):
+    # the stratum core reads the right signs but the other last kind: the
+    # check compares kinds as well as signs
+    real_stratum_of = stratification._stratum_of
 
-    def counting_classify(p):
-        classified.append(p)
-        return real_classify(p)
+    def other_last_kind(nums, den):
+        kinds, signs, dim = real_stratum_of(nums, den)
+        last = POINT if kinds[-1] == INTERVAL else INTERVAL
+        return (*kinds[:-1], last), signs, dim
+
+    monkeypatch.setattr(stratification, "_stratum_of", other_last_kind)
+    with pytest.raises(InvariantError, match=(
+            r"^witness fails to realize its sign pattern: \(1, 1\)$")):
+        catalog(2)
+
+
+def test_catalog_classifies_each_pattern_once(monkeypatch, fresh_strata_caches):
+    # a cold catalog(7) runs the stratum core on one witness per active
+    # size, last kind and pattern: 2 * (1 + 1 + 1 + 1 + 2 + 3 + 31) = 80
+    # for its 242 strata; the size-6 walk prunes every prefix that breaks
+    # the monotone rule (731 candidates keep it) or `_six_open`, so
+    # `_witness_b` sees only the 31 patterns it realizes
+    classified, candidates = [], []
+    real_stratum_of, real_witness_b = stratification._stratum_of, stratification._witness_b
+
+    def counting_stratum_of(nums, den):
+        classified.append((tuple(nums), den))
+        return real_stratum_of(nums, den)
 
     def counting_witness_b(n_active, deg_signs):
         candidates.append((n_active, deg_signs))
         return real_witness_b(n_active, deg_signs)
 
-    monkeypatch.setattr(stratification, "classify", counting_classify)
+    monkeypatch.setattr(stratification, "_stratum_of", counting_stratum_of)
     monkeypatch.setattr(stratification, "_witness_b", counting_witness_b)
     assert len(catalog(7)) == 242
-    assert len(classified) <= 80
+    assert len(classified) == 80
+    assert len(set(classified)) == 80
     candidates.clear()
     _strata_for_size.cache_clear()
     assert len(_strata_for_size(6)) == 31
