@@ -14,12 +14,12 @@ barycenter.
 
 Inside, the half-spaces and the vertex families run on the integer
 numerators of the reduced point over their common denominator D.  The
-chamber fold `_chamber` and the all-subsets K(S) table `_k_table` also
-serve `stratification`: the signs of K(S) fix both a point's stratum and
-its cell's type.  Every
-vertex coordinate is an integer over one denominator per cell, so the
-vertices are sorted and checked for collisions as integer tuples, and a
-Fraction is built once per distinct coordinate value.
+chamber fold `_chamber`, which also gives each interval coordinate's slant
+gain, and the all-subsets K(S) table `_k_table` on those gains also serve
+`stratification`: the signs of K(S) fix both a point's stratum and its
+cell's type.  Every vertex coordinate is an integer over one denominator
+per cell, so the vertices are sorted and checked for collisions as integer
+tuples, and a Fraction is built once per distinct coordinate value.
 
 Coordinate indices are 0-based everywhere, including emitted JSON.
 Each half-space is named by its row key (`w3+`, `c-`, `s+0101`), which is
@@ -130,21 +130,26 @@ def k_value(subset: Union[LabeledSet, Iterable[int]],
     return Fraction(total, 8 * den * den)
 
 
-def _chamber(nums: list[int], den: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(reflected indices, prism indices) of a point's numerators over any
-    common denominator D, which it reduces in place.  A head numerator A
-    must have 0 <= A < D; it is a prism (0 or 1/2) iff A = 0 or 2A = D,
-    and reflected iff 2A > D, when it becomes D - A."""
-    reflected, prism = [], []
+def _chamber(nums: list[int], den: int
+             ) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    """(reflected indices, prism indices, gains) of a point's numerators
+    over any common denominator D, which it reduces in place.  A head
+    numerator A must have 0 <= A < D; it is a prism (0 or 1/2) iff A = 0 or
+    2A = D, and reflected iff 2A > D, when it becomes D - A.  Each interval
+    coordinate's gain is `_gain8` of its reduced A, 8 A (D - 2A), in index
+    order."""
+    reflected, prism, gains = [], [], []
     for i, x in enumerate(nums[:-1]):
         if not 0 <= x < den:
             raise ValueError("expected a canonical point")
         if not x or 2 * x == den:
             prism.append(i)
-        elif 2 * x > den:
+            continue
+        if 2 * x > den:
             reflected.append(i)
-            nums[i] = den - x
-    return tuple(reflected), tuple(prism)
+            nums[i] = x = den - x
+        gains.append(8 * x * (den - 2 * x))
+    return tuple(reflected), tuple(prism), gains
 
 
 def _k_table(gains: Sequence[int], sq: int) -> list[int]:
@@ -201,7 +206,7 @@ class CutPolytope:
         self.n = point.n
         # the reduced point as integer numerators over one denominator
         self._nums, self._den = common_denominator(point.rep)
-        self.reflected, self.prism = _chamber(self._nums, self._den)
+        self.reflected, self.prism, self._gains = _chamber(self._nums, self._den)
         self.active = tuple(i for i in range(self.n - 1) if i not in self.prism)
         self._rows: list[tuple[str, tuple[int, ...], int]] | None = None
         self._halfspaces: list[tuple[str, LiftPoint, Fraction]] | None = None
@@ -323,7 +328,7 @@ class CutPolytope:
             return self._vertices
         n, den, a = self.n, self._den, self._nums
         act, last, sq = self.active, n - 1, den * den
-        k2 = [t >> 2 for t in _k_table([_gain8(a[i], den) for i in act], sq)]
+        k2 = [t >> 2 for t in _k_table(self._gains, sq)]
         q = math.lcm(2 * sq, *(2 * den * abs(2 * a[k] - e * den)
                                for k in act for e in (0, 1)))
         # Q over 2D and over 2D^2 (one unit of 2D^2 K)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Sequence, Union
 
 from ._exact import common_denominator
@@ -33,6 +34,11 @@ Rational = Union[Fraction, int, str]
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
+
+#: Most minimal lifts that `minimal_lifts` lists: a vertex pair at n has
+#: 2^n of them, and `flatklein geodesics --format json` at the 2^16 of
+#: n = 16 writes 14.9 MB.
+LIFTS_MAX = 2 ** 16
 
 
 def rat(value: Rational) -> Fraction:
@@ -241,13 +247,16 @@ def minimal_lifts(p: Sequence[Rational], z: KleinPoint) -> list[LiftPoint]:
     branches: on the last axis, numerators over the common denominator D,
     branch 0's lifts are congruent to b_n and branch 1's to b_n + D modulo
     2D.  The lifts are sorted lexicographically.
+
+    Refused with a ValueError when there are more than LIFTS_MAX of them,
+    before any is built.
     """
     pt = as_point(p)
     n = len(pt)
     if n != z.n:
         raise ValueError("dimension mismatch")
     nums, den = common_denominator(pt + z.rep)
-    return _lifts(nums[:n], nums[n:], den)
+    return _lifts(nums[:n], nums[n:], den, z.rep)
 
 
 def _tied_branches(a: Sequence[int], b: Sequence[int],
@@ -260,15 +269,27 @@ def _tied_branches(a: Sequence[int], b: Sequence[int],
     return [(0, even_axes), (1, odd_axes)]
 
 
-def _lifts(a: Sequence[int], b: Sequence[int], den: int) -> list[LiftPoint]:
-    """`minimal_lifts` of b from a, both integer numerators over den: each
-    tied branch zips its axes' product with the same product over one
-    `Fraction` per axis option, sorted by the integer keys.  No two keys are
-    equal (`minimal_lifts`), so one lift or 2^n take the same path."""
+def _lifts(a: Sequence[int], b: Sequence[int], den: int,
+           target: LiftPoint) -> list[LiftPoint]:
+    """`minimal_lifts` of b from a, both integer numerators over den, where
+    b is the target point `target`: each tied branch zips its axes' product
+    with the same product over one `Fraction` per axis option, sorted by
+    the integer keys.  An option equal to b_i is the target's own
+    coordinate, already in lowest terms.  No two keys are equal
+    (`minimal_lifts`), so one lift or 2^n take the same path.  The count,
+    the sum over the tied branches of their option counts' products, is
+    checked against LIFTS_MAX first; it is taken only where it can pass
+    the limit, since each of the two branches holds at most 2^n lifts."""
+    tied = _tied_branches(a, b, den)
+    if (2 << len(a) > LIFTS_MAX
+            and (count := sum(prod(map(len, axes)) for _, axes in tied)) > LIFTS_MAX):
+        raise ValueError(f"minimal_lifts is limited to {LIFTS_MAX} lifts: "
+                         f"this pair has {count} minimal lifts")
     pairs: list[tuple[tuple[int, ...], LiftPoint]] = []
-    for _, axes in _tied_branches(a, b, den):
+    for _, axes in tied:
         pairs += zip(product(*axes),
-                     product(*[[Fraction(v, den) for v in opts] for opts in axes]))
+                     product(*[[c if v == bi else Fraction(v, den) for v in opts]
+                               for opts, bi, c in zip(axes, b, target)]))
     return [lift for _, lift in sorted(pairs)]
 
 

@@ -45,8 +45,11 @@ has dimension n minus the rank of its rows' offsets gP - P.
 
 A pair is read once: `plan` projects both points and puts them over one
 common denominator, whose integer numerators feed both the stratum
-dimension (`classify`'s core) and the minimal lifts (`minimal_lifts`'
-core).
+dimension and the minimal lifts (`minimal_lifts`' core).  The dimension
+comes from `stratification._stratum_dim`, which reads it off the zero
+entries of the source's K table and builds no sign vector.  The chosen
+lift takes the target's own `Fraction` on each axis where it lands on the
+target's numerator, and one `Fraction` per other axis.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from ._exact import InvariantError, common_denominator, mat_rank
 from .cut_polytope import cut_polytope
 from .klein_space import (KleinPoint, LiftPoint, _tied_branches, format_rat,
                           geodesic_path, project)
-from .stratification import _stratum_of
+from .stratification import _stratum_dim
 
 __all__ = ["FaceKey", "PlanResult", "plan", "representatives"]
 
@@ -178,7 +181,7 @@ def plan(y, z, samples: int = 0) -> PlanResult:
     dst = project(z)
     n = src.n
     nums, den = common_denominator(src.rep + dst.rep)
-    _, _, dim = _stratum_of(nums[:n], den)
+    dim = _stratum_dim(nums[:n], den)
     if dst.n != n:
         raise ValueError("dimension mismatch")
     tied = _tied_branches(nums[:n], nums[n:], den)
@@ -204,6 +207,7 @@ def plan(y, z, samples: int = 0) -> PlanResult:
         k, q, rows = best
         # q is relatively interior to its face, so this is its dimension
         j = n - mat_rank(offset for _, offset in rows)
-    lift = tuple(Fraction(x, den) for x in q)
+    lift = tuple([c if x == b else Fraction(x, den)
+                  for x, b, c in zip(q, nums[n:], dst.rep)])
     pts = tuple(geodesic_path(src.rep, lift, samples)) if samples else ()
     return PlanResult(dim + j, dim, j, k, lift, pts)

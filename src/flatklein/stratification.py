@@ -25,14 +25,19 @@ it is N - rank(E with e_i for each i in Z that the cone {E d = 0,
 d_Z >= 0} forces to d_i = 0), all the forced i found by one small LP.
 Rank counting over E alone is wrong: a two-equation pattern at N = 6
 forces four further coordinates to 0, and the true dimension is 2, not 5.
-`classify` reads the dimension at its point this way, cached per set of
-zero signs and zero set.  Signs and dimension depend only on the active
-values and their order, so `catalog` runs the stratum core `_stratum_of`
-on one witness per active size, last kind and sign pattern, and builds
-every stratum of that pattern from it.  The dimension counts u-space; a
-stratum whose last coordinate is an interval adds 1.  A catalog candidate
-whose witness fails to realize it goes to `_nonempty`, one tau-LP that
-must find it empty.
+The dimension is read at the point this way, off the zero entries of
+`_k_table` by bitmask, cached per set of zero entries and zero set.  The
+dimension counts u-space; a stratum whose last coordinate is an interval
+adds 1.
+
+Two cores read a point: `_stratum_of` gives the kinds, the 2^N signs in
+`_subsets` order and the dimension, for `classify` and `catalog`;
+`_stratum_dim` gives the dimension alone, for `plan`, and builds neither
+the kinds nor the sign vector.  Signs and dimension depend only on the
+active values and their order, so `catalog` runs `_stratum_of` on one
+witness per active size, last kind and sign pattern, and builds every
+stratum of that pattern from it.  A catalog candidate whose witness fails
+to realize it goes to `_nonempty`, one tau-LP that must find it empty.
 """
 
 from __future__ import annotations
@@ -44,14 +49,14 @@ from functools import lru_cache
 from typing import Sequence
 
 from ._exact import InvariantError, common_denominator, lp_maximize, mat_rank
-from .cut_polytope import _chamber, _gain8, _k_table
+from .cut_polytope import _chamber, _k_table
 from .klein_space import LiftPoint, Rational, as_point, format_rat
 
 __all__ = ["DomainDescriptor", "SignVector", "Stratum", "catalog", "classify"]
 
-#: Largest dimension that `classify` (and so `plan`) accepts: the sign
-#: vector has up to 2^(n-1) entries, and each two more coordinates cost
-#: about 4x in time and memory.
+#: Largest dimension that `classify` and `plan` accept: the K table (and
+#: `classify`'s sign vector) has up to 2^(n-1) entries, and each two more
+#: coordinates cost about 4x in time and memory.
 CLASSIFY_N_MAX = 18
 
 INTERVAL = "interval"
@@ -95,11 +100,10 @@ def _fold(nums: list[int], den: int) -> tuple[tuple[str, ...], list[int], int]:
     interval coordinates and D^2, from `_chamber` (scaling D scales each
     gain and D^2 alike); the last coordinate must be in [0, 1) too, and is
     a point iff it is 0."""
-    _, prism = _chamber(nums, den)
+    _, prism, gains = _chamber(nums, den)
     if not 0 <= nums[-1] < den:
         raise ValueError("expected a canonical point")
     head = [PRISM if i in prism else INTERVAL for i in range(len(nums) - 1)]
-    gains = [_gain8(x, den) for x, kind in zip(nums, head) if kind == INTERVAL]
     return (*head, INTERVAL if nums[-1] else POINT), gains, den * den
 
 
@@ -225,31 +229,30 @@ def _nonempty(n_active: int, signs: tuple[int, ...]) -> bool:
     return tau is not None and tau > 0
 
 
-def _k_signs(gains: Sequence[int], sq: int) -> tuple[int, ...]:
+def _k_signs(table: list[int]) -> tuple[int, ...]:
     """The sign of K_S = K(S)/2 for every subset S, in `_subsets` order,
-    from `_k_table` of the slant gains over sq = D^2."""
-    table = _k_table(gains, sq)
-    return tuple([(t > 0) - (t < 0)
-                  for t in map(table.__getitem__, _subset_masks(len(gains)))])
+    from a `_k_table` over 2^N bitmasks."""
+    return tuple([(t > 0) - (t < 0) for t in map(
+        table.__getitem__, _subset_masks(len(table).bit_length() - 1))])
 
 
-def _point_dimension(signs: tuple[int, ...], gains: Sequence[int], sq: int) -> int:
-    """u-space dimension of the pattern's region, read at a point of it
-    (gains D^2 - 16 D^2 b_i^2 over sq = D^2); no LP when no K_S vanishes."""
-    if 0 not in signs:
+def _table_dimension(table: list[int], gains: Sequence[int], sq: int) -> int:
+    """u-space dimension of the pattern's region, read at a point of it off
+    its `_k_table` (gains D^2 - 16 D^2 b_i^2 over sq = D^2): N, with no LP,
+    when no entry is 0, else the cone of the zero entries' bitmasks."""
+    if 0 not in table:
         return len(gains)
     return _cone_dimension(len(gains),
-                           tuple(i for i, sign in enumerate(signs) if sign == 0),
+                           tuple([mask for mask, t in enumerate(table) if not t]),
                            sum(1 << i for i, g in enumerate(gains) if g == sq))
 
 
 @lru_cache(maxsize=4096)
-def _cone_dimension(n_active: int, eq_slots: tuple[int, ...], zeros: int) -> int:
-    """Dimension of the cone {E d = 0, d_Z >= 0}: E holds the K_S rows at
-    the `_subsets` indices `eq_slots` (the zero signs) and Z the bits of
-    `zeros` (the vanishing coordinates); see the module docstring."""
-    subsets = _subsets(n_active)
-    eq = [[1 if j in subsets[i] else -1 for j in range(n_active)] for i in eq_slots]
+def _cone_dimension(n_active: int, eq_masks: tuple[int, ...], zeros: int) -> int:
+    """Dimension of the cone {E d = 0, d_Z >= 0}: E holds the K_S rows of
+    the subsets with bitmasks `eq_masks` (the zero entries) and Z the bits
+    of `zeros` (the vanishing coordinates); see the module docstring."""
+    eq = [[1 if mask >> j & 1 else -1 for j in range(n_active)] for mask in eq_masks]
     rank = mat_rank(eq)
     zero = [i for i in range(n_active) if zeros >> i & 1]
     if rank == n_active or not zero:
@@ -283,20 +286,39 @@ def _unforced(a_eq: tuple[tuple[int, ...], ...], m: int) -> int:
                            [[*row, *[0] * m] for row in a_eq], [0] * len(a_eq)))
 
 
+def _check_size(n: int) -> None:
+    """Refuse a point above n = CLASSIFY_N_MAX with a ValueError."""
+    if n > CLASSIFY_N_MAX:
+        raise ValueError(
+            f"classify and plan are limited to n <= {CLASSIFY_N_MAX}: the "
+            f"point at n = {n} has up to 2^{n - 1} = {2 ** (n - 1)} sign subsets")
+
+
 def _stratum_of(nums: list[int], den: int) -> tuple[tuple[str, ...], tuple[int, ...], int]:
     """(kinds, signs, dimension) of the stratum of a canonical point, given
     by its numerators over any common denominator D (see `_fold`).
 
     Refused with a ValueError above n = CLASSIFY_N_MAX.
     """
-    if len(nums) > CLASSIFY_N_MAX:
-        raise ValueError(
-            f"classify and plan are limited to n <= {CLASSIFY_N_MAX}: the "
-            f"point at n = {len(nums)} has up to 2^{len(nums) - 1} = "
-            f"{2 ** (len(nums) - 1)} sign subsets")
+    _check_size(len(nums))
     kinds, gains, sq = _fold(nums, den)
-    signs = _k_signs(gains, sq)
-    return kinds, signs, _point_dimension(signs, gains, sq) + (kinds[-1] == INTERVAL)
+    table = _k_table(gains, sq)
+    return (kinds, _k_signs(table),
+            _table_dimension(table, gains, sq) + (kinds[-1] == INTERVAL))
+
+
+def _stratum_dim(nums: list[int], den: int) -> int:
+    """The dimension of `_stratum_of`, with the same checks in the same
+    order, read off the K table alone: no kinds and no sign vector.
+
+    Refused with a ValueError above n = CLASSIFY_N_MAX.
+    """
+    _check_size(len(nums))
+    _, _, gains = _chamber(nums, den)
+    if not 0 <= nums[-1] < den:
+        raise ValueError("expected a canonical point")
+    sq = den * den
+    return _table_dimension(_k_table(gains, sq), gains, sq) + (nums[-1] != 0)
 
 
 def classify(p: Sequence[Rational]) -> Stratum:
@@ -411,7 +433,7 @@ def _strata_for_size(n_active: int):
         signs = (1,) * (len(subsets) - len(deg)) + deg_signs
         a = tuple(Fraction(1, 4) + x for x in b)
         _, gains, sq = _fold(*common_denominator(a + (Fraction(0),)))
-        if _k_signs(gains, sq) == signs:
+        if _k_signs(_k_table(gains, sq)) == signs:
             out.append((signs, a))
         elif _nonempty(n_active, signs):
             raise InvariantError(

@@ -56,6 +56,17 @@ def test_geodesics_json_matches_library(capsys):
     assert json.loads(out)["count"] == 3
 
 
+def test_geodesics_lift_limit_exits_2(capsys):
+    # the n = 17 vertex pair has 2^17 minimal lifts, over LIFTS_MAX
+    code = cli.main(["geodesics", "--P", ",".join(["0"] * 16 + ["1/3"]),
+                     "--Q", ",".join(["1/2"] * 16 + ["5/6"])])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == ("error: minimal_lifts is limited to 65536 lifts: this pair "
+                   "has 131072 minimal lifts\n")
+
+
 def test_polytope_text_and_json(capsys):
     code, out = run(capsys, "polytope", "--P", "1/4,0", "--format", "text")
     assert code == 0

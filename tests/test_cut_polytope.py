@@ -43,9 +43,12 @@ def _pairs(cell):
 
 
 def _reduced(p):
-    """The Fraction view of `_chamber`: (reduced point, reflected, prism)."""
+    """The Fraction view of `_chamber`: (reduced point, reflected, prism).
+    Its gains must be `_gain8` of each reduced interval coordinate."""
     nums, den = common_denominator(p)
-    reflected, prism = _chamber(nums, den)
+    reflected, prism, gains = _chamber(nums, den)
+    assert gains == [_gain8(x, den) for i, x in enumerate(nums[:-1])
+                     if i not in prism]
     return tuple(F(x, den) for x in nums), reflected, prism
 
 

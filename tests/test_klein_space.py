@@ -16,13 +16,14 @@ from flatklein import (
     apply_deck,
     canonicalize,
     geodesic_path,
+    klein_space,
     minimal_lifts,
     neighbor_set,
     project,
     squared_distance,
 )
 from flatklein._exact import common_denominator
-from flatklein.klein_space import _tied_branches
+from flatklein.klein_space import LIFTS_MAX, _tied_branches
 from flatklein.oracle import brute_distance, brute_minimal_images
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=16)
@@ -244,6 +245,30 @@ def test_minimal_lifts_generic_targets():
     assert minimal_lifts(src, project((F(1, 4), F(1, 4)))) == \
         [(F(1, 4), F(1, 4))]
     assert minimal_lifts(src, project(src)) == [src]
+
+
+def _vertex_pair(n):
+    """P = (0, ..., 0, 1/3) and Q = (1/2, ..., 1/2, 5/6): 2^n minimal lifts."""
+    return ((F(0),) * (n - 1) + (F(1, 3),),
+            project((F(1, 2),) * (n - 1) + (F(5, 6),)))
+
+
+def test_minimal_lifts_refuses_more_than_lifts_max(monkeypatch):
+    assert LIFTS_MAX == 2 ** 16
+    y, z = _vertex_pair(16)
+    lifts = minimal_lifts(y, z)
+    assert len(lifts) == 2 ** 16 and len(set(lifts)) == 2 ** 16
+
+    def refuse(*args):
+        raise AssertionError("a lift was built")
+
+    # the count comes from the option counts, before any lift is built
+    monkeypatch.setattr(klein_space, "product", refuse)
+    y, z = _vertex_pair(17)
+    with pytest.raises(ValueError, match=(
+            r"^minimal_lifts is limited to 65536 lifts: this pair has "
+            r"131072 minimal lifts$")):
+        minimal_lifts(y, z)
 
 
 @settings(max_examples=60)

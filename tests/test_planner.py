@@ -17,6 +17,7 @@ from flatklein import (
     PlanResult,
     apply_deck,
     canonicalize,
+    catalog,
     classify,
     cut_polytope,
     geodesic_path,
@@ -27,6 +28,7 @@ from flatklein import (
     rat,
     representatives,
     squared_distance,
+    stratification,
 )
 from flatklein._exact import InvariantError, common_denominator, mat_rank
 from flatklein.klein_space import _lifts
@@ -380,12 +382,43 @@ def test_plan_shares_one_denominator_with_classify_and_lifts():
                 assert _stratum_of(nums[:n], den) == (
                     want.domain.kinds, want.alpha.signs, want.dim), (y, z)
                 lifts = minimal_lifts(y.rep, z)
-                assert _lifts(nums[:n], nums[n:], den) == lifts, (y, z)
+                assert _lifts(nums[:n], nums[n:], den, z.rep) == lifts, (y, z)
                 res = plan(y, z)
                 assert res.stratum_dim == want.dim, (y, z)
                 assert res.lift in lifts, (y, z)
+                # a coordinate that lands on the target's is the target's
+                # own Fraction
+                for q in lifts + [res.lift]:
+                    assert all(c is w for c, w in zip(q, z.rep) if c == w), (y, z)
                 tied += len(lifts) > 1
     assert tied >= 300 and prisms >= 100 and points >= 20, (tied, prisms, points)
+
+
+def test_plan_builds_no_sign_vector(monkeypatch):
+    # plan reads its stratum dimension off the zero entries of the K table
+    # by bitmask: no subset order and no sign vector, at every catalog(2..7)
+    # witness, to the next witness of its catalog and to itself
+    strata = {n: catalog(n) for n in range(2, 8)}
+    pairs = [(s, t.witness) for found in strata.values()
+             for s, t in zip(found, found[1:] + found[:1])]
+    pairs += [(s, s.witness) for found in strata.values() for s in found]
+    want = [plan(s.witness, z) for s, z in pairs]
+
+    def refuse(*args):
+        raise AssertionError("plan built the subset order or the sign vector")
+
+    for name in ("_subsets", "_subset_masks", "_k_signs"):
+        monkeypatch.setattr(stratification, name, refuse)
+    _cone_dimension.cache_clear()
+    _unforced.cache_clear()
+    try:
+        got = [plan(s.witness, z) for s, z in pairs]
+    finally:
+        _cone_dimension.cache_clear()
+        _unforced.cache_clear()
+    assert len(got) == 2 * 382
+    assert got == want
+    assert [res.stratum_dim for res in got] == [s.dim for s, _ in pairs]
 
 
 def test_cut_locus_plans_at_n14_keep_no_cell():

@@ -20,7 +20,7 @@ from flatklein import (
     classify,
 )
 from flatklein import stratification
-from flatklein._exact import InvariantError
+from flatklein._exact import InvariantError, common_denominator
 from flatklein.oracle import brute_vertices
 from flatklein.stratification import (
     INTERVAL,
@@ -29,6 +29,8 @@ from flatklein.stratification import (
     _cone_dimension,
     _nonempty,
     _strata_for_size,
+    _stratum_dim,
+    _stratum_of,
     _unforced,
 )
 
@@ -561,6 +563,57 @@ def test_point_dimension_matches_both_oracles():
     for (n_active, signs), dim_u in dims.items():
         assert _nonempty(n_active, signs), (n_active, signs)
         assert _vertex_dimension(n_active, signs) == dim_u, (n_active, signs)
+
+
+def test_stratum_dim_matches_stratum_of_at_catalog_witnesses():
+    witnesses = [s.witness for n in range(2, 8) for s in catalog(n)]
+    assert len(witnesses) == 382
+    for p in witnesses:
+        want = _stratum_of(*common_denominator(p))[2]
+        assert _stratum_dim(*common_denominator(p)) == want, p
+
+
+def _zero_prone_point(rng, n):
+    """A canonical point at n with interval values that can zero a K_S: the
+    active values of a realized N = 4..6 pattern with a zero sign, then
+    pairs of b = 0 (1/4 or 3/4), each value reflected at random, the rest
+    prisms, in a random order.  Adding b = 0 twice keeps a zero: K of S
+    plus one of them is the old K_S."""
+    heads = []
+    sizes = [k for k in (4, 5, 6) if k <= n - 1]
+    if sizes:
+        size = rng.choice(sizes)
+        heads += rng.choice([a for signs, a in _strata_for_size(size) if 0 in signs])
+    while len(heads) + 2 <= n - 1 and rng.random() < 0.85:
+        heads += [F(1, 4), F(1, 4)]
+    heads = [1 - a if rng.random() < 0.5 else a for a in heads]
+    heads += [rng.choice((F(0), F(1, 2))) for _ in range(n - 1 - len(heads))]
+    rng.shuffle(heads)
+    return tuple(heads) + (rng.choice((F(0), F(1, 3))),)
+
+
+def test_stratum_dim_matches_stratum_of_on_seeded_points():
+    # points built to have zero K_S, and generic points with and without
+    # prisms, up to the limit n = 18
+    rng = random.Random(3618)
+    zeros, prisms, widest = set(), 0, 0
+    for n in range(2, 19):
+        for k in range(12 if n <= 12 else 3):
+            if k % 3:
+                share = 0.3 if k % 3 == 1 else 0
+                p = tuple(rng.choice((F(0), F(1, 2))) if rng.random() < share
+                          else F(rng.randrange(1, 17), 17) for _ in range(n - 1))
+                p += (rng.choice((F(0), F(2, 5))),)
+            else:
+                p = _zero_prone_point(rng, n)
+            kinds, signs, dim = _stratum_of(*common_denominator(p))
+            assert _stratum_dim(*common_denominator(p)) == dim, p
+            prisms += PRISM in kinds
+            widest = max(widest, kinds[:-1].count(INTERVAL))
+            if 0 in signs:
+                zeros.add(n)
+    assert zeros >= set(range(5, 19)), sorted(zeros)
+    assert prisms >= 50 and widest == 17, (prisms, widest)
 
 
 def test_classify_solves_no_lp_without_a_zero_slack(monkeypatch):
